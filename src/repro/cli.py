@@ -7,7 +7,7 @@ Usage::
     python -m repro generate restaurant --out-dir data/ --scale 0.5
     python -m repro experiment table3 --profiles restaurant bbc_dbpedia
     python -m repro index kb2.nt -o kb2.idx
-    python -m repro index --migrate legacy.idx
+    python -m repro index --migrate old.idx
     python -m repro index kb2.nt -o kb2.idx --shards 3
     python -m repro serve kb2.idx --mmap < queries.jsonl > answers.jsonl
     python -m repro serve kb2.idx --shards 3 --replicas 2 < q.jsonl
@@ -17,8 +17,8 @@ Usage::
 materialises a synthetic benchmark profile to disk; ``experiment``
 regenerates one of the paper's tables or figures and prints it.
 ``index`` freezes a target KB into a query-time resolution index
-(``--migrate`` rewrites an existing file -- e.g. a legacy pickle index
--- in the current columnar format), and ``serve`` answers JSONL queries
+(``--migrate`` rewrites an existing index file in the current columnar
+format), and ``serve`` answers JSONL queries
 against it (``--mmap`` serves off zero-copy memory-mapped sections; see
 ``docs/serving.md`` for the wire and on-disk formats).
 
@@ -292,8 +292,6 @@ def command_experiment(args: argparse.Namespace) -> int:
 
 
 def command_index(args: argparse.Namespace) -> int:
-    import warnings
-
     from repro.serving import ResolutionIndex
     from repro.serving.format import MAGIC
     from repro.serving.index import FORMAT_VERSION
@@ -301,11 +299,7 @@ def command_index(args: argparse.Namespace) -> int:
     if args.migrate:
         source = args.kb
         destination = args.output or source
-        with warnings.catch_warnings():
-            # Migration is the documented answer to the legacy-format
-            # deprecation; warning about it here would be circular.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            index = ResolutionIndex.load(source)
+        index = ResolutionIndex.load(source)
         loaded_version = index.load_info["format_version"]
         index.save(destination)
         print(
@@ -707,8 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index.add_argument(
         "--migrate", action="store_true",
-        help="rewrite an existing index (e.g. a legacy pickle file) in "
-        "the current columnar format instead of building from a KB",
+        help="rewrite an existing index file in the current columnar "
+        "format instead of building from a KB",
     )
     index.add_argument(
         "--shards", type=int, default=0, metavar="N",

@@ -160,20 +160,27 @@ class InternedBlocks:
         items: Iterable[tuple[Sequence[int], Sequence[int]]],
         n1: int,
         n2: int,
+        weights: Iterable[float] | None = None,
     ) -> "InternedBlocks":
-        """Intern plain ``(side1, side2)`` tuples (picklable stage input)."""
+        """Intern plain ``(side1, side2)`` tuples (picklable stage input).
+
+        ``weights`` replaces the per-block weights derived from the
+        block sizes: a shard's ``side2`` holds only its own entities,
+        but its block weights must see the whole KB.
+        """
         side1_offsets = array("i", [0])
         side2_offsets = array("i", [0])
         side1_ids = array("i")
         side2_ids = array("i")
-        weights = array("d")
+        hoisted = array("d", () if weights is None else weights)
         for side1, side2 in items:
             side1_ids.extend(side1)
             side2_ids.extend(side2)
             side1_offsets.append(len(side1_ids))
             side2_offsets.append(len(side2_ids))
-            weights.append(block_weight(len(side1) * len(side2)))
-        return cls(n1, n2, side1_offsets, side1_ids, side2_offsets, side2_ids, weights)
+            if weights is None:
+                hoisted.append(block_weight(len(side1) * len(side2)))
+        return cls(n1, n2, side1_offsets, side1_ids, side2_offsets, side2_ids, hoisted)
 
     @property
     def n_blocks(self) -> int:

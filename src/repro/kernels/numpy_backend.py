@@ -85,6 +85,7 @@ def _accumulate_pairs(
 
 def accumulate_row(
     weighted_postings,
+    as_arrays: bool = False,
 ) -> tuple[list[int], list[float]]:
     """Accumulate one entity's ``beta`` row from weighted posting lists.
 
@@ -98,12 +99,14 @@ def accumulate_row(
     bit-identical sums.  Candidates return in ascending id order (the
     python backend returns first-touch order); all consumers rank under
     the total order ``(-score, id)``, which is insensitive to row order.
+    ``as_arrays`` hands back the id / sum arrays themselves instead of
+    python lists (what :func:`row_evidence` selects from in place).
     """
     chunks = []
     weights: list[float] = []
     counts: list[int] = []
     for weight, candidates in weighted_postings:
-        ids = _as_int64(candidates)
+        ids = np.asarray(candidates)
         if ids.shape[0] == 0:
             continue
         chunks.append(ids)
@@ -117,6 +120,8 @@ def accumulate_row(
     )
     unique_cols, inverse = np.unique(cols, return_inverse=True)
     sums = np.bincount(inverse, weights=expanded)
+    if as_arrays:
+        return unique_cols, sums
     return unique_cols.tolist(), sums.tolist()
 
 
@@ -128,34 +133,16 @@ def row_evidence(
 ):
     """One query's merge-ready value evidence, fused.
 
-    The accumulation of :func:`accumulate_row` feeding straight into
-    :func:`select_row` without materialising python lists in between --
-    posting slices (memmapped int32 included) are concatenated as-is,
-    duplicates collapse via ``unique`` + ``bincount`` (bit-identical
-    sums; see :func:`accumulate_row`), and the uncopied arrays go to
-    selection.  The ``margin`` smallest touched ids fall out of
+    :func:`accumulate_row` feeding straight into :func:`select_row`
+    without materialising python lists in between: the uncopied arrays
+    go to selection, the ``margin`` smallest touched ids fall out of
     ``unique``'s ascending order as a prefix slice, and the ``probe``
     membership test is one vectorised comparison.  Returns
     ``(ranked row, mins, touched count, probe touched)``.
     """
-    chunks = []
-    weights: list[float] = []
-    counts: list[int] = []
-    for weight, candidates in weighted_postings:
-        ids = np.asarray(candidates)
-        if ids.shape[0] == 0:
-            continue
-        chunks.append(ids)
-        weights.append(weight)
-        counts.append(ids.shape[0])
-    if not chunks:
+    unique_cols, sums = accumulate_row(weighted_postings, as_arrays=True)
+    if not len(unique_cols):
         return (), [], 0, False
-    cols = np.concatenate(chunks)
-    expanded = np.repeat(
-        np.asarray(weights, dtype=np.float64), np.asarray(counts, dtype=np.int64)
-    )
-    unique_cols, inverse = np.unique(cols, return_inverse=True)
-    sums = np.bincount(inverse, weights=expanded)
     row = select_row(unique_cols, sums, keep, None)
     mins = unique_cols[:margin].tolist()
     touched = probe is not None and bool((unique_cols == int(probe)).any())

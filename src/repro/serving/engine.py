@@ -1,25 +1,34 @@
 """Query-time resolution over a frozen :class:`ResolutionIndex`.
 
-Two entry points with one contract:
+Two entry points, one design: **prelude -> evidence seam -> merge ->
+rules**.
 
-* :meth:`MatchEngine.match_batch` resolves a *batch* of query
-  descriptions together.  The batch supplies the query-side context of
-  Algorithm 1 -- Entity Frequencies, name attributes, top in-neighbors
-  -- and the engine then runs the exact batch pipeline against the
-  frozen index (same blocks, same kernels, same rules), so serving
-  every KB1 entity in one batch reproduces
-  :meth:`repro.core.pipeline.MinoanER.resolve` pair for pair.
-* :meth:`MatchEngine.match` resolves a *single* description as a batch
-  of one, on a dedicated hot path: candidates come only from the
-  query's shared tokens and names (never a scan of the indexed KB), the
-  ``beta`` row is accumulated with the single-row kernel entry points
-  (``accumulate_row`` / ``select_row``, dispatched to the configured
-  backend and breaker-guarded like the batch kernels; the numpy pair
-  consumes memmapped posting slices zero-copy) using the index's
-  hoisted singleton block weights, and rules R1-R4 run in a
-  query-local form whose per-candidate reciprocity checks touch nothing
-  outside the candidate set.  ``match(e)`` equals
-  ``match_batch([e])[0]`` by construction (tested).
+* *Prelude* (query-side, cheap): the queries become the query-side KB
+  of Algorithm 1, name evidence (``alpha``) is looked up in the index's
+  name map, and the shared tokens are purged of stopword-like blocks by
+  the one purging rule (:meth:`MatchEngine._retained_tokens`).
+* *Evidence seam*: two methods that turn purged tokens into value
+  (``beta``) candidates -- :meth:`MatchEngine._single_values` and
+  :meth:`MatchEngine._batch_values` -- and the only thing the shard
+  routers override.  Here they read the engine's own index: the fused
+  single-row kernel (``row_evidence``, breaker-guarded, consuming
+  memmapped posting slices zero-copy) and the interned ``value_topk``
+  batch kernel.
+* *Merge* (:mod:`repro.serving.merge`): per-source evidence re-ranked
+  under ``(-score, id)``; the unsharded engine is its one-source case.
+* *Rules* R1-R4 run here and only here, whatever produced the
+  candidates: :func:`apply_single_rules` in a query-local form whose
+  reciprocity checks touch nothing outside the candidate set, the batch
+  matcher over the assembled blocking graph.
+
+:meth:`MatchEngine.match_batch` resolves a *batch* together -- the
+batch supplies the query-side context (Entity Frequencies, name
+attributes, top in-neighbors) -- so serving every KB1 entity in one
+batch reproduces :meth:`repro.core.pipeline.MinoanER.resolve` pair for
+pair.  :meth:`MatchEngine.match` resolves a *single* description as a
+batch of one: candidates come only from the query's shared tokens and
+names (never a scan of the indexed KB), and ``match(e)`` equals
+``match_batch([e])[0]`` (tested).
 
 Batch-of-one semantics, spelled out: the query side contributes
 ``EF1(t) = 1`` to every block weight, and neighbor evidence (``gamma``)
@@ -49,25 +58,22 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from repro.blocking.base import Block, BlockCollection
 from repro.blocking.name_blocking import normalize_name
-from repro.blocking.purging import purge_blocks, purging_threshold_from_counts
+from repro.blocking.purging import purging_threshold_from_counts
 from repro.core.config import MinoanERConfig
 from repro.core.matcher import NonIterativeMatcher
 from repro.core.rank_aggregation import top_aggregate_candidate
 from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
-from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM
+from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM, adaptive_cut
 from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
 from repro.kernels import (
     InternedBlocks,
-    accumulate_row,
     block_weight,
     get_backend,
     resolve_backend_name,
     retained_edge_arrays,
-    select_row,
 )
 from repro.obs import NULL_RECORDER, Recorder, current_recorder
 from repro.obs.provenance import RULE_EVIDENCE, ProvenanceRecord, ProvenanceSampler
@@ -77,6 +83,7 @@ from repro.resilience.faults import inject
 from repro.resilience.policy import Deadline, DeadlineExpired
 from repro.serving.cache import LRUCache, entity_fingerprint
 from repro.serving.index import ResolutionIndex
+from repro.serving.merge import merge_batch_evidence, merge_single_evidence
 
 RULE_PRIORITY = {"R1": 0, "R2": 1, "R3": 2}
 """Conflict-resolution priority of the matching rules (R1 strongest)."""
@@ -120,9 +127,10 @@ def apply_single_rules(
     retained block with the query (the R3 side-2 sweep set).  Returns
     the winning ``(kb2 id, rule, score)`` or None.
 
-    Shared by :meth:`MatchEngine._resolve_single` and the shard
-    router's evidence merge (:mod:`repro.sharding.merge`), so both
-    replay the exact same proposal and conflict logic.
+    Called from :meth:`MatchEngine._lookup` alone, over the candidates
+    :func:`repro.serving.merge.merge_single_evidence` produced, so the
+    unsharded, sharded and live tiers all replay the exact same proposal
+    and conflict logic.
     """
     # Rules R1-R3.  Proposals are (candidate, score, rule); the query
     # is implicitly side-1 entity 0.
@@ -270,11 +278,6 @@ class MatchEngine:
             else None
         )
         self.cache = cache if cache is not None else LRUCache(self.config.serving_cache_size)
-        # mmap-native batch path: with a mapped index the row kernels
-        # consume posting slices zero-copy, so batches skip
-        # materialising interned block copies (bit-identical results;
-        # gated by the mmap equivalence suite).
-        self._use_row_batch = bool((index.load_info or {}).get("mmap"))
         self._sampler = ProvenanceSampler(self.config.provenance_sample_rate)
         if recorder is not None:
             self.recorder = recorder
@@ -344,7 +347,7 @@ class MatchEngine:
             return self._match_one(entity)
 
     def _match_one(self, entity: EntityDescription) -> MatchDecision:
-        """The single-query path, past admission (subclass override point)."""
+        """The single-query path, past admission."""
         started = time.perf_counter()
         key = (self.generation, entity_fingerprint(entity))
         outcome = self.cache.get(key)
@@ -358,20 +361,49 @@ class MatchEngine:
                 outcome, degraded = self._lookup(entity, deadline)
             except DeadlineExpired:
                 self.recorder.count("deadline.expired")
+                outcome, degraded = self._name_only_outcome(entity), True
+            if degraded:
                 self.recorder.count("serving.degraded")
-                outcome = self._name_only_outcome(entity)
-                degraded = True
             else:
-                if degraded:
-                    self.recorder.count("serving.degraded")
-                else:
-                    self.cache.put(key, outcome)
-        kb2_id, rule, score, candidates, top = outcome
+                self.cache.put(key, outcome)
         latency_ms = (time.perf_counter() - started) * 1e3
-        trace_id, provenance = self._provenance(
-            entity.uri, rule, candidates, top, degraded=degraded, cached=hit
+        decision = self._decision(
+            entity, outcome, latency_ms, degraded=degraded, cached=hit
         )
-        decision = MatchDecision(
+        self._record(1, latency_ms, [decision.candidates], int(decision.matched))
+        return decision
+
+    def _decision(
+        self,
+        entity: EntityDescription,
+        outcome: _Outcome,
+        latency_ms: float,
+        degraded: bool = False,
+        cached: bool = False,
+        batched: bool = False,
+    ) -> MatchDecision:
+        """Shape one outcome as the decision every path returns: trace
+        id, plus the audit record when the deterministic sampler selects
+        the lookup (``serving.provenance_sampled``)."""
+        kb2_id, rule, score, candidates, top = outcome
+        seq, sampled = self._sampler.next()
+        trace_id = f"{self.recorder.trace_id or 'serve'}-q{seq}"
+        provenance = None
+        if sampled:
+            self.recorder.count("serving.provenance_sampled")
+            provenance = ProvenanceRecord(
+                trace_id=trace_id,
+                query_uri=entity.uri,
+                rule=rule,
+                evidence=RULE_EVIDENCE.get(rule) if rule is not None else None,
+                candidates=candidates,
+                top_scores=top,
+                degraded=degraded,
+                cached=cached,
+                batched=batched,
+                generation=self.generation,
+            )
+        return MatchDecision(
             query_uri=entity.uri,
             kb2_id=kb2_id,
             kb2_uri=self.index.uris2[kb2_id] if kb2_id is not None else None,
@@ -379,42 +411,10 @@ class MatchEngine:
             score=score,
             candidates=candidates,
             degraded=degraded,
-            cached=hit,
+            cached=cached,
             latency_ms=latency_ms,
             trace_id=trace_id,
             provenance=provenance,
-        )
-        self._record(1, latency_ms, [candidates], 1 if kb2_id is not None else 0)
-        return decision
-
-    def _provenance(
-        self,
-        query_uri: str,
-        rule: str | None,
-        candidates: int,
-        top: tuple[tuple[int, float], ...],
-        degraded: bool = False,
-        cached: bool = False,
-        batched: bool = False,
-    ) -> tuple[str, ProvenanceRecord | None]:
-        """Allocate this lookup's trace id; build its audit record when
-        the deterministic sampler selects it (``serving.provenance_sampled``)."""
-        seq, sampled = self._sampler.next()
-        trace_id = f"{self.recorder.trace_id or 'serve'}-q{seq}"
-        if not sampled:
-            return trace_id, None
-        self.recorder.count("serving.provenance_sampled")
-        return trace_id, ProvenanceRecord(
-            trace_id=trace_id,
-            query_uri=query_uri,
-            rule=rule,
-            evidence=RULE_EVIDENCE.get(rule) if rule is not None else None,
-            candidates=candidates,
-            top_scores=top,
-            degraded=degraded,
-            cached=cached,
-            batched=batched,
-            generation=self.generation,
         )
 
     def _lookup(
@@ -422,78 +422,16 @@ class MatchEngine:
     ) -> tuple[_Outcome, bool]:
         """Resolve one cache-missed query: ``(outcome, degraded)``.
 
-        The shard router overrides this to scatter/gather; degraded
+        Query-local Algorithm 1 + rules R1-R4 for a batch of one -- the
+        decision ``match_batch([entity])`` would produce, in O(candidate
+        set) instead of O(|KB2|) -- written once for every tier: only
+        :meth:`_single_values` differs between them.  Raises
+        :class:`DeadlineExpired` at the inter-step checkpoints; degraded
         outcomes (partial shard evidence) are never cached.
         """
-        return self._resolve_single(entity, deadline), False
-
-    def _query_deadline(self) -> Deadline | None:
-        """A fresh per-lookup deadline, or None when none is configured."""
-        budget_ms = self.config.serving_deadline_ms
-        return Deadline.after_ms(budget_ms) if budget_ms is not None else None
-
-    def _alpha_match(self, qstats: KBStatistics) -> int | None:
-        """Name evidence for a lone query: the first singleton shared
-        name in sorted order (the emit order of name_blocks +
-        name_evidence)."""
-        qnames = {
-            name
-            for name in (normalize_name(raw) for raw in qstats.names(0))
-            if name
-        }
-        # Membership loop, not a set intersection: the index's name map
-        # may be a memmapped view whose keys-view would decode the whole
-        # table; probing the few query names costs O(log n) each.
-        names2 = self.index.names
-        for name in sorted(name for name in qnames if name in names2):
-            ids2 = names2[name]
-            if len(ids2) == 1:
-                return ids2[0]
-        return None
-
-    def _name_only_outcome(self, entity: EntityDescription) -> _Outcome:
-        """The degraded answer: rule R1 over name evidence, or nothing.
-
-        Deliberately the cheapest sound answer the index supports -- one
-        name lookup, no token scan, no kernels -- so it fits in whatever
-        sliver of budget remains after a deadline expires.
-        """
-        if self.index.n2 == 0 or not self.config.use_name_rule:
-            return None, None, None, 0, ()
-        qkb = KnowledgeBase([entity], name="query", tokenizer=self.index.tokenizer)
-        qstats = KBStatistics(
-            qkb,
-            top_k_name_attributes=self.config.name_attributes_k,
-            top_n_relations=self.config.relations_n,
-        )
-        alpha = self._alpha_match(qstats)
-        if alpha is None:
-            return None, None, None, 0, ()
-        return int(alpha), "R1", float("inf"), 0, ()
-
-    def _resolve_single(
-        self, entity: EntityDescription, deadline: Deadline | None = None
-    ) -> _Outcome:
-        """Query-local Algorithm 1 + rules R1-R4 for a batch of one.
-
-        Returns ``(kb2 id, rule, score, retained candidates, top
-        scores)`` -- the decision ``match_batch([entity])`` would
-        produce plus the query's strongest value candidates for
-        provenance -- computed in O(candidate set) instead of O(|KB2|).
-        Raises :class:`DeadlineExpired` at the inter-step checkpoints
-        when the optional ``deadline`` runs out.
-        """
-        index = self.index
-        config = self.config
-        if index.n2 == 0:
-            return None, None, None, 0, ()
-
-        qkb = KnowledgeBase([entity], name="query", tokenizer=index.tokenizer)
-        qstats = KBStatistics(
-            qkb,
-            top_k_name_attributes=config.name_attributes_k,
-            top_n_relations=config.relations_n,
-        )
+        if self.index.n2 == 0:
+            return (None, None, None, 0, ()), False
+        qkb, qstats = self._query_stats([entity])
         if deadline is not None:
             deadline.check("name evidence")
 
@@ -504,45 +442,55 @@ class MatchEngine:
             deadline.check("value evidence")
 
         # Value evidence over the query's shared-token blocks only.
-        postings = index.postings
-        shared = sorted(token for token in qkb.tokens(0) if token in postings)
-        if config.purge_blocks and shared:
-            threshold = config.max_block_comparisons
-            if threshold is None:
-                # One query entity: a token block suggests EF2(t)
-                # comparisons against a Cartesian of 1 * n2.
-                threshold = purging_threshold_from_counts(
-                    (len(postings[token]) for token in shared),
-                    cartesian=index.n2,
-                    budget_ratio=config.purging_budget_ratio,
-                )
-            shared = [token for token in shared if len(postings[token]) <= threshold]
-
-        # The weighted postings are materialised (not a generator): the
-        # breaker may replay the args against the python fallback, and
-        # the numpy backend consumes memmapped id slices zero-copy.
-        singleton_weights = index.singleton_weights
-        weighted = [(singleton_weights[token], postings[token]) for token in shared]
-        ids, sums = self._run_kernel("accumulate_row", weighted)
-        cap = config.serving_candidate_cap
-        if cap is not None and len(ids) > cap:
-            capped = self._run_kernel("select_row", ids, sums, cap, None)
-            ids = [candidate for candidate, _ in capped]
-            sums = [score for _, score in capped]
-        value_list = self._run_kernel(
-            "select_row", ids, sums, config.candidates_k, self._cut
-        )
-        if deadline is not None:
-            deadline.check("matching rules")
         # gamma is inert for a lone query (no resolvable relations), so
         # the neighbor candidate lists of both sides are empty.
+        tokens = self.value_tokens(entity, qkb=qkb)
+        value_list, sweep, degraded = self._single_values(alpha, tokens, deadline)
+        if deadline is not None:
+            deadline.check("matching rules")
 
         top = _top_scores(value_list)
-        matched = apply_single_rules(config, alpha, value_list, sorted(ids))
+        matched = apply_single_rules(self.config, alpha, value_list, sweep)
         if matched is None:
-            return None, None, None, len(value_list), top
+            return (None, None, None, len(value_list), top), degraded
         candidate, rule, score = matched
-        return candidate, rule, score, len(value_list), top
+        return (candidate, rule, score, len(value_list), top), degraded
+
+    def _single_values(
+        self, alpha: int | None, tokens: list[str], deadline: Deadline | None
+    ) -> tuple[CandidateList, Sequence[int], bool]:
+        """Evidence seam, single query: ``(pruned value list, ascending
+        side-2 sweep ids, degraded)``.  In-process provider: this index
+        is the merge's one source; the shard routers scatter instead."""
+        evidence = self.match_evidence(
+            None, probe=alpha, deadline=deadline, tokens=tokens
+        )
+        return (*merge_single_evidence(self.config, self._cut, alpha, [evidence]), False)
+
+    def _query_deadline(self) -> Deadline | None:
+        """A fresh per-lookup deadline, or None when none is configured."""
+        budget_ms = self.config.serving_deadline_ms
+        return Deadline.after_ms(budget_ms) if budget_ms is not None else None
+
+    def _alpha_match(self, qstats: KBStatistics) -> int | None:
+        """Name evidence for a lone query: :meth:`_batch_name_evidence`
+        of a batch of one (the first singleton shared name in sorted
+        order)."""
+        return self._batch_name_evidence(qstats)[0].get(0)
+
+    def _name_only_outcome(self, entity: EntityDescription) -> _Outcome:
+        """The degraded answer: rule R1 over name evidence, or nothing.
+
+        Deliberately the cheapest sound answer the index supports -- one
+        name lookup, no token scan, no kernels -- so it fits in whatever
+        sliver of budget remains after a deadline expires.
+        """
+        if self.index.n2 == 0 or not self.config.use_name_rule:
+            return None, None, None, 0, ()
+        alpha = self._alpha_match(self._query_stats([entity])[1])
+        if alpha is None:
+            return None, None, None, 0, ()
+        return int(alpha), "R1", float("inf"), 0, ()
 
     # ------------------------------------------------------------------
     # Batch path
@@ -574,29 +522,31 @@ class MatchEngine:
             return self._match_many(batch)
 
     def _match_many(self, batch: list[EntityDescription]) -> list[MatchDecision]:
-        """The batch path, past admission (subclass override point)."""
+        """The batch path, past admission.  Written once for every
+        tier -- only :meth:`_batch_values` differs between them."""
         started = time.perf_counter()
         deadline = self._query_deadline()
         try:
             inject("serve:batch")
-            qkb, qstats = self._batch_stats(batch)
+            qkb, qstats = self._query_stats(batch)
             if deadline is not None:
                 deadline.check("batch graph")
-            graph = self._batch_graph(qkb, qstats)
+            value_1, value_2, degraded = self._batch_values(batch, qkb, deadline)
+            graph = self._assemble_graph(qkb, qstats, value_1, value_2)
             if deadline is not None:
                 deadline.check("batch matching")
         except DeadlineExpired:
+            # Batch context is lost: name-evidence-only, query-local answers.
             self.recorder.count("deadline.expired")
-            return self._degraded_batch(batch, started)
-        return self._finish_batch(batch, graph, started)
+            outcomes = [self._name_only_outcome(entity) for entity in batch]
+            return self._batch_decisions(batch, outcomes, started, degraded=True)
+        return self._finish_batch(batch, graph, started, degraded)
 
-    def _batch_stats(
-        self, batch: list[EntityDescription]
+    def _query_stats(
+        self, entities: list[EntityDescription]
     ) -> tuple[KnowledgeBase, KBStatistics]:
-        """The batch as the query-side KB of Algorithm 1, profiled."""
-        qkb = KnowledgeBase(
-            batch, name="query-batch", tokenizer=self.index.tokenizer
-        )
+        """The queries as the query-side KB of Algorithm 1, profiled."""
+        qkb = KnowledgeBase(entities, name="query", tokenizer=self.index.tokenizer)
         qstats = KBStatistics(
             qkb,
             top_k_name_attributes=self.config.name_attributes_k,
@@ -609,17 +559,14 @@ class MatchEngine:
         batch: list[EntityDescription],
         graph: DisjunctiveBlockingGraph,
         started: float,
-        degraded: bool = False,
+        degraded: bool,
     ) -> list[MatchDecision]:
         """Run the matcher over the assembled graph and shape decisions.
 
         ``degraded`` marks every decision as partial-evidence (the shard
         router sets it when a shard's contribution is missing).
         """
-        index = self.index
         matching = NonIterativeMatcher(self.config).match(graph)
-        if degraded:
-            self.recorder.count("serving.degraded", len(batch))
 
         # Per query entity, the strongest surviving pair (under the
         # matcher's own conflict order; unique mapping already leaves at
@@ -632,76 +579,40 @@ class MatchEngine:
             if eid1 not in best_of or order < best_of[eid1][0]:
                 best_of[eid1] = (order, int(pair[1]), rule, float(score))
 
-        latency_ms = (time.perf_counter() - started) * 1e3
-        per_query_ms = latency_ms / len(batch)
-        decisions: list[MatchDecision] = []
-        candidate_counts: list[int] = []
-        matched = 0
-        for position, entity in enumerate(batch):
+        outcomes: list[_Outcome] = []
+        for position in range(len(batch)):
             value_list = graph.value_candidates(1, position)
-            candidates = len(value_list)
-            candidate_counts.append(candidates)
-            if position in best_of:
-                _, kb2_id, rule, score = best_of[position]
-                matched += 1
-            else:
-                kb2_id = rule = score = None
-            trace_id, provenance = self._provenance(
-                entity.uri,
-                rule,
-                candidates,
-                _top_scores(value_list),
-                degraded=degraded,
-                batched=True,
+            _, kb2_id, rule, score = best_of.get(position, (None, None, None, None))
+            outcomes.append(
+                (kb2_id, rule, score, len(value_list), _top_scores(value_list))
             )
-            decisions.append(
-                MatchDecision(
-                    query_uri=entity.uri,
-                    kb2_id=kb2_id,
-                    kb2_uri=index.uris2[kb2_id] if kb2_id is not None else None,
-                    rule=rule,
-                    score=score,
-                    candidates=candidates,
-                    degraded=degraded,
-                    latency_ms=per_query_ms,
-                    trace_id=trace_id,
-                    provenance=provenance,
-                )
-            )
-        self._record(len(batch), latency_ms, candidate_counts, matched, batch=True)
-        return decisions
+        return self._batch_decisions(batch, outcomes, started, degraded)
 
-    def _degraded_batch(
-        self, batch: list[EntityDescription], started: float
+    def _batch_decisions(
+        self,
+        batch: list[EntityDescription],
+        outcomes: list[_Outcome],
+        started: float,
+        degraded: bool,
     ) -> list[MatchDecision]:
-        """Name-evidence-only decisions for a batch whose deadline expired."""
-        self.recorder.count("serving.degraded", len(batch))
+        """One decision per batch entity, the batch latency attributed
+        evenly; every ``degraded`` batch is counted ``serving.degraded``."""
+        if degraded:
+            self.recorder.count("serving.degraded", len(batch))
         latency_ms = (time.perf_counter() - started) * 1e3
-        per_query_ms = latency_ms / len(batch)
-        decisions: list[MatchDecision] = []
-        matched = 0
-        for entity in batch:
-            kb2_id, rule, score, candidates, top = self._name_only_outcome(entity)
-            if kb2_id is not None:
-                matched += 1
-            trace_id, provenance = self._provenance(
-                entity.uri, rule, candidates, top, degraded=True, batched=True
+        decisions = [
+            self._decision(
+                entity, outcome, latency_ms / len(batch), degraded=degraded, batched=True
             )
-            decisions.append(
-                MatchDecision(
-                    query_uri=entity.uri,
-                    kb2_id=kb2_id,
-                    kb2_uri=self.index.uris2[kb2_id] if kb2_id is not None else None,
-                    rule=rule,
-                    score=score,
-                    candidates=candidates,
-                    degraded=True,
-                    latency_ms=per_query_ms,
-                    trace_id=trace_id,
-                    provenance=provenance,
-                )
-            )
-        self._record(len(batch), latency_ms, [0] * len(batch), matched, batch=True)
+            for entity, outcome in zip(batch, outcomes)
+        ]
+        self._record(
+            len(batch),
+            latency_ms,
+            [decision.candidates for decision in decisions],
+            sum(decision.matched for decision in decisions),
+            batch=True,
+        )
         return decisions
 
     def _run_kernel(self, method: str, *args):
@@ -728,43 +639,31 @@ class MatchEngine:
         self.recorder.count("serving.kernel_fallback")
         return getattr(self._fallback, method)(*args)
 
-    def _batch_graph(
-        self, qkb: KnowledgeBase, qstats: KBStatistics
-    ) -> DisjunctiveBlockingGraph:
-        """Algorithm 1 with the KB2 side read from the frozen index."""
-        index = self.index
-        config = self.config
-        k = config.candidates_k
-        cap = config.serving_candidate_cap
-        if cap is None and self._use_row_batch:
-            # mmap-native: accumulate each query row straight off the
-            # mapped posting slices instead of materialising interned
-            # block copies.  Bit-identical to the kernel path below.
-            value_1, value_2 = self._row_value_topk(qkb, k)
-        else:
-            blocks = BlockCollection(kind="token")
-            postings = index.postings
-            # Probe the (few) query tokens against the index rather than
-            # intersecting keys views: a memmapped postings table answers
-            # membership by binary search without decoding its tokens.
-            for token in sorted(t for t in qkb.token_index if t in postings):
-                blocks.add(Block(token, qkb.token_index[token], postings[token]))
-            if config.purge_blocks:
-                blocks = purge_blocks(
-                    blocks,
-                    cartesian=len(qkb) * index.n2,
-                    budget_ratio=config.purging_budget_ratio,
-                    max_comparisons=config.max_block_comparisons,
-                )
+    def _batch_values(
+        self,
+        batch: list[EntityDescription],
+        qkb: KnowledgeBase,
+        deadline: Deadline | None,
+    ) -> tuple[list[CandidateList], list[CandidateList], bool]:
+        """Evidence seam, batch: ``(value_1, value_2, degraded)``, the
+        pruned ``beta`` candidates of both sides of Algorithm 1.
 
-            interned = InternedBlocks.from_blocks(blocks, len(qkb), index.id_space)
-            if cap is None:
-                value_1, value_2 = self._run_kernel(
-                    "value_topk", interned, k, self._cut
-                )
-            else:
-                value_1, value_2 = self._capped_value_topk(interned, k, cap)
-        return self._assemble_graph(qkb, qstats, value_1, value_2)
+        In-process provider: the interned ``value_topk`` kernel over the
+        retained token blocks; under ``serving_candidate_cap`` the merge
+        of this index's own :meth:`batch_evidence` (the merge's capped
+        branch is the cap's one implementation).  The shard routers
+        scatter the batch instead.
+        """
+        if self.config.serving_candidate_cap is not None:
+            evidence = self.batch_evidence(batch, deadline, qkb=qkb)
+            value_1, value_2 = merge_batch_evidence(
+                self.config, self._cut, len(batch), self.index.id_space, [evidence]
+            )
+        else:
+            value_1, value_2 = self._run_kernel(
+                "value_topk", self._interned(qkb), self.config.candidates_k, self._cut
+            )
+        return value_1, value_2, False
 
     def _assemble_graph(
         self,
@@ -773,14 +672,15 @@ class MatchEngine:
         value_1: list[CandidateList],
         value_2: list[CandidateList],
     ) -> DisjunctiveBlockingGraph:
-        """Name + neighbor evidence over computed value candidates.
+        """Name + neighbor evidence over the seam's value candidates.
 
-        Factored out of :meth:`_batch_graph` because the shard router
-        merges ``value_1``/``value_2`` from worker evidence and then
-        needs exactly this remainder of the batch pipeline.
+        Every side-2 structure spans ``index.id_space`` (on a live index:
+        base ids plus every delta slot ever allocated, tombstones
+        included); this is the one place that checks it.
         """
         index = self.index
         config = self.config
+        assert len(index.in_neighbors) == index.id_space
         names_forward, names_reverse = self._batch_name_evidence(qstats)
         edges = retained_edge_arrays(value_1, value_2)
         neighbor_1, neighbor_2 = self._run_kernel(
@@ -802,73 +702,56 @@ class MatchEngine:
             neighbor_candidates_2=neighbor_2,
         )
 
-    def _retained_row_tokens(self, qkb: KnowledgeBase) -> list[str]:
-        """The batch's shared tokens after purging, for the row path.
+    def _retained_tokens(self, qkb: KnowledgeBase) -> list[str]:
+        """The queries' shared tokens after block purging, sorted.
 
-        Mirrors the block construction + :func:`purge_blocks` pass of
-        :meth:`_batch_graph` exactly -- same sorted token order, same
-        comparison counts, same threshold -- but via global Entity
-        Frequencies, so it also holds on a per-shard index whose local
-        postings under-count the blocks.
+        The serving tier's one purging rule: a token block suggests
+        ``|queries with t| * EF2(t)`` comparisons against a Cartesian of
+        ``|queries| * n2`` (a lone query: ``EF2(t)`` against ``n2``);
+        blocks over the budget are dropped -- same token order, counts
+        and threshold as :func:`~repro.blocking.purging.purge_blocks`
+        over the materialised blocks.  Entity Frequencies are *global*,
+        so the rule also holds on a shard's under-counting postings.
         """
         index = self.index
         config = self.config
         postings = index.postings
         token_index = qkb.token_index
+        # Probe the (few) query tokens against the index rather than
+        # intersecting keys views: a memmapped postings table answers
+        # membership by binary search without decoding its tokens.
         shared = sorted(t for t in token_index if t in postings)
         if not config.purge_blocks or not shared:
             return shared
         ef = index.global_entity_frequency
+        counts = [len(token_index[t]) * ef(t) for t in shared]
         threshold = config.max_block_comparisons
         if threshold is None:
             threshold = purging_threshold_from_counts(
-                (len(token_index[t]) * ef(t) for t in shared),
+                counts,
                 cartesian=len(qkb) * index.n2,
                 budget_ratio=config.purging_budget_ratio,
             )
-        return [t for t in shared if len(token_index[t]) * ef(t) <= threshold]
+        return [t for t, count in zip(shared, counts) if count <= threshold]
 
-    def _value_rows(self, qkb: KnowledgeBase, tokens: Sequence[str]):
-        """Yield each batch entity's ``beta`` row over ``tokens``.
+    def _interned(self, qkb: KnowledgeBase) -> InternedBlocks:
+        """The queries' retained token blocks against this index, interned.
 
-        Weighted posting chunks are appended per entity in ascending
-        token order -- the interned block visit order -- so the
-        accumulated float sums are bit-identical to the batch kernels'.
-        Weights use global Entity Frequencies (equal to local ones off
-        a shard).
+        Block weights use global Entity Frequencies (equal to the local
+        posting lengths off a shard), so a shard's ``beta`` sums equal
+        the unsharded ones bit for bit.
         """
         index = self.index
         postings = index.postings
         token_index = qkb.token_index
         ef = index.global_entity_frequency
-        weighted: list[list[tuple[float, object]]] = [[] for _ in range(len(qkb))]
-        for token in tokens:
-            ids2 = postings[token]
-            members = token_index[token]
-            weight = block_weight(len(members) * ef(token))
-            for eid in members:
-                weighted[eid].append((weight, ids2))
-        for per_entity in weighted:
-            yield self._run_kernel("accumulate_row", per_entity)
-
-    def _row_value_topk(
-        self, qkb: KnowledgeBase, k: int
-    ) -> tuple[list[CandidateList], list[CandidateList]]:
-        """``value_topk`` computed row by row with the single-row kernels."""
-        column_ids: list[list[int]] = [[] for _ in range(self.index.id_space)]
-        column_sums: list[list[float]] = [[] for _ in range(self.index.id_space)]
-        side1: list[CandidateList] = []
-        for ids, sums in self._value_rows(qkb, self._retained_row_tokens(qkb)):
-            side1.append(self._run_kernel("select_row", ids, sums, k, self._cut))
-            entity = len(side1) - 1
-            for candidate, value in zip(ids, sums):
-                column_ids[candidate].append(entity)
-                column_sums[candidate].append(value)
-        side2 = [
-            self._run_kernel("select_row", ids, sums, k, self._cut)
-            for ids, sums in zip(column_ids, column_sums)
-        ]
-        return side1, side2
+        tokens = self._retained_tokens(qkb)
+        return InternedBlocks.from_block_items(
+            ((token_index[token], postings[token]) for token in tokens),
+            len(qkb),
+            index.id_space,
+            weights=[block_weight(len(token_index[t]) * ef(t)) for t in tokens],
+        )
 
     def _batch_name_evidence(
         self, qstats: KBStatistics
@@ -885,6 +768,9 @@ class MatchEngine:
                     index1.setdefault(name, []).append(eid)
         forward: dict[int, int] = {}
         reverse: dict[int, int] = {}
+        # Membership loop, not a set intersection: the index's name map
+        # may be a memmapped view whose keys-view would decode the whole
+        # table; probing the few query names costs O(log n) each.
         names2 = self.index.names
         for name in sorted(n for n in index1 if n in names2):
             ids1, ids2 = index1[name], names2[name]
@@ -895,39 +781,8 @@ class MatchEngine:
                     reverse[eid2] = eid1
         return forward, reverse
 
-    def _capped_value_topk(
-        self, interned: InternedBlocks, k: int, cap: int
-    ) -> tuple[list[CandidateList], list[CandidateList]]:
-        """``value_topk`` with each query row capped to its ``cap``
-        strongest candidates before pruning and transposition.
-
-        Uses the python backend's per-row representation regardless of
-        the configured backend (the capped path is an opt-in
-        latency/recall trade-off, not a batch-equivalence path).
-        """
-        from repro.kernels import python_backend
-
-        column_ids: list[list[int]] = [[] for _ in range(interned.n2)]
-        column_sums: list[list[float]] = [[] for _ in range(interned.n2)]
-        side1: list[CandidateList] = []
-        for ids, sums in python_backend.beta_sparse(interned):
-            if len(ids) > cap:
-                capped = select_row(ids, sums, cap)
-                ids = [candidate for candidate, _ in capped]
-                sums = [score for _, score in capped]
-            side1.append(select_row(ids, sums, k, self._cut))
-            entity = len(side1) - 1
-            for candidate, value in zip(ids, sums):
-                column_ids[candidate].append(entity)
-                column_sums[candidate].append(value)
-        side2 = [
-            select_row(ids, sums, k, self._cut)
-            for ids, sums in zip(column_ids, column_sums)
-        ]
-        return side1, side2
-
     # ------------------------------------------------------------------
-    # Shard-worker evidence (see repro.sharding)
+    # Per-source value evidence (this index as one source of the merge)
     # ------------------------------------------------------------------
     def value_tokens(
         self,
@@ -937,30 +792,17 @@ class MatchEngine:
         """The purged, sorted shared-token list for one query entity.
 
         The query tokens that exist in the indexed KB, sorted, with
-        stopword-like blocks purged by *global* Entity Frequency --
-        exactly the list :meth:`match_evidence` derives for itself.
-        Shard files carry the full token table and the global EFs, so
-        every worker would derive the same list independently; the
-        router therefore computes it once on the full index and ships
-        it with the request (see :mod:`repro.sharding`).
+        stopword-like blocks purged by *global* Entity Frequency
+        (:meth:`_retained_tokens` for a batch of one) -- exactly the
+        list :meth:`match_evidence` derives for itself.  Shard files
+        carry the full token table and the global EFs, so every worker
+        would derive the same list independently; the router therefore
+        computes it once on the full index and ships it with the
+        request (see :mod:`repro.sharding`).
         """
-        index = self.index
-        config = self.config
         if qkb is None:
-            qkb = KnowledgeBase([entity], name="query", tokenizer=index.tokenizer)
-        postings = index.postings
-        ef = index.global_entity_frequency
-        shared = sorted(token for token in qkb.tokens(0) if token in postings)
-        if config.purge_blocks and shared:
-            threshold = config.max_block_comparisons
-            if threshold is None:
-                threshold = purging_threshold_from_counts(
-                    (ef(token) for token in shared),
-                    cartesian=index.n2,
-                    budget_ratio=config.purging_budget_ratio,
-                )
-            shared = [token for token in shared if ef(token) <= threshold]
-        return shared
+            qkb = KnowledgeBase([entity], name="query", tokenizer=self.index.tokenizer)
+        return self._retained_tokens(qkb)
 
     def match_evidence(
         self,
@@ -973,10 +815,10 @@ class MatchEngine:
     ) -> dict[str, object]:
         """This index's value evidence for one query, merge-ready.
 
-        Runs the value half of :meth:`_resolve_single` -- with *global*
-        Entity Frequencies, so per-shard weights and purging thresholds
-        equal the unsharded ones -- and returns what the router's merge
-        needs: the strongest ``(candidate, score)`` pairs in
+        Accumulates the query's ``beta`` row over this index's postings
+        -- with *global* Entity Frequencies, so per-shard weights and
+        purging thresholds equal the unsharded ones -- and returns what
+        the merge needs: the strongest ``(candidate, score)`` pairs in
         ``(-score, id)`` order (``serving_candidate_cap`` of them, else
         ``candidates_k``), the :data:`SWEEP_MARGIN` smallest touched
         ids, the touched count, and whether the router-supplied
@@ -996,7 +838,6 @@ class MatchEngine:
         default to no-ops, so the frozen-index path is untouched.
         """
         index = self.index
-        config = self.config
         if index.n2 == 0:
             return {"row": [], "mins": [], "count": 0, "probe": False}
         if deadline is not None:
@@ -1016,8 +857,17 @@ class MatchEngine:
             if weights is not None and token in weights:
                 weight = float(weights[token])
             weighted.append((weight, ids))
-        cap = config.serving_candidate_cap
-        keep = cap if cap is not None else config.candidates_k
+        return self._row_evidence(weighted, probe)
+
+    def _row_evidence(
+        self, weighted: list[tuple[float, Sequence[int]]], probe: int | None
+    ) -> dict[str, object]:
+        """One fused kernel call over ``(block weight, posting ids)``
+        chunks, shaped as a merge-ready payload.  The chunks are a list,
+        not a generator: the breaker may replay them against the python
+        fallback (numpy consumes memmapped id slices zero-copy)."""
+        cap = self.config.serving_candidate_cap
+        keep = cap if cap is not None else self.config.candidates_k
         row, mins, count, touched = self._run_kernel(
             "row_evidence", weighted, keep, SWEEP_MARGIN, probe
         )
@@ -1032,6 +882,7 @@ class MatchEngine:
         self,
         entities: Iterable[EntityDescription],
         deadline: Deadline | None = None,
+        qkb: KnowledgeBase | None = None,
     ) -> dict[str, object]:
         """This index's value evidence for a whole batch, merge-ready.
 
@@ -1040,37 +891,35 @@ class MatchEngine:
         ``candidates_k``; *unpruned* -- the adaptive cut only applies to
         the globally merged row).  Without a cap the shard-final pruned
         candidate columns travel too: each KB2 entity's column lives
-        wholly in its owner shard, so ``select_row(k, cut)`` here *is*
-        the global column.
+        wholly in its owner shard, so its top ``candidates_k`` + cut
+        here *is* the global column.  One ``value_topk`` call yields
+        both (the cut is applied to the columns afterwards, as the
+        kernel itself would).  ``qkb`` short-circuits re-tokenising a
+        batch the caller already profiled.
         """
         batch = list(entities)
         index = self.index
         config = self.config
         if not batch or index.n2 == 0:
             return {"rows": [[] for _ in batch], "cols": {}}
-        qkb = KnowledgeBase(batch, name="query-batch", tokenizer=index.tokenizer)
+        if qkb is None:
+            qkb = KnowledgeBase(batch, name="query", tokenizer=index.tokenizer)
         if deadline is not None:
             deadline.check("batch evidence")
-        k = config.candidates_k
         cap = config.serving_candidate_cap
-        keep = cap if cap is not None else k
-        rows_out: list[list[list[object]]] = []
-        columns: dict[int, tuple[list[int], list[float]]] = {}
-        for entity, (ids, sums) in enumerate(
-            self._value_rows(qkb, self._retained_row_tokens(qkb))
-        ):
-            top = self._run_kernel("select_row", ids, sums, keep, None)
-            rows_out.append([[int(c), float(s)] for c, s in top])
-            if cap is None:
-                for candidate, value in zip(ids, sums):
-                    column = columns.setdefault(int(candidate), ([], []))
-                    column[0].append(entity)
-                    column[1].append(float(value))
+        keep = cap if cap is not None else config.candidates_k
+        rows, columns = self._run_kernel("value_topk", self._interned(qkb), keep, None)
         cols: dict[str, list[list[object]]] = {}
-        for candidate, (ents, values) in columns.items():
-            ranked = self._run_kernel("select_row", ents, values, k, self._cut)
-            cols[str(candidate)] = [[int(e), float(s)] for e, s in ranked]
-        return {"rows": rows_out, "cols": cols}
+        if cap is None:
+            for candidate, ranked in enumerate(columns):
+                if ranked:
+                    if self._cut is not None:
+                        ranked = adaptive_cut(ranked, *self._cut)
+                    cols[str(candidate)] = [[int(e), float(s)] for e, s in ranked]
+        return {
+            "rows": [[[int(c), float(s)] for c, s in row] for row in rows],
+            "cols": cols,
+        }
 
     # ------------------------------------------------------------------
     # Metrics

@@ -76,7 +76,6 @@ from repro.kernels import CSRAdjacency
 
 MAGIC = b"MINOANER-INDEX\x00"
 FORMAT_VERSION = 2
-LEGACY_FORMAT_VERSION = 1
 ALIGNMENT = 64
 
 _HEADER_LEN_STRUCT = struct.Struct("<I")
@@ -689,33 +688,3 @@ def open_mmap(path) -> tuple[dict[str, Any], int]:
     if "shards" in header:
         fields["shard_info"] = header["shards"]
     return fields, size
-
-
-# ----------------------------------------------------------------------
-# Legacy pickle (version 1)
-# ----------------------------------------------------------------------
-
-
-def write_legacy_index(fields: Mapping[str, Any], path) -> None:
-    """Write a version-1 (pickle) index file.
-
-    Exists for migration tests and for reproducing old files; new code
-    always writes the columnar format.  The payload mirrors what
-    version-1 ``save`` persisted, so old builds can read the file.
-    """
-    import pickle
-
-    payload = {
-        key: (
-            dict(value)
-            if isinstance(value, Mapping) and not isinstance(value, dict)
-            else list(value)
-            if key == "uris2" and not isinstance(value, list)
-            else value
-        )
-        for key, value in fields.items()
-    }
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(bytes([LEGACY_FORMAT_VERSION]))
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)

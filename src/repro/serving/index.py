@@ -25,9 +25,6 @@ without the source KB.
 
 from __future__ import annotations
 
-import os
-import pickle
-import warnings
 from array import array
 from pathlib import Path
 
@@ -39,9 +36,9 @@ from repro.kb.tokenizer import Tokenizer
 from repro.kernels import CSRAdjacency, block_weight
 from repro.obs import current_recorder
 from repro.serving import format as index_format
-from repro.serving.format import FORMAT_VERSION, LEGACY_FORMAT_VERSION, MAGIC
+from repro.serving.format import FORMAT_VERSION, MAGIC
 
-__all__ = ["FORMAT_VERSION", "LEGACY_FORMAT_VERSION", "MAGIC", "ResolutionIndex"]
+__all__ = ["FORMAT_VERSION", "MAGIC", "ResolutionIndex"]
 
 _PERSISTED_FIELDS = (
     "kb_name",
@@ -282,10 +279,9 @@ class ResolutionIndex:
         share its read-only pages.  Decisions are bit-identical either
         way.
 
-        Version-1 (pickle) files still load -- eagerly, with a
-        ``DeprecationWarning``; rewrite them once with
-        ``python -m repro index --migrate``.  Foreign or future-versioned
-        files raise ``ValueError`` without touching their payload.
+        Foreign, future-versioned and version-1 (the retired pickle
+        format) files raise ``ValueError`` without touching their
+        payload -- nothing on the load path can unpickle.
         """
         recorder = current_recorder()
         with recorder.span("index.load", path=str(path)) as span:
@@ -301,24 +297,11 @@ class ResolutionIndex:
                     data = Path(path).read_bytes()
                     fields = index_format.decode_eager(data)
                     file_bytes = len(data)
-            elif version == LEGACY_FORMAT_VERSION:
-                warnings.warn(
-                    f"{path} uses the legacy pickle index format (version 1); "
-                    "loading executes pickle and will be removed -- rewrite it "
-                    "with 'python -m repro index --migrate'",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                with open(path, "rb") as handle:
-                    handle.seek(len(MAGIC) + 1)
-                    fields = pickle.load(handle)
-                file_bytes = os.path.getsize(path)
-                mmap = False  # pickle payloads cannot be mapped
             else:
                 raise ValueError(
                     f"unsupported index format version {version!r} in {path} "
-                    f"(this build reads versions "
-                    f"{LEGACY_FORMAT_VERSION} and {FORMAT_VERSION})"
+                    f"(this build reads version {FORMAT_VERSION}; rebuild "
+                    f"older indexes with 'python -m repro index')"
                 )
             load_info = {
                 "mmap": bool(mmap),

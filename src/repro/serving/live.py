@@ -58,7 +58,7 @@ from repro.kb.entity import EntityDescription
 from repro.kernels import CSRAdjacency, block_weight
 from repro.obs import current_recorder
 from repro.resilience.faults import inject
-from repro.serving.engine import SWEEP_MARGIN, MatchEngine
+from repro.serving.engine import MatchEngine
 from repro.serving.index import ResolutionIndex
 
 __all__ = [
@@ -720,8 +720,13 @@ class LiveIndex:
         """The base in-neighbor CSR, extended to ``id_space`` rows with
         dead ids masked (so ``gamma`` never proposes a tombstoned
         entity).  Delta entities contribute no relation structure (the
-        relation-neutral scope); their rows are empty."""
-        if not self.delta_active:
+        relation-neutral scope); their rows are empty.
+
+        Invariant: ``len(in_neighbors) == id_space``, always.  The base
+        CSR itself only serves while no slot was ever allocated and no
+        base id died -- a tombstoned delta slot still occupies an id
+        (``delta_active`` is False then, yet ``id_space > base.n2``)."""
+        if not self.delta.allocated and not self.delta.dead_base:
             return self.base.in_neighbors
         cached = self._csr
         if cached is not None and cached[0] == self._epoch:
@@ -1121,7 +1126,6 @@ class LiveServingMixin:
     def _install_base(self, fresh: ResolutionIndex) -> None:
         """Flip the engine onto a fresh frozen base (exclusive held)."""
         self.index = LiveIndex(fresh)
-        self._use_row_batch = bool((fresh.load_info or {}).get("mmap"))
 
     def _swap_workers(
         self, fresh: ResolutionIndex, path: Path | None, reshard: bool
@@ -1214,10 +1218,9 @@ class LiveServingMixin:
         router can append it to the worker evidences as one more
         (virtual) shard: delta ids partition disjointly from every
         shard's base ids, weights are the live ones, and the sweep-mins
-        argument of :mod:`repro.sharding.merge` extends unchanged.
+        argument of :mod:`repro.serving.merge` extends unchanged.
         """
         live = self.index
-        config = self.config
         base_n2 = live.base.n2
         weighted = []
         for token in tokens:
@@ -1229,17 +1232,7 @@ class LiveServingMixin:
                         [base_n2 + slot for slot in slots],
                     )
                 )
-        cap = config.serving_candidate_cap
-        keep = cap if cap is not None else config.candidates_k
-        row, mins, count, touched = self._run_kernel(
-            "row_evidence", weighted, keep, SWEEP_MARGIN, probe
-        )
-        return {
-            "row": [[int(candidate), float(score)] for candidate, score in row],
-            "mins": [int(candidate) for candidate in mins],
-            "count": int(count),
-            "probe": bool(touched),
-        }
+        return self._row_evidence(weighted, probe)
 
     # ------------------------------------------------------------------
     # Observability

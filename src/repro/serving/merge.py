@@ -1,32 +1,35 @@
-"""Merge per-shard evidence into the unsharded engine's exact answer.
+"""Merge per-source value evidence into the engine's exact candidates.
 
-Every float a worker ships was accumulated wholly inside one shard
-(posting lists partition disjointly; weights and purging thresholds
-use global Entity Frequencies), so merging is pure *re-ranking* under
-the engine's total order ``(-score, id)`` -- implemented by the same
-:func:`repro.kernels.select_row` the engine uses, which is insensitive
-to input permutation.  The rules then replay through
-:func:`repro.serving.engine.apply_single_rules`, the code path the
-single-process engine itself runs.
+A *source* is whatever accumulated a slice of one query's ``beta`` row:
+the engine's own index (one source), a shard worker (N sources), or the
+live delta segment riding along as a virtual shard.  Every float a
+source ships was accumulated wholly inside it (posting lists partition
+disjointly; weights and purging thresholds use global Entity
+Frequencies), so merging is pure *re-ranking* under the engine's total
+order ``(-score, id)`` -- implemented by the same
+:func:`repro.kernels.select_row` the kernels use, which is insensitive
+to input permutation.  The engine then runs rules R1-R4 over the merged
+candidates, whichever sources they came from: the unsharded engine is
+the one-source case of the merge the sharded tier runs.
 
-Why the merged answer is bit-identical (see ``docs/sharding.md`` for
-the long form):
+Why the merged candidates are bit-identical to one source holding
+everything (see ``docs/sharding.md`` for the long form):
 
-* **Rows** -- each shard ships its top ``keep`` pairs; the global top
+* **Rows** -- each source ships its top ``keep`` pairs; the global top
   ``keep`` is a subset of the union, so ``select_row`` over the
   concatenation reproduces the global ranking, including the optional
   ``serving_candidate_cap`` truncation (applied only when the union
-  exceeds the cap -- exactly when the unsharded row would truncate).
+  exceeds the cap -- exactly when a single source's row would truncate).
 * **Sweep ids** (single queries, uncapped) -- rules R1-R3 claim at
   most two entities before the R3 side-2 sweep, so the sweep's
   strongest proposal is among the three smallest *touched* ids; each
-  shard's :data:`~repro.serving.engine.SWEEP_MARGIN` smallest cover
+  source's :data:`~repro.serving.engine.SWEEP_MARGIN` smallest cover
   them.  With reciprocity on, surviving sweep proposals are further
   confined to the pruned value list plus the (probed) alpha.  Replay
   over this subset therefore keeps the true winner while every extra
-  id it proposes is one the unsharded sweep proposed too.
+  id it proposes is one the full sweep proposed too.
 * **Columns** (batches, uncapped) -- a KB2 entity's candidate column
-  lives wholly in its owner shard, so the shard's pruned column *is*
+  lives wholly in its owner source, so that source's pruned column *is*
   the global one and columns merge by disjoint union.
 """
 
@@ -38,7 +41,6 @@ from repro.core.config import MinoanERConfig
 from repro.graph.blocking_graph import CandidateList
 from repro.graph.pruning import adaptive_cut
 from repro.kernels import select_row
-from repro.serving.engine import _Outcome, _top_scores, apply_single_rules
 
 __all__ = ["merge_batch_evidence", "merge_single_evidence"]
 
@@ -56,18 +58,18 @@ def _concat_rows(rows: Sequence[Sequence[Sequence[Any]]]) -> tuple[list[int], li
 def _merge_ranked(
     rows: Sequence[Sequence[Sequence[Any]]], k: int, cut
 ) -> CandidateList:
-    """Top-K of the union of per-shard ranked rows, ``(-score, id)`` order.
+    """Top-K of the union of per-source ranked rows, ``(-score, id)`` order.
 
-    A candidate id lives in exactly one shard (posting lists partition
+    A candidate id lives in exactly one source (posting lists partition
     by entity), so the decorated ``(score, -id)`` tuples are pairwise
     distinct and one descending C-level sort realises the exact total
     order :func:`select_row` would produce over the concatenation --
-    and since each shard's row arrives already ranked, Timsort merges
+    and since each source's row arrives already ranked, Timsort merges
     the descending runs by galloping instead of re-sorting.  No
     ``int``/``float`` casts: rows come off the wire as native JSON
     numbers (the engine casts when it builds them).  This is the
-    router's per-query merge hot path; its cost is what scales with
-    shard count on the scatter-gather critical path.
+    per-query merge hot path; its cost is what scales with shard count
+    on the scatter-gather critical path.
     """
     decorated = [(score, -candidate) for row in rows for candidate, score in row]
     decorated.sort(reverse=True)
@@ -80,7 +82,7 @@ def _merge_ranked(
 def _capped(
     ids: list[int], sums: list[float], cap: int | None
 ) -> tuple[list[int], list[float]]:
-    """The engine's candidate-cap truncation, applied to a merged row."""
+    """The candidate-cap truncation, applied to a merged row."""
     if cap is None or len(ids) <= cap:
         return ids, sums
     capped = select_row(ids, sums, cap)
@@ -92,55 +94,52 @@ def merge_single_evidence(
     cut,
     alpha: int | None,
     evidences: Sequence[dict[str, Any]],
-) -> _Outcome:
-    """One query's outcome from per-shard ``match_evidence`` payloads.
+) -> tuple[CandidateList, Sequence[int]]:
+    """One query's value candidates from per-source ``match_evidence``.
 
-    ``alpha`` is the router's locally-computed name match and ``cut``
-    the engine's adaptive-pruning tuple.  ``evidences`` holds the
-    surviving shards' payloads (a failed shard is simply absent --
-    the merge then yields the best degraded answer the survivors
-    support).  Returns the engine's ``_Outcome`` shape.
+    ``alpha`` is the engine's name match and ``cut`` its
+    adaptive-pruning tuple.  ``evidences`` holds the answering sources'
+    payloads (a failed shard is simply absent -- the merge then yields
+    the best degraded candidates the survivors support).  Returns the
+    query's pruned value list in ``(-score, id)`` order and the
+    ascending side-2 sweep ids -- the two inputs of
+    :func:`repro.serving.engine.apply_single_rules`.
     """
     k = config.candidates_k
     cap = config.serving_candidate_cap
     if cap is not None:
         ids, sums = _concat_rows([evidence["row"] for evidence in evidences])
         ids, sums = _capped(ids, sums, cap)
-        value_list = select_row(ids, sums, k, cut)
-        sweep: Sequence[int] = sorted(ids)
-    else:
-        value_list = _merge_ranked([evidence["row"] for evidence in evidences], k, cut)
-        sweep_set = {
-            int(candidate)
-            for evidence in evidences
-            for candidate in evidence["mins"]
-        }
-        sweep_set.update(candidate for candidate, _ in value_list)
-        if alpha is not None and any(
-            evidence["probe"] for evidence in evidences
-        ):
-            sweep_set.add(int(alpha))
-        sweep = sorted(sweep_set)
-    top = _top_scores(value_list)
-    matched = apply_single_rules(config, alpha, value_list, sweep)
-    if matched is None:
-        return None, None, None, len(value_list), top
-    candidate, rule, score = matched
-    return candidate, rule, score, len(value_list), top
+        return select_row(ids, sums, k, cut), sorted(ids)
+    value_list = _merge_ranked([evidence["row"] for evidence in evidences], k, cut)
+    sweep_set = {
+        int(candidate)
+        for evidence in evidences
+        for candidate in evidence["mins"]
+    }
+    sweep_set.update(candidate for candidate, _ in value_list)
+    if alpha is not None and any(
+        evidence["probe"] for evidence in evidences
+    ):
+        sweep_set.add(int(alpha))
+    return value_list, sorted(sweep_set)
 
 
 def merge_batch_evidence(
     config: MinoanERConfig,
     cut,
     n_entities: int,
-    n2: int,
+    id_space: int,
     evidences: Sequence[dict[str, Any]],
 ) -> tuple[list[CandidateList], list[CandidateList]]:
-    """A batch's ``(value_1, value_2)`` from per-shard ``batch_evidence``.
+    """A batch's ``(value_1, value_2)`` from per-source ``batch_evidence``.
 
-    Reproduces exactly what the engine's ``value_topk`` (uncapped) or
-    ``_capped_value_topk`` (capped) would return for the whole batch
-    against the unsharded index; the router feeds the result to
+    Uncapped, this reproduces what the ``value_topk`` kernel returns for
+    the whole batch against one index holding every source's postings.
+    Capped, it *is* the definition: each merged row keeps its ``cap``
+    strongest candidates before pruning, and the candidate columns are
+    rebuilt from those capped rows in batch-entity order.  ``value_2``
+    spans the index's whole ``id_space``; the engine feeds both to
     ``MatchEngine._assemble_graph``.
     """
     k = config.candidates_k
@@ -152,7 +151,7 @@ def merge_batch_evidence(
                 [evidence["rows"][position] for evidence in evidences]
             )
             value_1.append(select_row(ids, sums, k, cut))
-        value_2: list[CandidateList] = [() for _ in range(n2)]
+        value_2: list[CandidateList] = [() for _ in range(id_space)]
         for evidence in evidences:
             for candidate, ranked in evidence["cols"].items():
                 value_2[int(candidate)] = tuple(
@@ -160,10 +159,8 @@ def merge_batch_evidence(
                 )
         return value_1, value_2
 
-    # Capped: columns are rebuilt from the *capped* merged rows, in
-    # batch-entity order -- mirroring ``_capped_value_topk``.
-    column_ids: list[list[int]] = [[] for _ in range(n2)]
-    column_sums: list[list[float]] = [[] for _ in range(n2)]
+    column_ids: list[list[int]] = [[] for _ in range(id_space)]
+    column_sums: list[list[float]] = [[] for _ in range(id_space)]
     for position in range(n_entities):
         ids, sums = _concat_rows(
             [evidence["rows"][position] for evidence in evidences]

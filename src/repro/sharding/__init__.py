@@ -21,7 +21,7 @@ decision stream **bit-identical** to the single-process engine:
 * :class:`~repro.sharding.router.ShardRouter` fans queries and batches
   out to R replicas per shard (hedged after a p95-based delay, first
   answer wins, loser cancelled), merges per-shard top-K evidence under
-  the global ``(-score, id)`` order (:mod:`repro.sharding.merge`) and
+  the global ``(-score, id)`` order (:mod:`repro.serving.merge`) and
   replays rules R1-R4 via the exact engine code path.  Shard failures
   degrade the answer (``degraded`` on the wire + an error record)
   instead of failing the query; per-replica circuit breakers and
@@ -31,7 +31,7 @@ See ``docs/sharding.md`` for the partitioning proof, the hedging
 policy, the failure semantics and the wire protocol.
 """
 
-from repro.sharding.merge import merge_batch_evidence, merge_single_evidence
+from repro.serving.merge import merge_batch_evidence, merge_single_evidence
 from repro.sharding.planner import ShardPlanner, partition_of, shard_paths
 from repro.sharding.protocol import (
     ProtocolError,

@@ -21,7 +21,7 @@ versions, and independent of dense id assignment.  A shard keeps:
 Because posting lists partition disjointly and every weight input is
 global, each candidate's ``beta`` score is computed wholly inside its
 owner shard and equals the unsharded score exactly; the router's merge
-(:mod:`repro.sharding.merge`) then only has to re-rank under the same
+(:mod:`repro.serving.merge`) then only has to re-rank under the same
 ``(-score, id)`` order.
 
 Each shard file is a normal columnar v2 container (see

@@ -10,7 +10,7 @@ provenance.  Only the expensive *value* evidence (the ``beta`` rows
 over the token postings) is scattered to the shard workers, whose
 disjoint posting partitions + global weights make every per-pair score
 bit-identical to the unsharded one; the router re-ranks the merged
-evidence with :mod:`repro.sharding.merge` and replays the rules through
+evidence with :mod:`repro.serving.merge` and the rules replay through
 the engine's own code path.
 
 Per shard, R replicas serve interchangeably.  A request goes to one
@@ -51,22 +51,22 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.config import MinoanERConfig, config_to_dict
+from repro.graph.blocking_graph import CandidateList
 from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kb.statistics import KBStatistics
 from repro.obs import Recorder
 from repro.obs.recorder import percentile
 from repro.resilience.admission import RetryBudget
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import FaultPlan, current_faults, inject
+from repro.resilience.faults import FaultPlan, current_faults
 from repro.resilience.policy import Deadline, DeadlineExpired, RetryPolicy
 from repro.resilience.supervisor import ReplicaSupervisor
 from repro.serving.cache import LRUCache
-from repro.serving.engine import MatchDecision, MatchEngine, _Outcome
+from repro.serving.engine import MatchEngine
 from repro.serving.index import ResolutionIndex
 from repro.serving.io import entity_to_json
 from repro.serving.live import LiveServingMixin
-from repro.sharding.merge import merge_batch_evidence, merge_single_evidence
+from repro.serving.merge import merge_batch_evidence, merge_single_evidence
 from repro.sharding.planner import ShardPlanner, shard_paths
 from repro.sharding.protocol import read_frame, snapshot_from_json, write_frame
 from repro.sharding.worker import ShardWorker
@@ -472,80 +472,60 @@ class ShardRouter(MatchEngine):
         return router
 
     # ------------------------------------------------------------------
-    # Engine overrides
+    # Evidence seam: scatter-gather provider
     # ------------------------------------------------------------------
-    def _lookup(
-        self, entity: EntityDescription, deadline: Deadline | None
-    ) -> tuple[_Outcome, bool]:
-        """Local alpha, scattered value evidence, merged outcome."""
-        index = self.index
-        if index.n2 == 0:
-            return (None, None, None, 0, ()), False
-        qkb = KnowledgeBase([entity], name="query", tokenizer=index.tokenizer)
-        qstats = KBStatistics(
-            qkb,
-            top_k_name_attributes=self.config.name_attributes_k,
-            top_n_relations=self.config.relations_n,
-        )
-        if deadline is not None:
-            deadline.check("name evidence")
-        alpha = self._alpha_match(qstats)
-        # The purged shared-token list is identical on every shard (full
-        # token table + global EFs travel in each shard file), so derive
-        # it once here instead of N times in the workers; the request
-        # then carries a small token list, not the whole entity.
-        payload: dict[str, Any] = {"tokens": self.value_tokens(entity, qkb=qkb)}
+    def _single_values(
+        self, alpha: int | None, tokens: list[str], deadline: Deadline | None
+    ) -> tuple[CandidateList, Sequence[int], bool]:
+        """Scatter the purged ``tokens``: the list is identical on every
+        shard (full token table + global EFs travel in each shard file),
+        so the engine derived it once instead of N times in the workers
+        and the request carries it, not the whole entity."""
+        return self._scatter_values(alpha, {"tokens": tokens}, deadline)
+
+    def _scatter_values(
+        self,
+        alpha: int | None,
+        payload: dict[str, Any],
+        deadline: Deadline | None,
+        virtual: Sequence[dict[str, Any]] = (),
+    ) -> tuple[CandidateList, Sequence[int], bool]:
+        """One ``match`` round trip to every shard, merged under
+        ``(-score, id)`` together with any router-local ``virtual``
+        shard evidence."""
         if alpha is not None:
             payload["probe"] = int(alpha)
         evidences, degraded = self._gather("match", payload, deadline)
-        outcome = merge_single_evidence(
-            self.config, self._cut, alpha, [e for e in evidences if e is not None]
+        value_list, sweep = merge_single_evidence(
+            self.config, self._cut, alpha, evidences + list(virtual)
         )
-        return outcome, degraded
+        return value_list, sweep, degraded
 
-    def _match_many(self, batch: list[EntityDescription]) -> list[MatchDecision]:
-        """The engine's batch pipeline with scattered value evidence.
-
-        Overrides the post-admission hook of
-        :meth:`MatchEngine.match_batch`, so admission control (queue
-        bound + per-source quota) applies before any scatter happens.
-        """
-        started = time.perf_counter()
-        deadline = self._query_deadline()
-        try:
-            inject("serve:batch")
-            qkb, qstats = self._batch_stats(batch)
-            if deadline is not None:
-                deadline.check("batch graph")
-            payload = {"entities": [entity_to_json(entity) for entity in batch]}
-            evidences, degraded = self._gather("batch", payload, deadline)
-            value_1, value_2 = merge_batch_evidence(
-                self.config,
-                self._cut,
-                len(batch),
-                self.index.id_space,
-                [evidence for evidence in evidences if evidence is not None],
-            )
-            graph = self._assemble_graph(qkb, qstats, value_1, value_2)
-            if deadline is not None:
-                deadline.check("batch matching")
-        except DeadlineExpired:
-            self.recorder.count("deadline.expired")
-            return self._degraded_batch(batch, started)
-        return self._finish_batch(batch, graph, started, degraded=degraded)
+    def _batch_values(
+        self,
+        batch: list[EntityDescription],
+        qkb: KnowledgeBase,
+        deadline: Deadline | None,
+    ) -> tuple[list[CandidateList], list[CandidateList], bool]:
+        """Scattered batch evidence, merged into ``(value_1, value_2)``."""
+        payload = {"entities": [entity_to_json(entity) for entity in batch]}
+        evidences, degraded = self._gather("batch", payload, deadline)
+        value_1, value_2 = merge_batch_evidence(
+            self.config, self._cut, len(batch), self.index.id_space, evidences
+        )
+        return value_1, value_2, degraded
 
     # ------------------------------------------------------------------
     # Scatter/gather
     # ------------------------------------------------------------------
     def _gather(
         self, op: str, payload: dict[str, Any], deadline: Deadline | None
-    ) -> tuple[list[dict[str, Any] | None], bool]:
-        """One request to every shard; ``(per-shard results, degraded)``.
+    ) -> tuple[list[dict[str, Any]], bool]:
+        """One request to every shard; ``(survivors' results, degraded)``.
 
-        A shard whose every usable replica failed contributes ``None``
-        in ``degrade`` mode (the merge treats absence as empty
-        evidence); in ``fail_fast``/``retry`` modes its failure
-        propagates.  :class:`DeadlineExpired` always propagates -- the
+        A shard whose every usable replica failed is simply absent in
+        ``degrade`` mode (the merge treats absence as empty evidence);
+        in ``fail_fast``/``retry`` modes its failure propagates.  :class:`DeadlineExpired` always propagates -- the
         engine's degraded-answer machinery owns budget expiry.
         """
         # The ambient fault plan is a ContextVar and would be invisible
@@ -599,7 +579,7 @@ class ShardRouter(MatchEngine):
             result.get("service_ms") if result is not None else None
             for result in results
         ]
-        return results, degraded
+        return [result for result in results if result is not None], degraded
 
     def _shard_call(
         self,
@@ -969,53 +949,30 @@ class LiveShardRouter(LiveServingMixin, ShardRouter):
     than a live one answering from a stale generation.
     """
 
-    def _lookup(
-        self, entity: EntityDescription, deadline: Deadline | None
-    ) -> tuple[_Outcome, bool]:
+    def _single_values(self, alpha, tokens, deadline):
         live = self.index
         if not live.delta_active:
-            return super()._lookup(entity, deadline)
-        if live.n2 == 0:
-            return (None, None, None, 0, ()), False
-        qkb = KnowledgeBase([entity], name="query", tokenizer=live.tokenizer)
-        qstats = KBStatistics(
-            qkb,
-            top_k_name_attributes=self.config.name_attributes_k,
-            top_n_relations=self.config.relations_n,
-        )
-        if deadline is not None:
-            deadline.check("name evidence")
-        alpha = self._alpha_match(qstats)
-        shared = self.value_tokens(entity, qkb=qkb)
+            return super()._single_values(alpha, tokens, deadline)
         # Delta-only tokens are absent from the workers' (full, frozen)
         # token tables; their evidence comes from the virtual shard.
         base_postings = live.base.postings
         payload: dict[str, Any] = {
-            "tokens": [token for token in shared if token in base_postings]
+            "tokens": [token for token in tokens if token in base_postings]
         }
         exclude = live.dead_base_ids()
         if exclude:
             payload["exclude"] = exclude
-        overrides = live.weight_overrides(shared)
+        overrides = live.weight_overrides(tokens)
         if overrides:
             payload["weights"] = overrides
-        if alpha is not None:
-            payload["probe"] = int(alpha)
-        evidences, degraded = self._gather("match", payload, deadline)
-        merged = [evidence for evidence in evidences if evidence is not None]
-        merged.append(
-            self.delta_match_evidence(
-                shared, probe=int(alpha) if alpha is not None else None
-            )
-        )
-        outcome = merge_single_evidence(self.config, self._cut, alpha, merged)
-        return outcome, degraded
+        delta = self.delta_match_evidence(tokens, probe=alpha)
+        return self._scatter_values(alpha, payload, deadline, [delta])
 
-    def _match_many(self, batch: list[EntityDescription]):
+    def _batch_values(self, batch, qkb, deadline):
         if self.index.delta_active:
             self.recorder.count("shard.batch_local")
-            return MatchEngine._match_many(self, batch)
-        return super()._match_many(batch)
+            return MatchEngine._batch_values(self, batch, qkb, deadline)
+        return super()._batch_values(batch, qkb, deadline)
 
     @contextmanager
     def _resurrection_gate(self):

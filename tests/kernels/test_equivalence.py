@@ -147,8 +147,8 @@ class TestFullGraphEquivalence:
     @pytest.mark.parametrize("profile", ["restaurant", "rexa_dblp"])
     def test_scaled_profile_graphs_identical(self, backend, profile):
         """End-to-end ``build_blocking_graph`` bit-identity on scaled-down
-        dataset profiles (the four full profiles are covered by
-        ``benchmarks/record_trajectory.py``)."""
+        dataset profiles (``benchmarks/perf/run.py --workload offline``
+        runs the four full profiles and checks their match-set digests)."""
         from repro.blocking.name_blocking import name_blocks
         from repro.blocking.purging import purge_blocks
         from repro.blocking.token_blocking import token_blocks

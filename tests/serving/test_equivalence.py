@@ -162,43 +162,6 @@ class TestMemmappedIndexEquivalence:
             list(mini_pair.kb1)
         )
 
-    def test_mmap_batches_take_the_row_path(self, mini_pair, tmp_path):
-        # A mapped index routes match_batch through the single-row
-        # kernels (zero-copy posting slices) instead of materialising
-        # interned block copies; an eager load keeps the kernel path.
-        built = ResolutionIndex.build(mini_pair.kb2)
-        path = tmp_path / "kb2.idx"
-        built.save(path)
-        mapped = MatchEngine(ResolutionIndex.load(path, mmap=True))
-        eager = MatchEngine(ResolutionIndex.load(path))
-        assert mapped._use_row_batch and not eager._use_row_batch
-
-        queries = list(mini_pair.kb1)
-        qkb, _ = mapped._batch_stats(queries)
-        from repro.kernels import InternedBlocks
-
-        # The row path's value candidates equal the interned-kernel
-        # ones exactly, both sides of the bipartite graph.
-        row_1, row_2 = mapped._row_value_topk(qkb, mapped.config.candidates_k)
-        from repro.blocking.base import Block, BlockCollection
-        from repro.blocking.purging import purge_blocks
-
-        blocks = BlockCollection(kind="token")
-        for token in sorted(t for t in qkb.token_index if t in built.postings):
-            blocks.add(Block(token, qkb.token_index[token], built.postings[token]))
-        blocks = purge_blocks(
-            blocks,
-            cartesian=len(qkb) * built.n2,
-            budget_ratio=mapped.config.purging_budget_ratio,
-            max_comparisons=mapped.config.max_block_comparisons,
-        )
-        interned = InternedBlocks.from_blocks(blocks, len(qkb), built.n2)
-        kernel_1, kernel_2 = eager._run_kernel(
-            "value_topk", interned, eager.config.candidates_k, eager._cut
-        )
-        assert [list(row) for row in row_1] == [list(row) for row in kernel_1]
-        assert [list(col) for col in row_2] == [list(col) for col in kernel_2]
-
     def test_mmap_resave_serves_identically(self, mini_pair, tmp_path):
         built = ResolutionIndex.build(mini_pair.kb2)
         first = tmp_path / "kb2.idx"

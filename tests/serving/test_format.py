@@ -2,8 +2,8 @@
 
 Corruption guards (truncation, foreign magic, future versions), edge
 shapes (empty KB2, tokens with zero postings), byte-determinism of the
-encoder, the legacy-pickle migration path, and the zero-copy view
-classes backing ``load(mmap=True)``.
+encoder, the refusal of retired version-1 (pickle) files, and the
+zero-copy view classes backing ``load(mmap=True)``.
 """
 
 from array import array
@@ -14,33 +14,11 @@ from repro.core.config import MinoanERConfig, config_from_dict, config_to_dict
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kernels import numpy_available
 from repro.serving import format as index_format
-from repro.serving.index import (
-    FORMAT_VERSION,
-    LEGACY_FORMAT_VERSION,
-    MAGIC,
-    ResolutionIndex,
-)
-
-_PERSISTED_FIELDS = (
-    "kb_name",
-    "n2",
-    "uris2",
-    "config",
-    "tokenizer",
-    "name_attributes",
-    "names",
-    "postings",
-    "singleton_weights",
-    "in_neighbors",
-)
+from repro.serving.index import FORMAT_VERSION, MAGIC, ResolutionIndex
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="mmap loading requires numpy"
 )
-
-
-def _fields_of(index: ResolutionIndex) -> dict:
-    return {name: getattr(index, name) for name in _PERSISTED_FIELDS}
 
 
 @pytest.fixture
@@ -162,33 +140,35 @@ class TestByteDeterminism:
         assert config_from_dict(augmented) == config
 
 
-class TestLegacyMigration:
-    def test_legacy_pickle_loads_with_deprecation(self, saved_index, tmp_path):
-        index, _ = saved_index
-        legacy = tmp_path / "legacy.idx"
-        index_format.write_legacy_index(_fields_of(index), legacy)
-        assert legacy.read_bytes()[len(MAGIC)] == LEGACY_FORMAT_VERSION
-        with pytest.warns(DeprecationWarning, match="legacy pickle index format"):
-            loaded = ResolutionIndex.load(legacy)
-        assert loaded.names == index.names
-        assert loaded.singleton_weights == index.singleton_weights
-        assert loaded.load_info == {
-            "mmap": False,
-            "format_version": LEGACY_FORMAT_VERSION,
-            "file_bytes": legacy.stat().st_size,
-        }
+class _Detonator:
+    """Unpickling this raises: proof a refused file was never unpickled."""
 
-    def test_migrate_cli_rewrites_in_place(self, saved_index, tmp_path):
+    def __reduce__(self):
+        return (pytest.fail, ("a version-1 index file was unpickled",))
+
+
+class TestMigration:
+    def test_v1_pickle_file_is_refused_without_unpickling(self, tmp_path):
+        import pickle
+
+        legacy = tmp_path / "legacy.idx"
+        legacy.write_bytes(MAGIC + bytes([1]) + pickle.dumps(_Detonator()))
+        for mmap in (False, True):
+            with pytest.raises(ValueError) as refusal:
+                ResolutionIndex.load(legacy, mmap=mmap)
+            message = str(refusal.value)
+            assert "unsupported index format version 1" in message
+            assert "\n" not in message
+
+    def test_migrate_cli_rewrites_a_v2_file(self, saved_index, tmp_path):
         from repro.cli import main
 
-        index, path = saved_index
-        legacy = tmp_path / "legacy.idx"
-        index_format.write_legacy_index(_fields_of(index), legacy)
-        assert main(["index", "--migrate", str(legacy)]) == 0
-        # Now a v2 file, byte-identical to a fresh save of the same index.
-        assert legacy.read_bytes() == path.read_bytes()
-        loaded = ResolutionIndex.load(legacy)  # no DeprecationWarning now
-        assert loaded.load_info["format_version"] == FORMAT_VERSION
+        _, path = saved_index
+        copy = tmp_path / "copy.idx"
+        assert main(["index", "--migrate", str(path), "-o", str(copy)]) == 0
+        assert copy.read_bytes() == path.read_bytes()
+        assert main(["index", "--migrate", str(copy)]) == 0  # in place
+        assert copy.read_bytes() == path.read_bytes()
 
     def test_index_command_requires_output_without_migrate(self, capsys):
         from repro.cli import main
