@@ -193,19 +193,12 @@ def command_resolve(args: argparse.Namespace) -> int:
     else:
         from repro.parallel.context import ParallelContext
         from repro.parallel.pipeline import ParallelMinoanER
-        from repro.resilience.policy import RetryPolicy
 
-        policy = None
-        if config.failure_mode != "fail_fast":
-            policy = RetryPolicy(
-                max_attempts=config.retry_max_attempts,
-                base_delay_s=config.retry_base_delay_s,
-            )
         with ParallelContext(
             num_workers=args.workers,
             backend=args.stages,
             failure_mode=config.failure_mode,
-            retry_policy=policy,
+            retry_policy=MinoanER(config).phase_retry_policy(),
         ) as context:
             result = ParallelMinoanER(config, context).resolve(kb1, kb2)
     _write_pairs(sorted(result.uri_matches()), args.output)

@@ -59,10 +59,9 @@ class MinoanERConfig:
         alphanumeric tokens, no stopword list).
     kernel_backend:
         Implementation of the blocking-graph hot path (see
-        :mod:`repro.kernels`): ``"dict"`` is the reference
-        dict-of-dicts code, ``"python"`` and ``"numpy"`` are the
+        :mod:`repro.kernels`): ``"python"`` and ``"numpy"`` are the
         array-backed sparse kernels, and ``"auto"`` (the default) picks
-        ``numpy`` when importable and ``python`` otherwise.  All
+        ``numpy`` when importable and ``python`` otherwise.  Both
         backends produce bit-identical graphs; this is purely a
         performance knob.
     serving_cache_size:

@@ -102,6 +102,20 @@ class NonIterativeMatcher:
                 "R3",
             )
 
+        return self.assemble(graph, collected)
+
+    def assemble(
+        self,
+        graph: DisjunctiveBlockingGraph,
+        collected: list[tuple[Match, float, str]],
+    ) -> MatchingResult:
+        """R4 and conflict resolution over the pairs R1-R3 proposed.
+
+        The tail of Algorithm 2 shared with the stage-parallel matcher
+        (:mod:`repro.parallel.pipeline`), which collects the same
+        ``(pair, score, rule)`` proposals from partitioned stages.
+        """
+        config = self.config
         proposed = [(pair, rule) for pair, _, rule in collected]
         surviving = collected
         removed: set[Match] = set()

@@ -1,9 +1,13 @@
 """End-to-end MinoanER pipeline: statistics -> blocking -> graph -> matching.
 
 :class:`MinoanER` is the public facade.  It wires the substrates in the
-order of the paper's architecture (Figure 4) -- serially; the
-stage-parallel variant mirroring the Spark implementation lives in
-:mod:`repro.parallel.pipeline` and produces identical matches.
+order of the paper's architecture (Figure 4) -- serially.  Its
+:meth:`~MinoanER.resolve` is the one phase skeleton of the repo (spans,
+guarded driver phases, timings, result assembly): the stage-parallel
+variant mirroring the Spark implementation
+(:class:`repro.parallel.pipeline.ParallelMinoanER`) subclasses it and
+replaces only how the graph and matching phases *run*, producing a
+bit-identical graph and identical matches.
 """
 
 from __future__ import annotations
@@ -187,6 +191,43 @@ class MinoanER:
             base_delay_s=self.config.retry_base_delay_s,
         )
 
+    def span_attributes(self) -> dict[str, object]:
+        """Extra attributes stamped on the root ``resolve`` span (none here)."""
+        return {}
+
+    def graph_phase(
+        self,
+        stats1: KBStatistics,
+        stats2: KBStatistics,
+        names: BlockCollection,
+        tokens: BlockCollection,
+        guarded,
+    ) -> DisjunctiveBlockingGraph:
+        """Algorithm 1 as one driver step at the ``stage:graph`` site.
+
+        ``guarded(site, thunk)`` runs a driver step under the fault plan
+        and :meth:`phase_retry_policy`.
+        """
+        return guarded(
+            "stage:graph",
+            lambda: build_blocking_graph(
+                stats1,
+                stats2,
+                names,
+                tokens,
+                k=self.config.candidates_k,
+                dynamic_pruning=self.config.dynamic_pruning,
+                pruning_gap_ratio=self.config.pruning_gap_ratio,
+                backend=self.config.kernel_backend,
+            ),
+        )
+
+    def matching_phase(self, graph: DisjunctiveBlockingGraph, guarded) -> MatchingResult:
+        """Algorithm 2 as one driver step at the ``stage:matching`` site."""
+        return guarded(
+            "stage:matching", lambda: NonIterativeMatcher(self.config).match(graph)
+        )
+
     def resolve(self, kb1: KnowledgeBase, kb2: KnowledgeBase) -> ResolutionResult:
         """Run the full pipeline and return matches plus all intermediates.
 
@@ -213,7 +254,9 @@ class MinoanER:
                 body, on_retry=lambda attempt, error: recorder.count("retry.attempts")
             )
 
-        with phase_span(recorder, "resolve", n1=len(kb1), n2=len(kb2)) as root:
+        with phase_span(
+            recorder, "resolve", n1=len(kb1), n2=len(kb2), **self.span_attributes()
+        ) as root:
             with phase_span(recorder, "statistics") as span_statistics:
                 stats1, stats2 = guarded(
                     "stage:statistics",
@@ -226,25 +269,10 @@ class MinoanER:
                 )
 
             with phase_span(recorder, "graph") as span_graph:
-                graph = guarded(
-                    "stage:graph",
-                    lambda: build_blocking_graph(
-                        stats1,
-                        stats2,
-                        names,
-                        tokens,
-                        k=self.config.candidates_k,
-                        dynamic_pruning=self.config.dynamic_pruning,
-                        pruning_gap_ratio=self.config.pruning_gap_ratio,
-                        backend=self.config.kernel_backend,
-                    ),
-                )
+                graph = self.graph_phase(stats1, stats2, names, tokens, guarded)
 
             with phase_span(recorder, "matching") as span_matching:
-                matching = guarded(
-                    "stage:matching",
-                    lambda: NonIterativeMatcher(self.config).match(graph),
-                )
+                matching = self.matching_phase(graph, guarded)
 
         timings = {
             "statistics": span_statistics.seconds,

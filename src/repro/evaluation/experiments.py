@@ -374,9 +374,9 @@ def scalability(
     """Figure 6: stage-parallel pipeline time as the worker pool grows.
 
     With the default ``simulated`` backend the pipeline runs **once**
-    with per-partition timing (the total task count is fixed at
-    ``3 * max(workers)``, the paper's parallelism factor, so each task
-    does the same work regardless of worker count) and each worker
+    with per-partition timing (the task count per partitioned node set
+    is fixed at ``3 * max(workers)``, the paper's parallelism factor, so
+    each task does the same work regardless of worker count) and each worker
     count's wall time is the sum of per-stage LPT makespans (see
     :func:`repro.parallel.context.simulated_makespan`) plus the
     driver-serial residue -- the honest substitute for a Spark cluster

@@ -182,7 +182,7 @@ def build_blocking_graph(
     k: int = 15,
     dynamic_pruning: bool = False,
     pruning_gap_ratio: float = 0.2,
-    backend: str = "dict",
+    backend: str | None = None,
 ) -> DisjunctiveBlockingGraph:
     """Run Algorithm 1: weight and prune the disjunctive blocking graph.
 
@@ -202,14 +202,15 @@ def build_blocking_graph(
         top-K (the paper's future-work idea; see
         :func:`repro.graph.pruning.adaptive_candidates`).
     backend:
-        Hot-path implementation: ``"dict"`` (this module's reference
-        code), ``"python"`` / ``"numpy"`` (the array kernels of
-        :mod:`repro.kernels`), or ``"auto"``.  Every backend returns a
+        Hot-path implementation: ``"python"`` / ``"numpy"`` (the array
+        kernels of :mod:`repro.kernels`) or ``"auto"``; ``None`` runs
+        this module's dict-of-dicts reference code, the oracle the
+        kernel tests compare against.  Every choice returns a
         bit-identical graph.
     """
     n1, n2 = len(stats1.kb), len(stats2.kb)
     names_1, names_2 = name_evidence(name_blocks)
-    if backend != "dict":
+    if backend is not None:
         value_1, value_2, neighbor_1, neighbor_2 = _kernel_evidence(
             stats1, stats2, token_blocks, k, dynamic_pruning, pruning_gap_ratio, backend
         )

@@ -14,11 +14,13 @@ interned flat arrays (CSR-style), with two interchangeable backends:
 
 Both are **bit-identical** to the dict reference (same float
 accumulation order per pair), so backend selection
-(``MinoanERConfig.kernel_backend``) is purely a performance knob, and
-the dict path remains the equivalence oracle for tests.
+(``MinoanERConfig.kernel_backend``) is purely a performance knob
+between the two, and the dict reference stays in
+:mod:`repro.graph.construction` as the equivalence oracle for tests --
+a reference implementation, not a third backend.
 
-:mod:`repro.kernels.partition` adapts the same kernels to the
-stage-parallel pipeline's partitioned dataflow.
+:mod:`repro.kernels.partition` runs the same fused kernels one node
+range at a time for the stage-parallel pipeline.
 """
 
 from repro.kernels.dispatch import (

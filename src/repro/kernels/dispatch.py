@@ -1,24 +1,24 @@
 """Kernel backend registry and selection.
 
-Three interchangeable implementations of the blocking-graph hot path:
+Two interchangeable implementations of the blocking-graph hot path:
 
-* ``"dict"`` -- the reference dict-of-dicts implementation in
-  :mod:`repro.graph.construction` (the equivalence oracle);
 * ``"python"`` -- the dependency-free array kernels
   (:mod:`repro.kernels.python_backend`);
 * ``"numpy"`` -- the vectorised kernels
   (:mod:`repro.kernels.numpy_backend`), available when numpy imports;
 * ``"auto"`` -- ``numpy`` when available, else ``python``.
 
-All three produce bit-identical ``DisjunctiveBlockingGraph``s; selection
-is a pure performance knob (``MinoanERConfig.kernel_backend``).
+Both produce ``DisjunctiveBlockingGraph``s bit-identical to each other
+and to the dict-of-dicts reference in :mod:`repro.graph.construction`
+(the tests' oracle, not a backend); selection is a pure performance
+knob (``MinoanERConfig.kernel_backend``).
 """
 
 from __future__ import annotations
 
 from types import ModuleType
 
-KERNEL_BACKENDS = ("auto", "dict", "python", "numpy")
+KERNEL_BACKENDS = ("auto", "python", "numpy")
 """Accepted values of ``MinoanERConfig.kernel_backend``."""
 
 KERNEL_API = (
@@ -64,7 +64,7 @@ def numpy_available() -> bool:
 
 def available_backends() -> tuple[str, ...]:
     """The concrete backends importable in this environment."""
-    names = ["dict", "python"]
+    names = ["python"]
     if numpy_available():
         names.append("numpy")
     return tuple(names)
@@ -87,8 +87,8 @@ def resolve_backend_name(backend: str) -> str:
     return backend
 
 
-def get_backend(backend: str) -> ModuleType | None:
-    """The kernel module for ``backend``, or None for the dict reference.
+def get_backend(backend: str) -> ModuleType:
+    """The kernel module for ``backend``.
 
     Every resolution increments the ``kernels.dispatch.<resolved>``
     counter on the ambient :func:`repro.obs.current_recorder`, so
@@ -103,8 +103,6 @@ def get_backend(backend: str) -> ModuleType | None:
     resolved = resolve_backend_name(backend)
     current_recorder().count(f"kernels.dispatch.{resolved}")
     inject(f"kernel:{resolved}")
-    if resolved == "dict":
-        return None
     if resolved == "numpy":
         import repro.kernels.numpy_backend as module
     else:

@@ -10,20 +10,16 @@ model at laptop scale:
   executed over partitioned inputs by a serial, thread or process
   backend, with per-stage timing (the barriers of Figure 4 are the
   stage boundaries);
-* :class:`~repro.parallel.dataset.Dataset` -- a minimal RDD-style
-  collection API (map / filter / reduce_by_key / join / ...) built on
-  the same stages;
 * :class:`~repro.parallel.pipeline.ParallelMinoanER` -- the
   stage-parallel MinoanER pipeline, which produces exactly the same
-  matches as the serial :class:`repro.core.pipeline.MinoanER`.
+  blocking graph and matches as the serial
+  :class:`repro.core.pipeline.MinoanER`.
 """
 
 from repro.parallel.context import ParallelContext, StageRecord, simulated_makespan
-from repro.parallel.dataset import Dataset
 from repro.parallel.pipeline import ParallelMinoanER
 
 __all__ = [
-    "Dataset",
     "ParallelContext",
     "ParallelMinoanER",
     "StageRecord",

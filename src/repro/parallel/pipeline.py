@@ -1,114 +1,44 @@
 """Stage-parallel MinoanER: the dataflow of the paper's Figure 4.
 
-``ParallelMinoanER`` executes the expensive phases of the pipeline as
-partitioned stages on a :class:`~repro.parallel.context.ParallelContext`
--- value-evidence accumulation over token-block partitions, top-K
-pruning over node partitions, neighbor-evidence propagation over edge
-partitions, and the per-node work of rules R2/R3 over node partitions --
-with barriers exactly where Figure 4 places them.
-
-The result is **bit-identical** to the serial
-:class:`repro.core.pipeline.MinoanER`: stage kernels compute per-node
-proposals in parallel, and the driver replays the same deterministic
-greedy/UMC logic over them.  All stage kernels are module-level
-functions so the ``process`` backend can pickle them.
+``ParallelMinoanER`` is the serial :class:`repro.core.pipeline.MinoanER`
+with its two expensive phases run as partitioned stages on a
+:class:`~repro.parallel.context.ParallelContext`, with barriers exactly
+where Figure 4 places them: ``graph:beta`` and -- after the barrier that
+assembles the retained edges -- ``graph:gamma`` over node ranges of both
+KBs (:mod:`repro.kernels.partition`, which is why the graph is
+**bit-identical** to the serial one at any partition count), then the
+per-node work of rules R2/R3 over node partitions (``match:*``), whose
+proposals the driver replays through the same deterministic greedy/UMC
+logic.  All stage kernels are module-level functions so the ``process``
+backend can pickle them.
 """
 
 from __future__ import annotations
 
-from repro.blocking.name_blocking import name_blocks
-from repro.blocking.purging import purge_blocks
-from repro.blocking.token_blocking import token_blocks
 from repro.core.config import MinoanERConfig
-from repro.core.matcher import NonIterativeMatcher
-from repro.core.pipeline import ResolutionResult
-from repro.graph.blocking_graph import DisjunctiveBlockingGraph
-from repro.graph.construction import name_evidence, retained_beta_edges
-from repro.graph.pruning import top_k_candidates
+from repro.core.matcher import MatchingResult, NonIterativeMatcher
+from repro.core.pipeline import MinoanER, ResolutionResult
+from repro.core.rules import name_rule
+from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
+from repro.graph.construction import name_evidence
+from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kb.statistics import KBStatistics
-from repro.kernels.dispatch import resolve_backend_name
-from repro.kernels.partition import beta_partition_kernel, gamma_partition_kernel
-from repro.obs import NULL_RECORDER, Recorder, current_recorder, phase_span
-from repro.parallel.context import ParallelContext
-from repro.resilience.faults import inject
+from repro.kernels import resolve_backend_name, retained_edge_arrays
+from repro.kernels.partition import (
+    beta_range_kernel,
+    gamma_range_kernel,
+    restrict_blocks,
+)
+from repro.obs import Recorder
+from repro.parallel.context import ParallelContext, split_into_partitions
 from repro.resilience.policy import RetryPolicy
 
-# ----------------------------------------------------------------------
-# Stage kernels (module-level: picklable for the process backend)
-# ----------------------------------------------------------------------
 
-
-def beta_kernel(blocks: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> dict[int, dict[int, float]]:
-    """Partial ``beta`` accumulation over one partition of token blocks."""
-    import math
-
-    partial: dict[int, dict[int, float]] = {}
-    for side1, side2 in blocks:
-        weight = 1.0 / math.log2(len(side1) * len(side2) + 1.0)
-        for eid1 in side1:
-            row = partial.setdefault(eid1, {})
-            for eid2 in side2:
-                row[eid2] = row.get(eid2, 0.0) + weight
-    return partial
-
-
-def top_k_kernel(rows: list[tuple[int, dict[int, float]]], k: int) -> list[tuple[int, tuple]]:
-    """Top-K pruning of one partition of per-node weight rows."""
-    return [(eid, top_k_candidates(row, k)) for eid, row in rows]
-
-
-def gamma_kernel(
-    edges: list[tuple[int, int, float]],
-    in_neighbors_1: list[tuple[int, ...]],
-    in_neighbors_2: list[tuple[int, ...]],
-) -> dict[int, dict[int, float]]:
-    """Partial ``gamma`` propagation over one partition of beta edges."""
-    partial: dict[int, dict[int, float]] = {}
-    for eid1, eid2, weight in edges:
-        sources = in_neighbors_1[eid1]
-        if not sources:
-            continue
-        targets = in_neighbors_2[eid2]
-        if not targets:
-            continue
-        for source in sources:
-            row = partial.setdefault(source, {})
-            for target in targets:
-                row[target] = row.get(target, 0.0) + weight
-    return partial
-
-
-def merge_partials(
-    partials: list[dict[int, dict[int, float]]],
-    size: int,
-) -> list[dict[int, float]]:
-    """Merge per-partition nested accumulators into dense per-node rows."""
-    rows: list[dict[int, float]] = [dict() for _ in range(size)]
-    for partial in partials:
-        for eid, partial_row in partial.items():
-            row = rows[eid]
-            for other, weight in partial_row.items():
-                row[other] = row.get(other, 0.0) + weight
-    return rows
-
-
-def transpose_rows(rows: list[dict[int, float]], size: int) -> list[dict[int, float]]:
-    """Column view of per-node rows (side-2 perspective of the weights)."""
-    columns: list[dict[int, float]] = [dict() for _ in range(size)]
-    for eid, row in enumerate(rows):
-        for other, weight in row.items():
-            columns[other][eid] = weight
-    return columns
-
-
-# ----------------------------------------------------------------------
-# The pipeline
-# ----------------------------------------------------------------------
-
-
-class ParallelMinoanER:
+class ParallelMinoanER(MinoanER):
     """MinoanER executed as partitioned stages with explicit barriers.
+
+    The phase skeleton is :meth:`MinoanER.resolve`; this class supplies
+    how the graph and matching phases run and owns the context.
 
     Parameters
     ----------
@@ -135,23 +65,14 @@ class ParallelMinoanER:
         context: ParallelContext | None = None,
         recorder: Recorder | None = None,
     ):
-        self.config = config or MinoanERConfig()
+        super().__init__(config, recorder)
         self._owns_context = context is None
         if context is None:
             context = ParallelContext(
                 failure_mode=self.config.failure_mode,
-                retry_policy=self._config_retry_policy(),
+                retry_policy=super().phase_retry_policy(),
             )
         self.context = context
-        self._recorder = recorder
-
-    def _config_retry_policy(self) -> RetryPolicy | None:
-        if self.config.failure_mode == "fail_fast":
-            return None
-        return RetryPolicy(
-            max_attempts=self.config.retry_max_attempts,
-            base_delay_s=self.config.retry_base_delay_s,
-        )
 
     def close(self) -> None:
         """Shut down the context's worker pool iff this pipeline created it."""
@@ -164,185 +85,162 @@ class ParallelMinoanER:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    @property
-    def recorder(self) -> Recorder:
-        """The span sink of the next run (never None)."""
-        if self._recorder is not None:
-            return self._recorder
-        if not self.config.observability:
-            return NULL_RECORDER
-        return current_recorder()
+    def phase_retry_policy(self) -> RetryPolicy | None:
+        """The *context's* policy: driver phases retry like its partitions.
+
+        Driver-side phases cannot be partially skipped (there is no
+        partition to drop), so under ``retry`` *and* ``degrade`` they
+        are retried per the context's policy and then propagate.
+        """
+        context = self.context
+        return context.retry_policy if context.failure_mode != "fail_fast" else None
+
+    def span_attributes(self) -> dict[str, object]:
+        return {"parallel_backend": self.context.backend}
 
     def resolve(self, kb1: KnowledgeBase, kb2: KnowledgeBase) -> ResolutionResult:
         """Run the stage-parallel pipeline; same output as the serial one.
 
-        Phases are spans (as in the serial pipeline); the context's
-        stages appear as ``stage:*`` child spans of the phase that runs
-        them, and ``timings`` is derived from the phase spans.
+        The context's stages appear as ``stage:*`` child spans of the
+        phase that runs them, and the partitions skipped under
+        ``failure_mode = "degrade"`` are folded into
+        ``ResolutionResult.degraded`` (stage name -> partition indices).
         """
         context = self.context
-        recorder = self.recorder
-        if context._recorder is None and self._recorder is not None:
-            # An explicitly supplied pipeline recorder also collects the
-            # context's stage spans for the duration of this run.
-            context._recorder = recorder
-            restore_context_recorder = True
-        else:
-            restore_context_recorder = False
-
-        try:
-            return self._resolve(kb1, kb2, recorder)
-        finally:
-            if restore_context_recorder:
-                context._recorder = None
-
-    def _resolve(
-        self, kb1: KnowledgeBase, kb2: KnowledgeBase, recorder: Recorder
-    ) -> ResolutionResult:
-        config, context = self.config, self.context
+        # An explicitly supplied pipeline recorder also collects the
+        # context's stage spans for the duration of this run.
+        own_recorder = context._recorder
+        if own_recorder is None:
+            context._recorder = self._recorder
         stage_log_start = len(context.stage_log)
-        # Driver-side phases cannot be partially skipped (there is no
-        # partition to drop), so under ``retry`` *and* ``degrade`` they
-        # are retried per the context's policy and then propagate.
-        driver_policy = (
-            context.retry_policy if context.failure_mode != "fail_fast" else None
-        )
-
-        def guarded(site, thunk):
-            def body():
-                inject(site)
-                return thunk()
-
-            if driver_policy is None:
-                return body()
-            return driver_policy.call(
-                body, on_retry=lambda attempt, error: recorder.count("retry.attempts")
-            )
-
-        def driver_statistics():
-            stats1 = KBStatistics(kb1, config.name_attributes_k, config.relations_n)
-            stats2 = KBStatistics(kb2, config.name_attributes_k, config.relations_n)
-            return stats1, stats2
-
-        def driver_blocking():
-            names = name_blocks(stats1, stats2)
-            tokens = token_blocks(kb1, kb2)
-            if config.purge_blocks:
-                tokens = purge_blocks(
-                    tokens,
-                    cartesian=len(kb1) * len(kb2),
-                    budget_ratio=config.purging_budget_ratio,
-                    max_comparisons=config.max_block_comparisons,
-                )
-            return names, tokens
-
-        with phase_span(
-            recorder, "resolve", n1=len(kb1), n2=len(kb2), parallel_backend=context.backend
-        ) as root:
-            # -- Statistics (driver): name attributes, importance, top
-            #    neighbors.
-            with phase_span(recorder, "statistics") as span_statistics:
-                stats1, stats2 = guarded("stage:statistics", driver_statistics)
-                in_neighbors_1 = [stats1.top_in_neighbors(eid) for eid in range(len(kb1))]
-                in_neighbors_2 = [stats2.top_in_neighbors(eid) for eid in range(len(kb2))]
-
-            # -- Blocking (driver indexes; purging on driver).
-            with phase_span(recorder, "blocking") as span_blocking:
-                names, tokens = guarded("stage:token_blocking", driver_blocking)
-
-            # -- Graph construction stages (Figure 4: alpha & beta during
-            #    blocking, gamma after the top-neighbor barrier).  The
-            #    accumulation stages run either the dict kernels or the
-            #    array kernels of repro.kernels.partition; both produce
-            #    bit-identical partials, so the choice is a pure perf knob.
-            with phase_span(recorder, "graph") as span_graph:
-                backend = resolve_backend_name(config.kernel_backend)
-                names_1, names_2 = name_evidence(names)
-
-                block_items = [(block.side1, block.side2) for block in tokens]
-                if backend == "dict":
-                    partials = context.run_stage("graph:beta", block_items, beta_kernel)
-                else:
-                    partials = context.run_stage(
-                        "graph:beta", block_items, beta_partition_kernel,
-                        len(kb1), len(kb2), backend,
-                    )
-                beta_rows = merge_partials(partials, len(kb1))
-                beta_columns = transpose_rows(beta_rows, len(kb2))
-
-                k = config.candidates_k
-                value_1 = _staged_top_k(context, "graph:topk_value_1", beta_rows, k)
-                value_2 = _staged_top_k(context, "graph:topk_value_2", beta_columns, k)
-
-                edges = [(e1, e2, w) for (e1, e2), w in retained_beta_edges(value_1, value_2).items()]
-                if backend == "dict":
-                    partials = context.run_stage(
-                        "graph:gamma", edges, gamma_kernel, in_neighbors_1, in_neighbors_2
-                    )
-                else:
-                    partials = context.run_stage(
-                        "graph:gamma", edges, gamma_partition_kernel,
-                        in_neighbors_1, in_neighbors_2, backend,
-                    )
-                gamma_rows = merge_partials(partials, len(kb1))
-                gamma_columns = transpose_rows(gamma_rows, len(kb2))
-                neighbor_1 = _staged_top_k(context, "graph:topk_neighbor_1", gamma_rows, k)
-                neighbor_2 = _staged_top_k(context, "graph:topk_neighbor_2", gamma_columns, k)
-
-                graph = DisjunctiveBlockingGraph(
-                    n1=len(kb1),
-                    n2=len(kb2),
-                    name_matches_1=names_1,
-                    name_matches_2=names_2,
-                    value_candidates_1=value_1,
-                    value_candidates_2=value_2,
-                    neighbor_candidates_1=neighbor_1,
-                    neighbor_candidates_2=neighbor_2,
-                )
-
-            # -- Matching (rules over node partitions; barriers between
-            #    rules).
-            with phase_span(recorder, "matching") as span_matching:
-                matching = _staged_matching(context, graph, config)
-
-        timings = {
-            "statistics": span_statistics.seconds,
-            "blocking": span_blocking.seconds,
-            "graph": span_graph.seconds,
-            "matching": span_matching.seconds,
-            "total": root.seconds,
-        }
-        degraded = {
+        try:
+            result = super().resolve(kb1, kb2)
+        finally:
+            context._recorder = own_recorder
+        result.degraded = {
             record.name: record.skipped
             for record in context.stage_log[stage_log_start:]
             if record.skipped
         }
-        return ResolutionResult(
-            kb1=kb1,
-            kb2=kb2,
-            matching=matching,
-            graph=graph,
-            name_block_collection=names,
-            token_block_collection=tokens,
-            timings=timings,
-            degraded=degraded,
+        return result
+
+    def graph_phase(self, stats1, stats2, names, tokens, guarded) -> DisjunctiveBlockingGraph:
+        """Algorithm 1 as two node-range stages (Figure 4: ``beta`` during
+        blocking, ``gamma`` after the top-neighbor barrier).
+
+        A partition skipped under ``degrade`` leaves its node range
+        without candidates of that evidence kind.
+        """
+        config = self.config
+        sizes = (len(stats1.kb), len(stats2.kb))
+        # Each side is cut into the same number of ranges whatever its
+        # size: both sides score the same cross pairs, so equal range
+        # *counts* -- not counts proportional to KB size -- balance work.
+        ranges = [
+            (side, chunk[0], chunk[-1] + 1)
+            for side, size in enumerate(sizes, 1)
+            for chunk in split_into_partitions(range(size), self.context.default_partitions())
+        ]
+        cut = (
+            (config.pruning_gap_ratio, DEFAULT_ADAPTIVE_MINIMUM)
+            if config.dynamic_pruning
+            else None
+        )
+        pruning = (config.candidates_k, cut, resolve_backend_name(config.kernel_backend))
+
+        blocks = [(block.side1, block.side2) for block in tokens]
+        value_1, value_2 = self._range_stage(
+            "graph:beta", sizes, restrict_blocks(blocks, ranges), beta_range_kernel,
+            *sizes, *pruning,
+        )
+        neighbor_1, neighbor_2 = self._range_stage(
+            "graph:gamma", sizes, ranges, gamma_range_kernel,
+            retained_edge_arrays(value_1, value_2),
+            stats1.in_neighbor_csr(), stats2.in_neighbor_csr(), *pruning,
+        )
+        return DisjunctiveBlockingGraph(
+            *sizes, *name_evidence(names), value_1, value_2, neighbor_1, neighbor_2
         )
 
+    def _range_stage(self, name, sizes, tasks, kernel, *args):
+        """One stage with a partition per node-range task; the driver only
+        places the returned ``(side, lo, rows)`` slices, per side."""
+        sides: tuple[list[CandidateList], ...] = tuple([()] * size for size in sizes)
+        results = self.context.run_stage(name, tasks, kernel, *args, partitions=len(tasks))
+        for partition in results:
+            for side, lo, rows in partition:
+                sides[side - 1][lo : lo + len(rows)] = rows
+        return sides
 
-def _staged_top_k(
-    context: ParallelContext,
-    name: str,
-    rows: list[dict[int, float]],
-    k: int,
-) -> list[tuple]:
-    """Run top-K pruning as a stage over node partitions."""
-    indexed = list(enumerate(rows))
-    results = context.run_stage(name, indexed, top_k_kernel, k)
-    out: list[tuple] = [()] * len(rows)
-    for chunk in results:
-        for eid, candidates in chunk:
-            out[eid] = candidates
-    return out
+    def matching_phase(self, graph: DisjunctiveBlockingGraph, guarded) -> MatchingResult:
+        """Rules R1-R4 with per-node stages (barriers between rules);
+        identical output to the serial matcher.
+
+        R1 is a driver scan of the (tiny) alpha edge set.  R2 and R3
+        compute per-node proposals in parallel; the driver then replays
+        the exact iteration order of Algorithm 2 (side 1 ascending, then
+        side 2) so greedy claiming matches the serial matcher.  R4 and
+        unique-mapping conflict resolution reuse the serial
+        implementation directly.
+        """
+        config, context = self.config, self.context
+        collected: list[tuple[tuple[int, int], float, str]] = []
+        matched_1: set[int] = set()
+        matched_2: set[int] = set()
+
+        if config.use_name_rule:
+            for pair, score in name_rule(graph):
+                collected.append((pair, score, "R1"))
+                matched_1.add(pair[0])
+                matched_2.add(pair[1])
+
+        if config.use_value_rule:
+            side = 1 if graph.n1 <= graph.n2 else 2
+            matched, size = (matched_1, graph.n1) if side == 1 else (matched_2, graph.n2)
+            unmatched = [eid for eid in range(size) if eid not in matched]
+            chunks = context.run_stage(
+                "match:R2", unmatched, rule2_kernel,
+                graph._value_candidates[side - 1], config.value_threshold,
+            )
+            for chunk in chunks:
+                for eid, partner, beta in chunk:
+                    pair = (eid, partner) if side == 1 else (partner, eid)
+                    collected.append((pair, beta, "R2"))
+                    matched_1.add(pair[0])
+                    matched_2.add(pair[1])
+
+        if config.use_rank_aggregation:
+            proposals: dict[tuple[int, int], tuple[int, float]] = {}
+            for side, size in ((1, graph.n1), (2, graph.n2)):
+                matched = matched_1 if side == 1 else matched_2
+                unmatched = [eid for eid in range(size) if eid not in matched]
+                chunks = context.run_stage(
+                    f"match:R3_side{side}",
+                    unmatched,
+                    rule3_kernel,
+                    graph._value_candidates[side - 1],
+                    graph._neighbor_candidates[side - 1],
+                    config.theta,
+                    config.use_neighbor_evidence,
+                )
+                for chunk in chunks:
+                    for eid, partner, score in chunk:
+                        proposals[(side, eid)] = (partner, score)
+            # Replay Algorithm 2's greedy claiming deterministically.
+            claimed_1, claimed_2 = set(matched_1), set(matched_2)
+            for side, size in ((1, graph.n1), (2, graph.n2)):
+                claimed_own = claimed_1 if side == 1 else claimed_2
+                claimed_other = claimed_2 if side == 1 else claimed_1
+                for eid in range(size):
+                    if eid in claimed_own or (side, eid) not in proposals:
+                        continue
+                    partner, score = proposals[(side, eid)]
+                    pair = (eid, partner) if side == 1 else (partner, eid)
+                    collected.append((pair, score, "R3"))
+                    claimed_own.add(eid)
+                    claimed_other.add(partner)
+
+        return NonIterativeMatcher(config).assemble(graph, collected)
 
 
 def rule2_kernel(
@@ -378,100 +276,3 @@ def rule3_kernel(
         if best is not None:
             proposals.append((eid, best[0], best[1]))
     return proposals
-
-
-def _staged_matching(
-    context: ParallelContext,
-    graph: DisjunctiveBlockingGraph,
-    config: MinoanERConfig,
-):
-    """Rules R1-R4 with per-node stages; identical output to the serial matcher.
-
-    R1 is a driver scan of the (tiny) alpha edge set.  R2 and R3 compute
-    per-node proposals in parallel; the driver then replays the exact
-    iteration order of Algorithm 2 (side 1 ascending, then side 2) so
-    greedy claiming matches the serial matcher.  R4 and unique-mapping
-    conflict resolution reuse the serial implementation directly.
-    """
-    from repro.core.matcher import MatchingResult
-    from repro.core.rules import reciprocity_rule
-
-    collected: list[tuple[tuple[int, int], float, str]] = []
-    matched_1: set[int] = set()
-    matched_2: set[int] = set()
-
-    if config.use_name_rule:
-        for eid1 in range(graph.n1):
-            eid2 = graph.name_match(1, eid1)
-            if eid2 is not None:
-                collected.append(((eid1, eid2), float("inf"), "R1"))
-                matched_1.add(eid1)
-                matched_2.add(eid2)
-
-    if config.use_value_rule:
-        if graph.n1 <= graph.n2:
-            side, matched, size = 1, matched_1, graph.n1
-            candidates = graph._value_candidates[0]
-        else:
-            side, matched, size = 2, matched_2, graph.n2
-            candidates = graph._value_candidates[1]
-        unmatched = [eid for eid in range(size) if eid not in matched]
-        chunks = context.run_stage(
-            "match:R2", unmatched, rule2_kernel, candidates, config.value_threshold
-        )
-        for chunk in chunks:
-            for eid, partner, beta in chunk:
-                pair = (eid, partner) if side == 1 else (partner, eid)
-                collected.append((pair, beta, "R2"))
-                matched_1.add(pair[0])
-                matched_2.add(pair[1])
-
-    if config.use_rank_aggregation:
-        proposals: dict[tuple[int, int], tuple[int, float]] = {}
-        for side, size in ((1, graph.n1), (2, graph.n2)):
-            matched = matched_1 if side == 1 else matched_2
-            unmatched = [eid for eid in range(size) if eid not in matched]
-            chunks = context.run_stage(
-                f"match:R3_side{side}",
-                unmatched,
-                rule3_kernel,
-                graph._value_candidates[side - 1],
-                graph._neighbor_candidates[side - 1],
-                config.theta,
-                config.use_neighbor_evidence,
-            )
-            for chunk in chunks:
-                for eid, partner, score in chunk:
-                    proposals[(side, eid)] = (partner, score)
-        # Replay Algorithm 2's greedy claiming deterministically.
-        claimed_1, claimed_2 = set(matched_1), set(matched_2)
-        for side, size in ((1, graph.n1), (2, graph.n2)):
-            claimed_own = claimed_1 if side == 1 else claimed_2
-            claimed_other = claimed_2 if side == 1 else claimed_1
-            for eid in range(size):
-                if eid in claimed_own or (side, eid) not in proposals:
-                    continue
-                partner, score = proposals[(side, eid)]
-                pair = (eid, partner) if side == 1 else (partner, eid)
-                collected.append((pair, score, "R3"))
-                claimed_own.add(eid)
-                claimed_other.add(partner)
-
-    proposed = [(pair, rule) for pair, _, rule in collected]
-    removed: set[tuple[int, int]] = set()
-    surviving = collected
-    if config.use_reciprocity:
-        kept = reciprocity_rule(graph, [(pair, score) for pair, score, _ in collected])
-        kept_pairs = {pair for pair, _ in kept}
-        removed = {pair for pair, _, _ in collected if pair not in kept_pairs}
-        surviving = [item for item in collected if item[0] in kept_pairs]
-    if config.enforce_unique_mapping:
-        surviving = NonIterativeMatcher._resolve_conflicts(surviving)
-
-    return MatchingResult(
-        matches={pair for pair, _, _ in surviving},
-        rule_of={pair: rule for pair, _, rule in surviving},
-        scores={pair: score for pair, score, _ in surviving},
-        proposed=proposed,
-        removed_by_reciprocity=removed,
-    )

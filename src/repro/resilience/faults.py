@@ -58,16 +58,11 @@ SITES: dict[str, str] = {
     "stage:token_blocking": "token blocking + purging phase (serial + parallel driver)",
     "stage:graph": "serial graph-construction phase",
     "stage:matching": "serial matching phase",
-    "stage:graph:beta": "one partition of the beta-accumulation stage",
-    "stage:graph:gamma": "one partition of the gamma-propagation stage",
-    "stage:graph:topk_value_1": "one partition of a top-K pruning stage (side 1 values)",
-    "stage:graph:topk_value_2": "one partition of a top-K pruning stage (side 2 values)",
-    "stage:graph:topk_neighbor_1": "one partition of a top-K pruning stage (side 1 neighbors)",
-    "stage:graph:topk_neighbor_2": "one partition of a top-K pruning stage (side 2 neighbors)",
+    "stage:graph:beta": "one node range of the value-evidence stage",
+    "stage:graph:gamma": "one node range of the neighbor-evidence stage",
     "stage:match:R2": "one partition of the R2 rule stage",
     "stage:match:R3_side1": "one partition of the R3 rule stage (side 1)",
     "stage:match:R3_side2": "one partition of the R3 rule stage (side 2)",
-    "kernel:dict": "kernel backend dispatch resolving to the dict reference",
     "kernel:python": "kernel backend dispatch resolving to the python kernels",
     "kernel:numpy": "kernel backend dispatch resolving to the numpy kernels",
     "serve:match": "one single-query lookup in MatchEngine.match",

@@ -266,10 +266,6 @@ class MatchEngine:
         #: can ever be served after the state changes.
         self.generation = 0
         backend = resolve_backend_name(self.config.kernel_backend)
-        if backend == "dict":
-            # The dict reference has no array entry points; the python
-            # kernels are bit-identical to it, so serving uses them.
-            backend = "python"
         self._backend_name = backend
         self._impl = get_backend(backend)
         self._cut = (
@@ -286,8 +282,8 @@ class MatchEngine:
             self.recorder = ambient if ambient is not NULL_RECORDER else Recorder()
         if backend == "numpy":
             # The breaker guards the only backend with a cheaper
-            # bit-identical stand-in; python/dict have nothing to fall
-            # back to, so their kernel errors propagate as usual.
+            # bit-identical stand-in; python has nothing to fall back
+            # to, so its kernel errors propagate as usual.
             self._fallback = get_backend("python")
             self.breaker = CircuitBreaker(
                 failure_threshold=self.config.breaker_threshold,

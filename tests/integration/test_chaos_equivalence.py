@@ -16,7 +16,7 @@ from repro.parallel.context import ParallelContext
 from repro.parallel.pipeline import ParallelMinoanER
 from repro.resilience import RetryPolicy, parse_chaos, use_faults
 
-BACKENDS = ["dict", "python", "numpy"]
+BACKENDS = ["python", "numpy"]
 
 CHAOS_SPECS = [
     "stage:*=error*2",

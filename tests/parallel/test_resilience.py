@@ -177,9 +177,9 @@ class TestLifecycle:
 
 class TestPipelineFailureModes:
     def test_retry_recovers_bit_identically(self, mini_pair):
-        # The bit-identity baseline is a clean run of the *same*
-        # parallel shape (partitioned float sums differ from serial in
-        # the last ULP); the serial run pins the match set.
+        # Partitions own node ranges and never sum across each other,
+        # so the bit-identity baseline is the serial run itself; a clean
+        # run of the same parallel shape must agree with both.
         serial = MinoanER().resolve(mini_pair.kb1, mini_pair.kb2)
         with ParallelContext(num_workers=2, backend="thread") as context:
             clean = ParallelMinoanER(context=context).resolve(
@@ -201,6 +201,7 @@ class TestPipelineFailureModes:
         assert recorder.counter_value("retry.attempts") == 2
         assert not result.is_degraded
         assert result.matches == serial.matches
+        assert result.matching.scores == serial.matching.scores
         assert result.matches == clean.matches
         assert result.matching.rule_of == clean.matching.rule_of
         assert result.matching.scores == clean.matching.scores
