@@ -627,6 +627,15 @@ class MappedURIs(Sequence):
             raise IndexError(eid)
         return bytes(self._view[bounds[eid] : bounds[eid + 1]]).decode("utf-8")
 
+    def __iter__(self) -> Iterator[str]:
+        # A full pass (the live overlay's URI -> id map, the shard
+        # planner) copies the blob once and slices plain bytes, instead
+        # of a mapped-view slice plus a copy per URI.
+        blob = bytes(self._blob)
+        bounds = self._offsets.tolist()
+        for start, end in zip(bounds, bounds[1:]):
+            yield blob[start:end].decode("utf-8")
+
     def __len__(self) -> int:
         return len(self._offsets) - 1
 

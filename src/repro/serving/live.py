@@ -15,11 +15,12 @@ without giving up its properties, following the classic LSM split:
   delete.
 * :class:`LiveIndex` -- a duck-typed overlay presenting base + delta
   as one index to the unmodified engine: candidate generation unions
-  base and delta postings (dead base ids filtered lazily, zero-copy
-  for unaffected tokens), block weights are recomputed from *live*
-  Entity Frequencies, and delta entities occupy dense ids above every
-  base id.  :meth:`LiveIndex.compact` folds everything into a fresh
-  frozen index whose save is byte-deterministic.
+  base and delta postings (dead base ids filtered per call by one
+  gather over a byte mask, zero-copy for unaffected tokens), block
+  weights are recomputed from *live* Entity Frequencies, and delta
+  entities occupy dense ids above every base id.
+  :meth:`LiveIndex.compact` folds everything into a fresh frozen index
+  whose save is byte-deterministic.
 * :class:`IndexHandle` -- a reader/writer drain gate plus a monotonic
   generation counter: queries pin the current index state, mutations
   and swaps wait for pinned queries to finish, flip atomically, and
@@ -55,7 +56,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.blocking.name_blocking import normalize_name
 from repro.kb.entity import EntityDescription
-from repro.kernels import CSRAdjacency, block_weight
+from repro.kernels import CSRAdjacency, block_weight, numpy_available
 from repro.obs import current_recorder
 from repro.resilience.faults import inject
 from repro.serving.engine import MatchEngine
@@ -70,6 +71,11 @@ __all__ = [
     "LiveServingMixin",
     "UpsertLedger",
 ]
+
+
+#: Postings this short are masked from python, which beats a numpy
+#: gather's ~1 us fixed cost (most are: the median EF is 1 at 100k).
+_PYTHON_MASK_MAX = 16
 
 
 class LedgerError(ValueError):
@@ -456,14 +462,9 @@ class _LiveWeights:
 
     def __getitem__(self, token: str) -> float:
         live = self._live
-        base_ids = live.base.postings.get(token)
-        base_ef = len(base_ids) if base_ids is not None else 0
-        live_ef = (
-            base_ef
-            - live._dead_count(token)
-            + len(live.delta.postings.get(token, ()))
-        )
-        if live_ef == base_ef and base_ids is not None:
+        base_ef = len(live.base.postings.get(token, ()))
+        live_ef = live.entity_frequency(token)
+        if live_ef == base_ef and base_ef:
             return live.base.singleton_weights[token]
         if live_ef <= 0:
             raise KeyError(token)
@@ -483,9 +484,9 @@ class _LiveNames:
 
     def _group(self, name: str) -> tuple[int, ...] | None:
         live = self._live
-        dead = live.delta.dead_base
+        dead = live._dead
         base_ids = live.base.names.get(name, ())
-        ids = [eid for eid in base_ids if eid not in dead]
+        ids = [eid for eid in base_ids if not dead[eid]]
         base_n2 = live.base.n2
         ids.extend(base_n2 + slot for slot in live.delta.names.get(name, ()))
         return tuple(ids) if ids else None
@@ -547,6 +548,10 @@ class LiveIndex:
     ``base n2 + allocated delta slots`` (drives array and graph
     extents; tombstoned columns stay empty and are harmless).
 
+    Dead base ids are also one byte each in ``_dead`` (a zero-copy bool
+    array with numpy), so a posting's dead count or survivors are one
+    gather ``mask[ids]`` per call and posting reads write no state.
+
     Not thread-safe on its own: callers serialise mutations against
     queries through :class:`IndexHandle` (as :class:`LiveServingMixin`
     does).
@@ -562,9 +567,12 @@ class LiveIndex:
         self.delta = DeltaSegment()
         self._epoch = 0
         self._base_uri_ids: dict[str, int] | None = None
-        # Per-epoch memos, all invalidated wholesale by any mutation.
-        self._dead_counts: tuple[int, dict[str, int]] = (0, {})
-        self._merged: tuple[int, dict[str, list[int]]] = (0, {})
+        self._dead = bytearray(base.n2)
+        self._np = self._dead_view = None
+        if numpy_available():
+            import numpy as np
+
+            self._np, self._dead_view = np, np.frombuffer(self._dead, dtype=np.bool_)
         self._csr: tuple[int, CSRAdjacency] | None = None
         self.postings = _LivePostings(self)
         self.singleton_weights = _LiveWeights(self)
@@ -629,81 +637,68 @@ class LiveIndex:
 
     @property
     def epoch(self) -> int:
-        """Mutation counter (cache-invalidation key for the views)."""
+        """Mutation counter (keys the in-neighbor CSR memo)."""
         return self._epoch
 
     def _bump(self) -> None:
         self._epoch += 1
 
+    def _kill(self, base_id: int) -> None:
+        """Mark one base id dead (shadowed by an upsert, or deleted)."""
+        self.delta.dead_base.add(base_id)
+        self._dead[base_id] = 1
+
     # ------------------------------------------------------------------
     # Posting / EF overlay
     # ------------------------------------------------------------------
-    def _dead_count(self, token: str) -> int:
-        """Dead base ids in this token's base posting (epoch-memoised).
-
-        The base keeps no per-entity token sets, so the first probe of
-        an affected token after a mutation scans its posting once; a
-        clean (no-tombstone) live index short-circuits to 0.
-        """
-        dead = self.delta.dead_base
-        if not dead:
+    def _dead_count(self, ids: Sequence[int]) -> int:
+        """How many of ``ids`` (a base posting) are dead: one gather."""
+        if not self.delta.dead_base or not len(ids):
             return 0
-        epoch, memo = self._dead_counts
-        if epoch != self._epoch:
-            memo = {}
-            self._dead_counts = (self._epoch, memo)
-        count = memo.get(token)
-        if count is None:
-            ids = self.base.postings.get(token, ())
-            count = sum(1 for eid in ids if eid in dead)
-            memo[token] = count
-        return count
+        dead = self._dead
+        if self._np is None or len(ids) <= _PYTHON_MASK_MAX:
+            return sum([dead[eid] for eid in ids.tolist()])
+        return int(self._np.count_nonzero(self._dead_view[ids]))
+
+    def _survivors(self, ids: Sequence[int]) -> Sequence[int]:
+        """``ids`` (a base posting) without its dead ids -- the posting
+        object itself when none died, so the zero-copy slice survives."""
+        if not self.delta.dead_base or not len(ids):
+            return ids
+        dead = self._dead
+        if self._np is None or len(ids) <= _PYTHON_MASK_MAX:
+            kept = [eid for eid in ids.tolist() if not dead[eid]]
+            return kept if len(kept) < len(ids) else ids
+        array_ids = self._np.asarray(ids)
+        died = self._dead_view[array_ids]
+        return array_ids[~died] if died.any() else ids
 
     def _posting(self, token: str) -> Sequence[int] | None:
         """The live posting of ``token`` (ascending global ids), or
-        ``None`` when its live EF is zero.
+        ``None`` when its live EF is zero: the base survivors, then the
+        delta slots' global ids -- the base's own sequence (a zero-copy
+        mmap slice) when no edit touched the token.
 
-        Unaffected tokens return the base's sequence untouched (the
-        zero-copy mmap slice); affected ones build and memoise a plain
-        list for the current epoch.
-        """
-        base_ids = self.base.postings.get(token)
-        delta_slots = self.delta.postings.get(token)
-        dead_count = self._dead_count(token) if base_ids is not None else 0
-        if not delta_slots and not dead_count:
-            if base_ids is None or not len(base_ids):
-                return None
-            return base_ids
-        epoch, memo = self._merged
-        if epoch != self._epoch:
-            memo = {}
-            self._merged = (self._epoch, memo)
-        merged = memo.get(token)
-        if merged is None:
-            merged = []
-            if base_ids is not None:
-                if dead_count:
-                    dead = self.delta.dead_base
-                    merged.extend(
-                        int(eid) for eid in base_ids if eid not in dead
-                    )
-                elif hasattr(base_ids, "tolist"):
-                    merged.extend(base_ids.tolist())
-                else:
-                    merged.extend(base_ids)
-            if delta_slots:
-                base_n2 = self.base.n2
-                merged.extend(base_n2 + slot for slot in delta_slots)
-            memo[token] = merged
-        return merged if merged else None
+        An affected token's posting is an ``array('i')``: numpy reads it
+        zero-copy and the batch interner extends by it as one buffer
+        copy, where an ndarray would be extended id by id."""
+        base_ids = self.base.postings.get(token, ())
+        ids = self._survivors(base_ids)
+        slots = self.delta.postings.get(token)
+        if slots or ids is not base_ids:
+            np = self._np
+            ids = array("i", ids if np is None else np.asarray(ids, np.intc).tobytes())
+            ids.extend(self.base.n2 + slot for slot in slots or ())
+        return ids if len(ids) else None
 
     def entity_frequency(self, token: str) -> int:
         """Live ``EF2(t)``: base EF minus dead members plus delta members."""
-        base_ids = self.base.postings.get(token)
-        base_ef = len(base_ids) if base_ids is not None else 0
-        if base_ef:
-            base_ef -= self._dead_count(token)
-        return base_ef + len(self.delta.postings.get(token, ()))
+        base_ids = self.base.postings.get(token, ())
+        return (
+            len(base_ids)
+            - self._dead_count(base_ids)
+            + len(self.delta.postings.get(token, ()))
+        )
 
     def global_entity_frequency(self, token: str) -> int:
         """Same as :meth:`entity_frequency` (a live index is never a shard)."""
@@ -725,27 +720,34 @@ class LiveIndex:
         Invariant: ``len(in_neighbors) == id_space``, always.  The base
         CSR itself only serves while no slot was ever allocated and no
         base id died -- a tombstoned delta slot still occupies an id
-        (``delta_active`` is False then, yet ``id_space > base.n2``)."""
+        (``delta_active`` is False then, yet ``id_space > base.n2``).
+        Memoised per epoch; with numpy one vectorised pass: an entry
+        survives when neither its row nor its id is dead, and the new
+        offsets are the running survivor count at the old ones."""
         if not self.delta.allocated and not self.delta.dead_base:
             return self.base.in_neighbors
         cached = self._csr
         if cached is not None and cached[0] == self._epoch:
             return cached[1]
-        dead = self.delta.dead_base
         base_csr = self.base.in_neighbors
-        rows: list[Sequence[int]] = []
-        for eid in range(self.base.n2):
-            if eid in dead:
-                rows.append(())
-                continue
-            neighbors = base_csr.neighbors(eid)
-            if dead:
-                kept = [int(j) for j in neighbors if j not in dead]
-                rows.append(kept)
-            else:
-                rows.append(neighbors)
-        rows.extend(() for _ in range(self.delta.allocated))
-        csr = CSRAdjacency.from_lists(rows)
+        pad = self.delta.allocated
+        np, dead = self._np, self._dead
+        if np is None:
+            rows = [
+                () if dead[eid] else [j for j in base_csr.neighbors(eid) if not dead[j]]
+                for eid in range(self.base.n2)
+            ]
+            csr = CSRAdjacency.from_lists(rows + [()] * pad)
+        else:
+            mask = self._dead_view
+            offsets = np.asarray(base_csr.offsets)
+            ids = np.asarray(base_csr.ids)
+            keep = ~(mask[ids] | np.repeat(mask, np.diff(offsets)))
+            kept = np.concatenate(([0], np.cumsum(keep)))[offsets]
+            csr = CSRAdjacency(
+                np.concatenate((kept, np.full(pad, kept[-1]))).astype(np.int32),
+                ids[keep].astype(np.int32, copy=False),
+            )
         self._csr = (self._epoch, csr)
         return csr
 
@@ -791,7 +793,7 @@ class LiveIndex:
         else:
             base_id = self._base_id(uri)
             if base_id is not None:
-                delta.dead_base.add(base_id)
+                self._kill(base_id)
         slot = delta.add(entity, tokens, names)
         self._bump()
         return self.base.n2 + slot
@@ -805,8 +807,8 @@ class LiveIndex:
             self._bump()
             return True
         base_id = self._base_id(uri)
-        if base_id is not None and base_id not in delta.dead_base:
-            delta.dead_base.add(base_id)
+        if base_id is not None and not self._dead[base_id]:
+            self._kill(base_id)
             self._bump()
             return True
         return False
@@ -837,13 +839,8 @@ class LiveIndex:
             base_ids = base_postings.get(token)
             if base_ids is None:
                 continue
-            base_ef = len(base_ids)
-            live_ef = (
-                base_ef
-                - self._dead_count(token)
-                + len(self.delta.postings.get(token, ()))
-            )
-            if live_ef != base_ef and live_ef > 0:
+            live_ef = self.entity_frequency(token)
+            if live_ef != len(base_ids) and live_ef > 0:
                 overrides[token] = block_weight(live_ef)
         return overrides
 

@@ -10,6 +10,7 @@ equivalence and byte-identical compaction.
 """
 
 import json
+import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,6 +19,7 @@ import pytest
 from repro.core.config import MinoanERConfig
 from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
+from repro.kernels import numpy_available
 from repro.serving import (
     IndexHandle,
     LedgerError,
@@ -27,6 +29,7 @@ from repro.serving import (
     ResolutionIndex,
     UpsertLedger,
 )
+from repro.serving.live import _PYTHON_MASK_MAX
 
 
 def entity(i: int, word: str | None = None, info: str | None = None):
@@ -64,6 +67,10 @@ def decision_fields(decision):
 
 BASE = [entity(i) for i in range(8)]
 CONFIG = MinoanERConfig()
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="mmap loading requires numpy"
+)
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +128,25 @@ class TestUpsertLedger:
 # LiveIndex overlay semantics
 # ----------------------------------------------------------------------
 class TestLiveIndex:
+    """Overlay views over an eager base.  The subclasses below re-run
+    every case over a memory-mapped base and over the pure-python mask
+    path (numpy hidden from the overlay)."""
+
+    @pytest.fixture(autouse=True)
+    def _workdir(self, tmp_path):
+        self.tmp_path = tmp_path
+
+    def base(self, entities=BASE):
+        return build_index(entities)
+
+    def live(self, entities=BASE):
+        return LiveIndex(self.base(entities))
+
+    def assert_base_posting(self, live, token):
+        assert live.postings[token] is live.base.postings[token]
+
     def test_fresh_overlay_matches_base(self):
-        index = build_index(BASE)
+        index = self.base()
         live = LiveIndex(index)
         assert live.n2 == index.n2
         assert live.id_space == index.n2
@@ -134,12 +158,12 @@ class TestLiveIndex:
     def test_unaffected_token_posting_is_the_base_object(self):
         # Zero-copy: a token no edit touched must come back as the
         # base's own sequence, not a copy (mmap slices stay slices).
-        live = LiveIndex(build_index(BASE))
+        live = self.live()
         live.upsert(entity(99, "zeta99"))
-        assert live.postings["alpha3"] is live.base.postings["alpha3"]
+        self.assert_base_posting(live, "alpha3")
 
     def test_upsert_new_entity_extends_id_space(self):
-        live = LiveIndex(build_index(BASE))
+        live = self.live()
         eid = live.upsert(entity(99, "zeta99"))
         assert eid == 8
         assert live.n2 == 9
@@ -149,7 +173,7 @@ class TestLiveIndex:
         assert live.entity_frequency("zeta99") == 1
 
     def test_upsert_shadows_base_entity_with_same_uri(self):
-        live = LiveIndex(build_index(BASE))
+        live = self.live()
         live.upsert(
             EntityDescription(
                 "http://kb2/e3", [("name", "beta3 tag3x"), ("info", "changed")]
@@ -164,7 +188,7 @@ class TestLiveIndex:
         assert live.entity_frequency("alpha3") == 0
 
     def test_reupsert_tombstones_the_previous_slot(self):
-        live = LiveIndex(build_index(BASE))
+        live = self.live()
         first = live.upsert(entity(99, "zeta99"))
         second = live.upsert(entity(99, "eta99"))
         assert second == first + 1
@@ -175,7 +199,7 @@ class TestLiveIndex:
         assert list(live.postings["eta99"]) == [second]
 
     def test_delete_base_and_delta(self):
-        live = LiveIndex(build_index(BASE))
+        live = self.live()
         assert live.delete("http://kb2/e5")
         assert live.n2 == 7
         assert not live.delete("http://kb2/e5")  # already dead
@@ -190,7 +214,7 @@ class TestLiveIndex:
         from repro.kernels import block_weight
 
         base = [entity(i, "shared") for i in range(4)]
-        live = LiveIndex(build_index(base))
+        live = self.live(base)
         assert live.singleton_weights["shared"] == block_weight(4)
         live.delete("http://kb2/e0")
         assert live.singleton_weights["shared"] == block_weight(3)
@@ -199,7 +223,7 @@ class TestLiveIndex:
         assert live.singleton_weights["shared"] == block_weight(5)
 
     def test_names_shadow_and_extend(self):
-        live = LiveIndex(build_index(BASE))
+        live = self.live()
         assert live.names["alpha3 tag3"] == (3,)
         live.upsert(
             EntityDescription(
@@ -210,7 +234,7 @@ class TestLiveIndex:
         assert live.names["beta3 tag3x"] == (8,)
 
     def test_in_neighbors_masks_dead_and_extends(self):
-        live = LiveIndex(build_index(BASE))
+        live = self.live()
         live.upsert(entity(99, "zeta99"))
         live.delete("http://kb2/e2")
         csr = live.in_neighbors
@@ -221,17 +245,17 @@ class TestLiveIndex:
     def test_refuses_shard_bases(self):
         from repro.sharding import ShardPlanner
 
-        shard = ShardPlanner(2).plan(build_index(BASE))[0]
+        shard = ShardPlanner(2).plan(self.base())[0]
         with pytest.raises(ValueError, match="not a shard"):
             LiveIndex(shard)
 
     def test_apply_unknown_op_raises(self):
-        live = LiveIndex(build_index(BASE))
+        live = self.live()
         with pytest.raises(ValueError, match="unknown live-index op"):
             live.apply("merge", "x")
 
     def test_describe_reports_delta(self):
-        live = LiveIndex(build_index(BASE))
+        live = self.live()
         live.upsert(entity(99, "zeta99"))
         live.delete("http://kb2/e1")
         summary = live.describe()
@@ -242,6 +266,104 @@ class TestLiveIndex:
             "dead_base": 1,
             "tombstones": 1,
         }
+
+    def test_views_agree_with_compaction_under_random_edits(self):
+        # After every edit of a seeded upsert/delete sequence, each token
+        # an edit touched must read the same through the overlay as
+        # through ``compact()`` under its renumbering, and so must every
+        # in-neighbor row (the base links its entities to each other).
+        rng = random.Random(2519)
+        live = self.live(LINKED)
+        assert len(live.base.in_neighbors.ids)
+        assert len(live.base.postings["extra1"]) > _PYTHON_MASK_MAX
+        current = {e.uri: e for e in LINKED}
+        uris = list(current)[:20] + [f"http://kb2/new{i}" for i in range(6)]
+        touched: set[str] = set()
+        for _ in range(40):
+            uri = rng.choice(uris)
+            edits = [current.pop(uri, None)]
+            if rng.random() < 0.35:
+                live.delete(uri)
+            else:
+                name = f"w{rng.randrange(7)} tag{rng.randrange(30)} new{rng.randrange(4)}"
+                current[uri] = EntityDescription(uri, [("name", name)])
+                live.upsert(current[uri])
+                edits.append(current[uri])
+            for edited in filter(None, edits):
+                touched |= live.tokenizer.token_set([v for _, v in edited.pairs])
+            assert_views_equal_compaction(live, touched)
+        # Dead ids elsewhere must not cost untouched tokens their zero copy.
+        untouched = [t for t in live.base.postings if t not in touched]
+        assert "extra0" in touched and "extra1" in untouched and live.delta.dead_base
+        for token in untouched:
+            self.assert_base_posting(live, token)
+
+
+# Shared tokens and a link per entity, so edits move Entity Frequencies
+# and prune in-neighbor rows.  The ``extra*`` postings are long enough
+# for the vectorised mask path (the rest take the short-posting python
+# path), and only ``extra0``'s entities are ever edited.
+LINKED = [
+    EntityDescription(
+        f"http://kb2/e{i}",
+        [
+            ("name", f"w{i % 5} tag{i}"),
+            ("info", f"w{(i * 3) % 7} extra{i // 20}"),
+            ("link", f"http://kb2/e{(i * 7 + 1) % 40}"),
+        ],
+    )
+    for i in range(40)
+]
+
+
+def assert_views_equal_compaction(live, tokens):
+    compacted = live.compact()
+    base_n2 = live.base.n2
+    order = [eid for eid in range(base_n2) if eid not in live.delta.dead_base]
+    order += [base_n2 + slot for slot in live.delta.live_slots()]
+    new_id = {old: new for new, old in enumerate(order)}
+    for token in sorted(tokens):
+        assert [new_id[eid] for eid in live.postings.get(token, ())] == list(
+            compacted.postings.get(token, ())
+        ), token
+        assert live.entity_frequency(token) == compacted.entity_frequency(token), token
+        weighted = token in live.singleton_weights
+        assert weighted == (token in compacted.singleton_weights), token
+        if weighted:
+            assert (
+                live.singleton_weights[token] == compacted.singleton_weights[token]
+            ), token
+    csr = live.in_neighbors
+    assert len(csr) == live.id_space
+    for eid in range(live.id_space):
+        row = [new_id[j] for j in csr.neighbors(eid)]
+        expected = (
+            list(compacted.in_neighbors.neighbors(new_id[eid])) if eid in new_id else []
+        )
+        assert row == expected, eid
+
+
+@needs_numpy
+class TestLiveIndexMapped(TestLiveIndex):
+    def base(self, entities=BASE):
+        path = self.tmp_path / "base.idx"
+        build_index(entities).save(path)
+        return ResolutionIndex.load(path, mmap=True)
+
+    def assert_base_posting(self, live, token):
+        # A mapped base hands out a fresh slice per lookup, so zero-copy
+        # means a view of the same mapped pages rather than the same object.
+        import numpy
+
+        ids = live.postings[token]
+        assert isinstance(ids, numpy.ndarray)
+        assert numpy.shares_memory(ids, live.base.postings[token])
+
+
+class TestLiveIndexPythonMask(TestLiveIndex):
+    @pytest.fixture(autouse=True)
+    def _hide_numpy(self, monkeypatch):
+        monkeypatch.setattr("repro.serving.live.numpy_available", lambda: False)
 
 
 # ----------------------------------------------------------------------
