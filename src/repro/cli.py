@@ -9,7 +9,7 @@ Usage::
     python -m repro index kb2.nt -o kb2.idx
     python -m repro index --migrate old.idx
     python -m repro index kb2.nt -o kb2.idx --shards 3
-    python -m repro serve kb2.idx --mmap < queries.jsonl > answers.jsonl
+    python -m repro serve kb2.idx < queries.jsonl > answers.jsonl
     python -m repro serve kb2.idx --shards 3 --replicas 2 < q.jsonl
 
 ``resolve``, ``dedupe`` and ``index`` accept N-Triples (``.nt``) or
@@ -19,8 +19,8 @@ regenerates one of the paper's tables or figures and prints it.
 ``index`` freezes a target KB into a query-time resolution index
 (``--migrate`` rewrites an existing index file in the current columnar
 format), and ``serve`` answers JSONL queries
-against it (``--mmap`` serves off zero-copy memory-mapped sections; see
-``docs/serving.md`` for the wire and on-disk formats).
+against it, served off the memory-mapped file (see ``docs/serving.md``
+for the wire and on-disk formats).
 
 ``resolve``, ``index`` and ``serve`` accept ``--trace FILE``
 (``--trace-format json|logfmt``): one :class:`repro.obs.Recorder` is
@@ -302,8 +302,6 @@ def command_index(args: argparse.Namespace) -> int:
         )
         return 0
     if args.compact:
-        import os
-
         from repro.serving.live import LiveIndex, UpsertLedger
 
         source = args.kb
@@ -315,11 +313,9 @@ def command_index(args: argparse.Namespace) -> int:
                 live.apply(op, value)
                 events += 1
         index = live.compact()
-        # Temp file + atomic rename: a serving process mmapping the old
-        # file keeps its pages until it reloads (docs/live_index.md).
-        tmp = destination.with_name(destination.name + ".tmp")
-        index.save(tmp)
-        os.replace(tmp, destination)
+        # save() renames over the destination: a serving process mapping
+        # the old file keeps its pages until it reloads.
+        index.save(destination)
         print(
             f"# compacted {source} + {events} ledger event(s) -> "
             f"{destination}",
@@ -373,8 +369,7 @@ def command_serve(args: argparse.Namespace) -> int:
     from repro.serving.io import ControlRequest, iter_requests, write_decisions
     from repro.serving.live import LedgerError, LiveEngine, UpsertLedger
 
-    mmap = args.mmap if args.mmap is not None else MinoanERConfig().index_mmap
-    index = ResolutionIndex.load(args.index, mmap=mmap)
+    index = ResolutionIndex.load(args.index)
     load_info = index.load_info or {}
     overrides: dict = dict(
         serving_cache_size=args.cache_size,
@@ -390,7 +385,6 @@ def command_serve(args: argparse.Namespace) -> int:
         serving_quota_burst=args.quota_burst,
         compaction_max_delta=args.auto_compact_delta,
         compaction_max_tombstone_ratio=args.auto_compact_tombstones,
-        index_mmap=bool(load_info.get("mmap", False)),
     )
     if args.provenance is not None:
         overrides["provenance_sample_rate"] = args.provenance
@@ -427,7 +421,6 @@ def command_serve(args: argparse.Namespace) -> int:
             args.index,
             config.serving_shards,
             replicas=config.serving_replicas,
-            mmap=mmap,
             config=config,
             on_shard_error=lambda shard, error: emit_error(str(error), shard=shard),
             index=index,
@@ -503,8 +496,7 @@ def command_serve(args: argparse.Namespace) -> int:
     # --metrics-port 0 reports the actually-bound ephemeral port.
     provenance = (
         f"format v{load_info.get('format_version')}, "
-        f"{load_info.get('file_bytes')} bytes, "
-        f"{'memory-mapped' if load_info.get('mmap') else 'eager'} load"
+        f"{load_info.get('file_bytes')} bytes, memory-mapped"
     )
     if config.serving_shards:
         provenance += (
@@ -727,13 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("index", help="index file written by 'repro index'")
     serve.add_argument(
         "-i", "--input", help="JSONL request file (default: stdin)"
-    )
-    serve.add_argument(
-        "--mmap", action=argparse.BooleanOptionalAction, default=None,
-        help="memory-map the index's columnar sections instead of "
-        "materialising them: O(1) load, pages shared across processes, "
-        "bit-identical decisions (requires numpy and a format-v2 index; "
-        "default: the config's index_mmap knob, normally off)",
     )
     serve.add_argument(
         "--batch-size", type=int, default=serving_defaults.serving_batch_size,

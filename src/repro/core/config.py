@@ -79,13 +79,6 @@ class MinoanERConfig:
         1 answers queries independently (cacheable); larger batches are
         resolved together, which lets related queries contribute
         query-side context (Entity Frequencies, neighbor evidence).
-    index_mmap:
-        Load :class:`repro.serving.ResolutionIndex` files by
-        memory-mapping their columnar sections instead of materialising
-        them (``docs/serving.md``).  Zero-copy loads are O(1) in index
-        size and share read-only pages across worker processes; decisions
-        are bit-identical either way.  Requires numpy and a version-2
-        index file (the ``serve --mmap`` flag overrides this knob).
     failure_mode / retry_max_attempts / retry_base_delay_s:
         Stage-failure behaviour of the pipelines (see
         ``docs/resilience.md``): ``fail_fast`` aborts on the first
@@ -178,7 +171,6 @@ class MinoanERConfig:
     serving_cache_size: int = 1024
     serving_candidate_cap: int | None = None
     serving_batch_size: int = 1
-    index_mmap: bool = False
     provenance_sample_rate: float = 0.0
     observability: bool = True
     failure_mode: str = "fail_fast"

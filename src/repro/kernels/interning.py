@@ -42,9 +42,9 @@ class CSRAdjacency:
 
     ``offsets``/``ids`` are any sliceable int sequences with
     ``.tolist()`` -- ``array('i')`` when built in-process, zero-copy
-    int32 views over a memmapped index file when the adjacency comes
-    from ``ResolutionIndex.load(mmap=True)``.  Both backends consume
-    either representation unchanged (the numpy kernels via
+    int32 views over the mapped index file when the adjacency comes
+    from ``ResolutionIndex.load``.  Both backends consume either
+    representation unchanged (the numpy kernels via
     ``_as_int64``, the python kernels via :meth:`to_lists`).
 
     >>> adj = CSRAdjacency.from_lists([(1, 2), (), (0,)])

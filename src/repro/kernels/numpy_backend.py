@@ -32,7 +32,7 @@ def is_available() -> bool:
 
 def _as_int64(buffer) -> "np.ndarray":
     if isinstance(buffer, np.ndarray):
-        # Already an array (e.g. an int32 view over a memmapped index
+        # Already an array (e.g. an int32 view over a mapped index
         # section): convert without a buffer-protocol round trip.
         return buffer.astype(np.int64, copy=False)
     if len(buffer) == 0:
@@ -90,7 +90,7 @@ def accumulate_row(
     """Accumulate one entity's ``beta`` row from weighted posting lists.
 
     Vectorised counterpart of the python backend's ``accumulate_row``:
-    the per-block candidate arrays are concatenated (memmapped int32
+    the per-block candidate arrays are concatenated (mapped int32
     posting slices are consumed as-is -- no per-token python lists),
     block weights are expanded alongside, and duplicate candidates are
     collapsed with ``unique`` + ``bincount``.  ``bincount`` sums each

@@ -12,7 +12,7 @@ rules**.
   :meth:`MatchEngine._batch_values` -- and the only thing the shard
   routers override.  Here they read the engine's own index: the fused
   single-row kernel (``row_evidence``, breaker-guarded, consuming
-  memmapped posting slices zero-copy) and the interned ``value_topk``
+  mapped posting slices zero-copy) and the interned ``value_topk``
   batch kernel.
 * *Merge* (:mod:`repro.serving.merge`): per-source evidence re-ranked
   under ``(-score, id)``; the unsharded engine is its one-source case.
@@ -714,7 +714,7 @@ class MatchEngine:
         postings = index.postings
         token_index = qkb.token_index
         # Probe the (few) query tokens against the index rather than
-        # intersecting keys views: a memmapped postings table answers
+        # intersecting keys views: a mapped postings table answers
         # membership by binary search without decoding its tokens.
         shared = sorted(t for t in token_index if t in postings)
         if not config.purge_blocks or not shared:
@@ -765,7 +765,7 @@ class MatchEngine:
         forward: dict[int, int] = {}
         reverse: dict[int, int] = {}
         # Membership loop, not a set intersection: the index's name map
-        # may be a memmapped view whose keys-view would decode the whole
+        # may be a mapped view whose keys-view would decode the whole
         # table; probing the few query names costs O(log n) each.
         names2 = self.index.names
         for name in sorted(n for n in index1 if n in names2):
@@ -861,7 +861,7 @@ class MatchEngine:
         """One fused kernel call over ``(block weight, posting ids)``
         chunks, shaped as a merge-ready payload.  The chunks are a list,
         not a generator: the breaker may replay them against the python
-        fallback (numpy consumes memmapped id slices zero-copy)."""
+        fallback (numpy consumes mapped id slices zero-copy)."""
         cap = self.config.serving_candidate_cap
         keep = cap if cap is not None else self.config.candidates_k
         row, mins, count, touched = self._run_kernel(

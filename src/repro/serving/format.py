@@ -3,7 +3,7 @@
 Version 1 persisted the index as one pickle: load time and resident
 memory scaled linearly with index size, and nothing could be shared
 between processes serving the same index.  Version 2 is a versioned
-columnar container designed for ``numpy.memmap``:
+columnar container designed to be memory-mapped:
 
 ::
 
@@ -50,10 +50,10 @@ exactly as before.
 Tokens and names are sorted by their UTF-8 byte sequences (identical to
 Python's code-point string order), so a lookup is one binary search over
 the offset table -- no hash map is ever materialised.  Because sections
-are plain little-endian buffers, ``load(mmap=True)`` maps the file once
-and hands out zero-copy views: load time is O(1) in index size and all
-processes mapping one file share its read-only pages through the page
-cache.  The format contains no executable payload -- decoding touches
+are plain little-endian buffers, ``load`` maps the file once and hands
+out zero-copy views (numpy arrays when numpy imports, ``memoryview``
+casts otherwise): load time is O(1) in index size and all processes
+mapping one file share its read-only pages through the page cache.  The format contains no executable payload -- decoding touches
 only ``json.loads``, integer arrays and UTF-8 -- unlike the legacy
 pickle, which could execute arbitrary code on load.
 
@@ -72,7 +72,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.config import MinoanERConfig, config_from_dict, config_to_dict
 from repro.kb.tokenizer import Tokenizer
-from repro.kernels import CSRAdjacency
+from repro.kernels import CSRAdjacency, numpy_available
 
 MAGIC = b"MINOANER-INDEX\x00"
 FORMAT_VERSION = 2
@@ -150,8 +150,8 @@ def encode_index(fields: Mapping[str, Any]) -> bytes:
 
     ``fields`` holds the same keys the legacy pickle persisted
     (``repro.serving.index._PERSISTED_FIELDS``); mapping values may be
-    plain dicts or the mapped read-only views, so re-saving a loaded
-    index (eager or memmapped) works identically.
+    plain dicts or the mapped read-only views, so a built and a loaded
+    index save identically.
     """
     postings = fields["postings"]
     weights = fields["singleton_weights"]
@@ -303,7 +303,7 @@ def parse_header(data: bytes | memoryview, size: int) -> tuple[dict, int]:
 
 
 def _header_fields(header: dict) -> dict[str, Any]:
-    """The O(1) metadata fields shared by both decode paths."""
+    """The O(1) metadata fields of a parsed header."""
     spec = header["tokenizer"]
     return {
         "kb_name": header["kb_name"],
@@ -317,84 +317,7 @@ def _header_fields(header: dict) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Eager decoding (stdlib only; numpy never required)
-# ----------------------------------------------------------------------
-
-
-def _eager_section(data: bytes, base: int, section: dict) -> bytes | array:
-    start = base + section["offset"]
-    nbytes = section["count"] * _DTYPE_ITEMSIZE[section["dtype"]]
-    raw = data[start : start + nbytes]
-    if len(raw) != nbytes:
-        raise ValueError(f"truncated index file: section {section['name']!r}")
-    if section["dtype"] == "u1":
-        return raw
-    arr = array(_DTYPE_TYPECODE[section["dtype"]])
-    arr.frombytes(raw)
-    if sys.byteorder == "big":
-        arr.byteswap()
-    return arr
-
-
-def _decode_strings(blob: bytes, offsets: array) -> list[str]:
-    return [
-        blob[offsets[i] : offsets[i + 1]].decode("utf-8")
-        for i in range(len(offsets) - 1)
-    ]
-
-
-def decode_eager(data: bytes) -> dict[str, Any]:
-    """Materialise a v2 container into the legacy in-memory shapes.
-
-    Returns the persisted fields with plain ``dict``/``list``/``array``
-    values -- exactly what the pickle format used to load -- so eager
-    loads behave identically to historical ones.  Pure stdlib: works
-    without numpy.
-    """
-    header, base = parse_header(data, len(data))
-    sections = {section["name"]: section for section in header["sections"]}
-    get = lambda name: _eager_section(data, base, sections[name])  # noqa: E731
-
-    tokens = _decode_strings(get("token_blob"), get("token_offsets"))
-    posting_offsets = get("posting_offsets")
-    posting_ids = get("posting_ids")
-    token_weights = get("token_weights")
-    postings = {
-        token: posting_ids[posting_offsets[i] : posting_offsets[i + 1]]
-        for i, token in enumerate(tokens)
-    }
-    singleton_weights = {
-        token: token_weights[i] for i, token in enumerate(tokens)
-    }
-
-    name_keys = _decode_strings(get("name_blob"), get("name_offsets"))
-    name_id_offsets = get("name_id_offsets")
-    name_ids = get("name_ids")
-    names = {
-        name: tuple(name_ids[name_id_offsets[i] : name_id_offsets[i + 1]])
-        for i, name in enumerate(name_keys)
-    }
-
-    fields = _header_fields(header)
-    fields["uris2"] = _decode_strings(get("uri_blob"), get("uri_offsets"))
-    fields["postings"] = postings
-    fields["singleton_weights"] = singleton_weights
-    fields["names"] = names
-    fields["in_neighbors"] = CSRAdjacency(
-        get("neighbor_offsets"), get("neighbor_ids")
-    )
-    if "token_global_ef" in sections:
-        ef_values = get("token_global_ef")
-        fields["token_global_ef"] = {
-            token: ef_values[i] for i, token in enumerate(tokens)
-        }
-    if "shards" in header:
-        fields["shard_info"] = header["shards"]
-    return fields
-
-
-# ----------------------------------------------------------------------
-# Zero-copy memmap views
+# Zero-copy views over the mapped file
 # ----------------------------------------------------------------------
 
 
@@ -408,8 +331,8 @@ class StringTable:
     The offset array (4 bytes per string, tiny next to the blob) is
     flattened to python ints and the blob wrapped in a ``memoryview``
     on the first lookup, keeping load O(1) while dropping the per-probe
-    cost from two ``memmap.__getitem__`` scalar reads plus an ndarray
-    slice to two list reads plus a buffer slice.  Resolved indices are
+    cost from two section scalar reads plus a slice to two list reads
+    plus a buffer slice.  Resolved indices are
     memoised: one online query consults the same token several times
     (membership, posting, weight, global EF), and query streams repeat
     tokens heavily, so most lookups are a dict hit.
@@ -474,7 +397,7 @@ class MappedPostings(Mapping):
 
     A lookup is one binary search (O(log tokens)) plus an array view --
     no python list of ids is ever materialised, and the bytes behind the
-    view are the memmapped file pages themselves.
+    view are the mapped file pages themselves.
     """
 
     __slots__ = ("_table", "_offsets", "_ids")
@@ -542,8 +465,8 @@ class MappedNames(Mapping):
     """Normalised name -> tuple of entity ids, decoded per lookup.
 
     Id groups are tiny (typically one entity), so they are returned as
-    plain int tuples -- identical to the eager representation -- while
-    the table itself stays on mapped pages.
+    plain int tuples -- identical to what :meth:`ResolutionIndex.build`
+    holds -- while the table itself stays on mapped pages.
     """
 
     __slots__ = ("_table", "_offsets", "_ids")
@@ -601,7 +524,7 @@ class MappedURIs(Sequence):
     """Entity id -> URI string, decoded on demand from the mapped blob.
 
     Like :class:`StringTable`, the offsets flatten to python ints on
-    first access so per-decision decodes stay off the memmap scalar
+    first access so per-decision decodes stay off the section scalar
     path; the URI bytes themselves remain mapped.
     """
 
@@ -640,42 +563,44 @@ class MappedURIs(Sequence):
         return len(self._offsets) - 1
 
 
-def open_mmap(path) -> tuple[dict[str, Any], int]:
-    """Memory-map a v2 container into zero-copy field views.
+def _section(data, base: int, section: dict):
+    """Zero-copy view of one section of ``data``.
 
-    Returns ``(fields, file_bytes)``.  Requires numpy (the only consumer
-    of the raw little-endian sections); raises ``RuntimeError`` without
-    it so callers can fall back to the eager decoder.
+    Byte blobs are ``memoryview`` slices; ``i4``/``f8`` sections are
+    ``numpy.frombuffer`` arrays when numpy imports, and ``memoryview``
+    casts otherwise (copied and byteswapped on big-endian hosts, the
+    only case where the file's little-endian bytes cannot be viewed).
     """
-    from repro.kernels import numpy_available
+    start = base + section["offset"]
+    count = section["count"]
+    dtype = section["dtype"]
+    if dtype == "u1":
+        return memoryview(data)[start : start + count]
+    if numpy_available():
+        import numpy as np
 
-    if not numpy_available():
-        raise RuntimeError(
-            "ResolutionIndex.load(mmap=True) requires numpy; "
-            "use the eager loader (mmap=False) instead"
-        )
-    import numpy as np
+        return np.frombuffer(data, "<" + dtype, count, start)
+    raw = memoryview(data)[start : start + count * _DTYPE_ITEMSIZE[dtype]]
+    if sys.byteorder == "big":
+        arr = array(_DTYPE_TYPECODE[dtype], raw.tobytes())
+        arr.byteswap()
+        return arr
+    return raw.cast(_DTYPE_TYPECODE[dtype])
 
-    buf = np.memmap(path, dtype=np.uint8, mode="r")
-    size = int(buf.shape[0])
-    if size < _PREFIX_LEN:
-        raise ValueError("truncated index file: missing header length")
-    (header_len,) = _HEADER_LEN_STRUCT.unpack(
-        bytes(buf[len(MAGIC) + 1 : _PREFIX_LEN])
-    )
-    header, base = parse_header(
-        bytes(buf[: min(size, _PREFIX_LEN + header_len)]), size
-    )
+
+def open_sections(data) -> dict[str, Any]:
+    """The persisted fields of a v2 container as zero-copy views.
+
+    ``data`` is the whole container: an ``mmap.mmap`` of the file (what
+    :meth:`repro.serving.ResolutionIndex.load` passes) or its bytes.
+    Every O(index) field is a view over ``data``; nothing is decoded up
+    front, so opening is O(1) in index size.
+    """
+    header, base = parse_header(data, len(data))
     sections = {section["name"]: section for section in header["sections"]}
 
     def view(name: str):
-        section = sections[name]
-        start = base + section["offset"]
-        nbytes = section["count"] * _DTYPE_ITEMSIZE[section["dtype"]]
-        raw = buf[start : start + nbytes]
-        if section["dtype"] == "u1":
-            return raw
-        return raw.view("<" + section["dtype"])
+        return _section(data, base, sections[name])
 
     token_table = StringTable(view("token_blob"), view("token_offsets"))
     name_table = StringTable(view("name_blob"), view("name_offsets"))
@@ -696,4 +621,4 @@ def open_mmap(path) -> tuple[dict[str, Any], int]:
         )
     if "shards" in header:
         fields["shard_info"] = header["shards"]
-    return fields, size
+    return fields

@@ -25,7 +25,10 @@ without the source KB.
 
 from __future__ import annotations
 
+import os
 from array import array
+from mmap import ACCESS_READ
+from mmap import mmap as map_file
 from pathlib import Path
 
 from repro.blocking.name_blocking import normalize_name
@@ -75,9 +78,9 @@ class ResolutionIndex:
         Normalised name -> tuple of KB2 entity ids using it.
     postings:
         Token -> ascending KB2 entity ids (the KB2 side of the token
-        block keyed by that token): ``array('i')`` when built or loaded
-        eagerly, a zero-copy ``repro.serving.format.MappedPostings``
-        view over int32 file pages when loaded with ``mmap=True``.
+        block keyed by that token): ``array('i')`` when built, a
+        zero-copy ``repro.serving.format.MappedPostings`` view over the
+        file's int32 pages when loaded.
     singleton_weights:
         Token -> ``1 / log2(EF2(t) + 1)``: the block weight of the
         token's query-time block when the query side holds one entity
@@ -123,9 +126,9 @@ class ResolutionIndex:
         self.in_neighbors = in_neighbors
         self.token_global_ef = token_global_ef
         self.shard_info = shard_info
-        #: How the index entered memory: ``{"mmap", "format_version",
-        #: "file_bytes"}`` after :meth:`load`, None for built indexes.
-        self.load_info: dict[str, int | bool] | None = None
+        #: ``{"format_version", "file_bytes"}`` of the file after
+        #: :meth:`load`, None for built indexes.
+        self.load_info: dict[str, int] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -227,7 +230,7 @@ class ResolutionIndex:
         """Summary of the frozen structures (for logs and ``stats()``)."""
         postings = self.postings
         if hasattr(postings, "total_entries"):
-            # Memmapped postings know their CSR length in O(1); iterating
+            # Mapped postings know their CSR length in O(1); iterating
             # every token would decode the whole table.
             entries = postings.total_entries()
         else:
@@ -253,10 +256,16 @@ class ResolutionIndex:
         """Write the index to ``path`` in the columnar format (version 2).
 
         The encoding is deterministic (sorted tables, canonical JSON
-        header, zero padding), so saving the same logical index -- built,
-        eager-loaded or memmapped -- produces identical bytes.  Unlike
-        the retired pickle payload, the file carries no executable
-        content; see ``docs/serving.md`` for the format and threat model.
+        header, zero padding), so saving the same logical index -- built
+        or loaded -- produces identical bytes.  Unlike the retired pickle
+        payload, the file carries no executable content; see
+        ``docs/serving.md`` for the format and threat model.
+
+        The bytes go to ``<name>.tmp`` and are renamed over ``path``, so
+        every process that has the old file mapped -- this index
+        included, when it is re-saved to the path it was loaded from --
+        keeps reading the old pages.  A failed write removes the temp
+        file and leaves ``path`` untouched.
         """
         fields = {field: getattr(self, field) for field in _PERSISTED_FIELDS}
         if self.token_global_ef is not None:
@@ -264,20 +273,27 @@ class ResolutionIndex:
         if self.shard_info is not None:
             fields["shard_info"] = self.shard_info
         data = index_format.encode_index(fields)
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
         with current_recorder().span("index.save", file_bytes=len(data)):
-            Path(path).write_bytes(data)
+            try:
+                tmp.write_bytes(data)
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
 
     @classmethod
-    def load(cls, path: str | Path, mmap: bool = False) -> "ResolutionIndex":
-        """Read an index written by :meth:`save`.
+    def load(cls, path: str | Path, mmap: bool = True) -> "ResolutionIndex":
+        """Open an index written by :meth:`save`.
 
-        With ``mmap=False`` (the default) the columnar sections are
-        materialised into the same dict/array structures :meth:`build`
-        produces.  With ``mmap=True`` the file is ``numpy.memmap``-ed and
-        the index serves straight off zero-copy views: load time is O(1)
-        in index size and concurrent processes mapping the same file
-        share its read-only pages.  Decisions are bit-identical either
-        way.
+        The file is memory-mapped and the index serves straight off
+        zero-copy views of its sections: load time is O(1) in index
+        size and concurrent processes mapping the same file share its
+        read-only pages.
+
+        ``mmap=False`` reads the bytes into memory instead and opens the
+        same views over them; it exists only for callers written against
+        the old two-loader signature -- nothing in this package passes it.
 
         Foreign, future-versioned and version-1 (the retired pickle
         format) files raise ``ValueError`` without touching their
@@ -287,29 +303,23 @@ class ResolutionIndex:
         with recorder.span("index.load", path=str(path)) as span:
             with open(path, "rb") as handle:
                 prefix = handle.read(len(MAGIC) + 1)
-            if prefix[: len(MAGIC)] != MAGIC:
-                raise ValueError(f"{path} is not a MinoanER resolution index")
-            version = prefix[len(MAGIC)] if len(prefix) > len(MAGIC) else None
-            if version == FORMAT_VERSION:
+                if prefix[: len(MAGIC)] != MAGIC:
+                    raise ValueError(f"{path} is not a MinoanER resolution index")
+                version = prefix[len(MAGIC)] if len(prefix) > len(MAGIC) else None
+                if version != FORMAT_VERSION:
+                    raise ValueError(
+                        f"unsupported index format version {version!r} in {path} "
+                        f"(this build reads version {FORMAT_VERSION}; rebuild "
+                        f"older indexes with 'python -m repro index')"
+                    )
                 if mmap:
-                    fields, file_bytes = index_format.open_mmap(path)
+                    data = map_file(handle.fileno(), 0, access=ACCESS_READ)
                 else:
-                    data = Path(path).read_bytes()
-                    fields = index_format.decode_eager(data)
-                    file_bytes = len(data)
-            else:
-                raise ValueError(
-                    f"unsupported index format version {version!r} in {path} "
-                    f"(this build reads version {FORMAT_VERSION}; rebuild "
-                    f"older indexes with 'python -m repro index')"
-                )
-            load_info = {
-                "mmap": bool(mmap),
-                "format_version": int(version),
-                "file_bytes": int(file_bytes),
-            }
+                    handle.seek(0)
+                    data = handle.read()
+            fields = index_format.open_sections(data)
+            load_info = {"format_version": int(version), "file_bytes": len(data)}
             span.attributes.update(load_info)
-            recorder.gauge("index.mmap", int(load_info["mmap"]))
             recorder.gauge("index.format_version", load_info["format_version"])
             recorder.gauge("index.file_bytes", load_info["file_bytes"])
         index = cls(**fields)

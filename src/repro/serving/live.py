@@ -410,7 +410,7 @@ class _LivePostings:
     """Token -> live posting ids, unioning base (dead-filtered) and delta.
 
     Unaffected tokens return the raw base sequence -- a zero-copy
-    memmap slice on a mapped base -- so the frozen-index hot path pays
+    slice of the mapped base -- so the frozen-index hot path pays
     nothing.  ``len()`` is a documented *upper bound* (tokens whose
     every base entity died still count); no serving math consumes it.
     """
@@ -677,7 +677,7 @@ class LiveIndex:
         """The live posting of ``token`` (ascending global ids), or
         ``None`` when its live EF is zero: the base survivors, then the
         delta slots' global ids -- the base's own sequence (a zero-copy
-        mmap slice) when no edit touched the token.
+        slice of the mapped file) when no edit touched the token.
 
         An affected token's posting is an ``array('i')``: numpy reads it
         zero-copy and the batch interner extends by it as one buffer
@@ -1117,9 +1117,6 @@ class LiveServingMixin:
     # ------------------------------------------------------------------
     # Compaction + zero-drop swap
     # ------------------------------------------------------------------
-    def _mmap_flag(self) -> bool:
-        return bool((self.index.load_info or {}).get("mmap"))
-
     def _install_base(self, fresh: ResolutionIndex) -> None:
         """Flip the engine onto a fresh frozen base (exclusive held)."""
         self.index = LiveIndex(fresh)
@@ -1133,10 +1130,10 @@ class LiveServingMixin:
         """Fold the delta into a fresh base and swap onto it in place.
 
         With a ``path`` (default: :attr:`index_path`) the fresh base is
-        written there byte-deterministically -- via a temp file +
-        atomic rename, so concurrent mmaps of the old file keep their
-        pages -- and reloaded with the serving mmap mode; without one
-        the fold stays in memory.  The ledger (if attached) is
+        written there byte-deterministically -- :meth:`ResolutionIndex.save`
+        renames over the file, so concurrent maps of the old one keep
+        their pages -- and mapped back in; without one the fold stays in
+        memory.  The ledger (if attached) is
         truncated: its events now live in the base.  Queries drain
         before the flip and resume against the new base; returns the
         fresh index.
@@ -1156,19 +1153,8 @@ class LiveServingMixin:
             inject("live:compact")
             fresh = self.index.compact()
             if target is not None:
-                tmp = target.with_name(target.name + ".tmp")
-                try:
-                    fresh.save(tmp)
-                    os.replace(tmp, target)
-                finally:
-                    # A failed save/replace must not leave a stale temp
-                    # file shadowing the next compaction attempt.
-                    if tmp.exists():
-                        try:
-                            tmp.unlink()
-                        except OSError:
-                            pass
-                fresh = ResolutionIndex.load(target, mmap=self._mmap_flag())
+                fresh.save(target)
+                fresh = ResolutionIndex.load(target)
             self._swap_workers(fresh, target, reshard=True)
             self._install_base(fresh)
             if self.ledger is not None:
@@ -1192,7 +1178,7 @@ class LiveServingMixin:
         target = Path(path) if path is not None else self.index_path
         if target is None:
             raise ValueError("reload needs an index path (none configured)")
-        fresh = ResolutionIndex.load(target, mmap=self._mmap_flag())
+        fresh = ResolutionIndex.load(target)
 
         def operation():
             self._swap_workers(fresh, target, reshard=False)

@@ -12,9 +12,8 @@ decision stream **bit-identical** to the single-process engine:
   keeps the full token table plus the global per-token Entity
   Frequency, so block weights and purging thresholds are computed
   identically everywhere.  Each shard file is a fully valid
-  ``ResolutionIndex`` -- the stock engine loads it unchanged, mmap
-  included, and ``repro index --migrate`` rewrites it like any other
-  v2 file.
+  ``ResolutionIndex`` -- the stock engine loads it unchanged and
+  ``repro index --migrate`` rewrites it like any other v2 file.
 * :class:`~repro.sharding.worker.ShardWorker` runs a ``MatchEngine``
   over one shard and answers *evidence* requests over length-prefixed
   JSONL frames (:mod:`repro.sharding.protocol`) on stdin/stdout.

@@ -25,8 +25,8 @@ owner shard and equals the unsharded score exactly; the router's merge
 ``(-score, id)`` order.
 
 Each shard file is a normal columnar v2 container (see
-:mod:`repro.serving.format`): the stock engine loads it, mmap works,
-and ``repro index --migrate`` rewrites it byte-identically.
+:mod:`repro.serving.format`): the stock engine loads it and
+``repro index --migrate`` rewrites it byte-identically.
 """
 
 from __future__ import annotations

@@ -116,12 +116,9 @@ class ProcessReplica:
         self,
         path: str | Path,
         shard: int,
-        mmap: bool = False,
         config_json: str | None = None,
     ):
         argv = [sys.executable, "-m", "repro.sharding", str(path)]
-        if mmap:
-            argv.append("--mmap")
         if config_json is not None:
             argv += ["--config", config_json]
         self.shard = shard
@@ -300,8 +297,8 @@ class ShardRouter(MatchEngine):
     ----------
     index:
         The *full* (unsharded) index; name/neighbor evidence and the
-        rules run on it locally.  Load it with ``mmap=True`` -- O(1)
-        and page-shared with co-located workers.
+        rules run on it locally.  Loading maps it -- O(1) and
+        page-shared with co-located workers.
     replica_sets:
         One list of replicas per shard, shard order.  Replicas need
         ``send/cancel/request/shutdown/kill`` (see
@@ -323,11 +320,8 @@ class ShardRouter(MatchEngine):
         cache: LRUCache | None = None,
         recorder: Recorder | None = None,
         on_shard_error: Callable[[int, Exception], None] | None = None,
-        scatter: str = "auto",
     ):
         super().__init__(index, config, cache, recorder)
-        if scatter not in ("auto", "pool", "sequential"):
-            raise ValueError(f"scatter must be auto|pool|sequential, got {scatter!r}")
         if not replica_sets:
             raise ValueError("a router needs at least one shard")
         self._replicas: list[list[Any]] = [list(group) for group in replica_sets]
@@ -352,14 +346,12 @@ class ShardRouter(MatchEngine):
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, 2 * self.shards), thread_name_prefix="shard-router"
         )
-        if scatter == "auto":
-            # On a single-core host the fan-out serialises anyway, so
-            # the pool's submit/wakeup machinery is pure overhead;
-            # scatter shard-by-shard on the query thread instead.
-            # Hedging, retries, breakers and chaos all live inside
-            # _request_shard and behave identically on either path.
-            scatter = "sequential" if _host_cpus() == 1 else "pool"
-        self._sequential = scatter == "sequential"
+        # On a single-core host the fan-out serialises anyway, so the
+        # pool's submit/wakeup machinery is pure overhead; scatter
+        # shard-by-shard on the query thread instead.  Hedging, retries,
+        # breakers and chaos all live inside _request_shard and behave
+        # identically on either path.
+        self._sequential = _host_cpus() == 1
         #: Per-shard round-trip milliseconds of the most recent scatter,
         #: shard order -- only measured on the sequential path (pool
         #: timings would include sibling shards' queueing); None there.
@@ -395,13 +387,11 @@ class ShardRouter(MatchEngine):
         index_path: str | Path,
         count: int,
         replicas: int = 1,
-        mmap: bool = True,
         config: MinoanERConfig | None = None,
         cache: LRUCache | None = None,
         recorder: Recorder | None = None,
         on_shard_error: Callable[[int, Exception], None] | None = None,
         index: ResolutionIndex | None = None,
-        scatter: str = "auto",
         supervise: bool = False,
         supervisor_options: dict[str, Any] | None = None,
     ) -> "ShardRouter":
@@ -431,15 +421,13 @@ class ShardRouter(MatchEngine):
                 f"run `repro index --shards {count}` first"
             )
         if index is None:
-            index = ResolutionIndex.load(index_path, mmap=mmap)
+            index = ResolutionIndex.load(index_path)
         config_json = (
             json.dumps(config_to_dict(config)) if config is not None else None
         )
 
         def factory(shard: int) -> "ProcessReplica":
-            return ProcessReplica(
-                paths[shard], shard, mmap=mmap, config_json=config_json
-            )
+            return ProcessReplica(paths[shard], shard, config_json=config_json)
 
         replica_sets: list[list[ProcessReplica]] = []
         try:
@@ -462,7 +450,6 @@ class ShardRouter(MatchEngine):
             cache=cache,
             recorder=recorder,
             on_shard_error=on_shard_error,
-            scatter=scatter,
         )
         router._replica_factory = factory
         if supervise:
@@ -779,7 +766,7 @@ class ShardRouter(MatchEngine):
         """Replace a dead replica at ``(shard, position)`` with a fresh
         worker spawned from the shard file on disk.
 
-        The expensive part -- spawn + ``hello`` handshake, which mmaps
+        The expensive part -- spawn + ``hello`` handshake, which maps
         and verifies the shard container -- happens *outside* any gate,
         so queries keep flowing while the worker warms.  Readmission
         itself is a short critical section that first re-checks the
@@ -993,21 +980,15 @@ class LiveShardRouter(LiveServingMixin, ShardRouter):
             )
         paths = shard_paths(path, self.shards)
         if reshard:
-            for shard_index, target in zip(
-                ShardPlanner(self.shards).plan(fresh), paths
-            ):
-                # Temp file + atomic rename: replicas still mmapping the
-                # old file keep its (old-inode) pages until they reload.
-                tmp = target.with_name(target.name + ".tmp")
-                shard_index.save(tmp)
-                os.replace(tmp, target)
-        mmap = self._mmap_flag()
+            # save() renames over each file: replicas still mapping the
+            # old one keep its (old-inode) pages until they reload.
+            ShardPlanner(self.shards).write(fresh, path)
         for shard, group in enumerate(self._replicas):
             for replica in list(group):
                 try:
                     body = replica.request(
                         "reload",
-                        {"path": str(paths[shard]), "mmap": mmap},
+                        {"path": str(paths[shard])},
                         timeout=120.0,
                     )
                     if int(body.get("shard", shard)) != shard:

@@ -1,7 +1,7 @@
 """A shard-serving worker process: one engine, one frame loop.
 
-``python -m repro.sharding SHARD_FILE [--mmap] [--config JSON]``
-loads one per-shard index, wraps it in a
+``python -m repro.sharding SHARD_FILE [--config JSON]``
+maps one per-shard index, wraps it in a
 :class:`~repro.serving.engine.MatchEngine` and answers evidence
 requests framed by :mod:`repro.sharding.protocol` on stdin/stdout
 (stdout carries *only* frames; diagnostics go to stderr).
@@ -55,15 +55,13 @@ class ShardWorker:
         self.shard_count = int(info.get("count", 1))
 
     def describe(self) -> dict[str, Any]:
-        """The ``hello`` payload: shard identity + load provenance."""
+        """The ``hello`` payload: the shard's identity."""
         index = self.engine.index
-        load_info = index.load_info or {}
         return {
             "shard": self.shard_index,
             "count": self.shard_count,
             "n2": index.n2,
             "tokens": len(index.postings),
-            "mmap": bool(load_info.get("mmap")),
             "kb": index.kb_name,
         }
 
@@ -143,10 +141,7 @@ class ShardWorker:
         engine onto it, preserving config and recorder; returns the new
         ``hello`` payload so the router can sanity-check the identity."""
         old = self.engine
-        mmap = request.get("mmap")
-        if mmap is None:
-            mmap = bool((old.index.load_info or {}).get("mmap"))
-        index = ResolutionIndex.load(request["path"], mmap=bool(mmap))
+        index = ResolutionIndex.load(request["path"])
         self.engine = MatchEngine(index, old.config, recorder=old.recorder)
         info = index.shard_info or {}
         self.shard_index = int(info.get("index", 0))
@@ -187,19 +182,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("shard", help="per-shard index file (columnar v2)")
     parser.add_argument(
-        "--mmap",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="memory-map the shard instead of decoding it eagerly",
-    )
-    parser.add_argument(
         "--config",
         default=None,
         help="JSON config dict overriding the one baked into the shard",
     )
     args = parser.parse_args(argv)
 
-    index = ResolutionIndex.load(args.shard, mmap=args.mmap)
+    index = ResolutionIndex.load(args.shard)
     config = (
         config_from_dict(json.loads(args.config))
         if args.config is not None

@@ -1,7 +1,7 @@
 """Property test: any interleaving of live edits equals a cold rebuild.
 
 Hypothesis drives random sequences of ``upsert`` / ``delete`` /
-``compact`` against a :class:`LiveEngine` (mmap on and off) and a
+``compact`` against a :class:`LiveEngine` (over a built and a loaded base) and a
 :class:`LiveShardRouter` (1-4 shards), then replays the *net* effect of
 the sequence as a plain entity list and rebuilds a frozen index from
 scratch.  Every probe -- one per entity ever mentioned, plus a
@@ -142,16 +142,16 @@ def drive(target, ops, tmp_path):
 
 
 class TestLiveEngineProperty:
-    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("loaded", [False, True])
     @given(ops=operations)
     @example(ops=TOMBSTONE_ONLY)
     @settings(max_examples=25, deadline=None)
-    def test_any_interleaving_equals_cold_rebuild(self, mmap, ops, tmp_path_factory):
+    def test_any_interleaving_equals_cold_rebuild(self, loaded, ops, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("live")
         index = build_index(BASE)
-        if mmap:
+        if loaded:
             index.save(tmp_path / "base.idx")
-            index = ResolutionIndex.load(tmp_path / "base.idx", mmap=True)
+            index = ResolutionIndex.load(tmp_path / "base.idx")
         engine = LiveEngine(index, CONFIG)
         drive(engine, ops, tmp_path)
         assert_equals_cold_rebuild(engine, ops)

@@ -31,8 +31,8 @@ from repro.sharding import (
 )
 
 PROVIDERS = [
-    "engine-eager",
-    "engine-mmap",
+    "engine-built",
+    "engine-loaded",
     "live-engine",
     "shard-router",
     "live-shard-router",
@@ -97,12 +97,12 @@ def provide(tmp_path):
     routers = []
 
     def make(name: str, config: MinoanERConfig):
-        if name == "engine-eager":
+        if name == "engine-built":
             return MatchEngine(build_index(FINAL, config), config)
-        if name == "engine-mmap":
+        if name == "engine-loaded":
             path = tmp_path / "final.idx"
             build_index(FINAL, config).save(path)
-            return MatchEngine(ResolutionIndex.load(path, mmap=True), config)
+            return MatchEngine(ResolutionIndex.load(path), config)
         if name == "live-engine":
             target = LiveEngine(build_index(BASE, config), config)
         elif name == "shard-router":

@@ -11,6 +11,7 @@ import pytest
 from repro.core.config import MinoanERConfig
 from repro.core.pipeline import MinoanER
 from repro.datasets.profiles import scaled_profile
+from repro.kernels import available_backends
 from repro.serving import MatchEngine, ResolutionIndex
 
 
@@ -101,12 +102,13 @@ class TestLoadedIndexEquivalence:
 
 
 class TestMemmappedIndexEquivalence:
-    """Zero-copy loads must serve bit-identical decisions.
+    """A loaded index must serve the built index's decisions bit for bit.
 
-    The mmap path swaps every index structure for a lazily-decoded view
-    and the numpy row kernels consume the mapped int32 slices directly,
-    so equality here gates the whole columnar format + fused-kernel
-    stack, per profile and per backend.
+    Loading maps the file and swaps every dict-shaped structure of
+    :meth:`ResolutionIndex.build` for a lazily-decoded view, and the row
+    kernels consume the mapped int32 slices directly, so equality here
+    gates the whole columnar format + fused-kernel stack, per profile
+    and per backend.
     """
 
     @staticmethod
@@ -115,13 +117,6 @@ class TestMemmappedIndexEquivalence:
             return request.getfixturevalue(f"{name}_pair")
         profile, scale = name
         return scaled_profile(profile, scale)
-
-    @pytest.fixture(autouse=True)
-    def _require_numpy(self):
-        from repro.kernels import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy not importable (mmap loading requires it)")
 
     @pytest.mark.parametrize(
         "profile",
@@ -140,22 +135,24 @@ class TestMemmappedIndexEquivalence:
         built = ResolutionIndex.build(pair.kb2)
         path = tmp_path / "kb2.idx"
         built.save(path)
-        eager = MatchEngine(ResolutionIndex.load(path))
-        mapped = MatchEngine(ResolutionIndex.load(path, mmap=True))
+        fresh = MatchEngine(built)
+        mapped = MatchEngine(ResolutionIndex.load(path))
 
         queries = list(pair.kb1)
-        assert eager.match_batch(queries) == mapped.match_batch(queries)
+        assert fresh.match_batch(queries) == mapped.match_batch(queries)
         for entity in queries[:25]:
-            assert eager.match(entity) == mapped.match(entity)
+            assert fresh.match(entity) == mapped.match(entity)
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_mmap_per_backend(self, mini_pair, tmp_path, backend):
+        if backend not in available_backends():
+            pytest.skip(f"{backend} backend not importable")
         config = MinoanERConfig(kernel_backend=backend)
         built = ResolutionIndex.build(mini_pair.kb2, config)
         path = tmp_path / "kb2.idx"
         built.save(path)
         fresh = MatchEngine(built)
-        mapped = MatchEngine(ResolutionIndex.load(path, mmap=True))
+        mapped = MatchEngine(ResolutionIndex.load(path))
         for entity in list(mini_pair.kb1)[:25]:
             assert fresh.match(entity) == mapped.match(entity)
         assert fresh.match_batch(list(mini_pair.kb1)) == mapped.match_batch(
@@ -167,9 +164,9 @@ class TestMemmappedIndexEquivalence:
         first = tmp_path / "kb2.idx"
         built.save(first)
         second = tmp_path / "resaved.idx"
-        ResolutionIndex.load(first, mmap=True).save(second)
+        ResolutionIndex.load(first).save(second)
         assert second.read_bytes() == first.read_bytes()
-        reloaded = MatchEngine(ResolutionIndex.load(second, mmap=True))
+        reloaded = MatchEngine(ResolutionIndex.load(second))
         fresh = MatchEngine(built)
         for entity in list(mini_pair.kb1)[:25]:
             assert fresh.match(entity) == reloaded.match(entity)

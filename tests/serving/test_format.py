@@ -2,8 +2,9 @@
 
 Corruption guards (truncation, foreign magic, future versions), edge
 shapes (empty KB2, tokens with zero postings), byte-determinism of the
-encoder, the refusal of retired version-1 (pickle) files, and the
-zero-copy view classes backing ``load(mmap=True)``.
+encoder, the refusal of retired version-1 (pickle) files, the
+zero-copy view classes ``load`` returns, and the stdlib memoryview
+sections it falls back to without numpy.
 """
 
 from array import array
@@ -11,14 +12,29 @@ from array import array
 import pytest
 
 from repro.core.config import MinoanERConfig, config_from_dict, config_to_dict
+from repro.datasets.profiles import scaled_profile
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kernels import numpy_available
 from repro.serving import format as index_format
 from repro.serving.index import FORMAT_VERSION, MAGIC, ResolutionIndex
 
 needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="mmap loading requires numpy"
+    not numpy_available(), reason="numpy not importable"
 )
+
+
+def hide_numpy(monkeypatch) -> None:
+    """Make the loader view sections as stdlib memoryview casts."""
+    monkeypatch.setattr(index_format, "numpy_available", lambda: False)
+
+
+@pytest.fixture(params=[False, pytest.param(True, marks=needs_numpy)])
+def numpy_sections(request, monkeypatch) -> bool:
+    """Run a test over numpy-array sections (True) and over the
+    memoryview sections of a numpy-less host (False)."""
+    if not request.param:
+        hide_numpy(monkeypatch)
+    return request.param
 
 
 @pytest.fixture
@@ -42,9 +58,8 @@ class TestCorruptionGuards:
         raw = bytearray(path.read_bytes())
         raw[len(MAGIC)] = FORMAT_VERSION + 1
         path.write_bytes(bytes(raw))
-        for mmap in (False, True):
-            with pytest.raises(ValueError, match="unsupported index format version"):
-                ResolutionIndex.load(path, mmap=mmap)
+        with pytest.raises(ValueError, match="unsupported index format version"):
+            ResolutionIndex.load(path)
 
     def test_magic_only(self, tmp_path):
         path = tmp_path / "stub.idx"
@@ -59,13 +74,12 @@ class TestCorruptionGuards:
         with pytest.raises(ValueError, match="truncated index file"):
             ResolutionIndex.load(stub)
 
-    @pytest.mark.parametrize("mmap", [False, pytest.param(True, marks=needs_numpy)])
-    def test_truncated_section(self, saved_index, tmp_path, mmap):
+    def test_truncated_section(self, saved_index, tmp_path, numpy_sections):
         _, path = saved_index
         stub = tmp_path / "cut.idx"
         stub.write_bytes(path.read_bytes()[:-64])
         with pytest.raises(ValueError, match="truncated index file"):
-            ResolutionIndex.load(stub, mmap=mmap)
+            ResolutionIndex.load(stub)
 
     def test_corrupt_header_json(self, saved_index):
         _, path = saved_index
@@ -78,20 +92,18 @@ class TestCorruptionGuards:
 
 
 class TestEdgeShapes:
-    @pytest.mark.parametrize("mmap", [False, pytest.param(True, marks=needs_numpy)])
-    def test_empty_kb2_roundtrip(self, tmp_path, mmap):
+    def test_empty_kb2_roundtrip(self, tmp_path, numpy_sections):
         index = ResolutionIndex.build(KnowledgeBase([], name="empty"))
         path = tmp_path / "empty.idx"
         index.save(path)
-        loaded = ResolutionIndex.load(path, mmap=mmap)
+        loaded = ResolutionIndex.load(path)
         assert loaded.n2 == 0
         assert len(loaded.postings) == 0
         assert len(loaded.names) == 0
         assert list(loaded.uris2) == []
         assert len(loaded.in_neighbors) == 0
 
-    @pytest.mark.parametrize("mmap", [False, pytest.param(True, marks=needs_numpy)])
-    def test_zero_posting_token_roundtrip(self, restaurant_kbs, tmp_path, mmap):
+    def test_zero_posting_token_roundtrip(self, restaurant_kbs, tmp_path, numpy_sections):
         _, kb2 = restaurant_kbs
         index = ResolutionIndex.build(kb2)
         # A token indexed with no postings cannot arise from build()
@@ -101,7 +113,7 @@ class TestEdgeShapes:
         index.singleton_weights["zz-hollow-token"] = 0.0
         path = tmp_path / "hollow.idx"
         index.save(path)
-        loaded = ResolutionIndex.load(path, mmap=mmap)
+        loaded = ResolutionIndex.load(path)
         assert "zz-hollow-token" in loaded.postings
         assert list(loaded.postings["zz-hollow-token"]) == []
         assert loaded.singleton_weights["zz-hollow-token"] == 0.0
@@ -116,13 +128,28 @@ class TestByteDeterminism:
         ResolutionIndex.load(path).save(resaved)
         assert resaved.read_bytes() == original
 
-    @needs_numpy
     def test_mmap_load_save_identical(self, saved_index, tmp_path):
-        _, path = saved_index
+        index, path = saved_index
         original = path.read_bytes()
         resaved = tmp_path / "again.idx"
-        ResolutionIndex.load(path, mmap=True).save(resaved)
+        index.save(resaved)
         assert resaved.read_bytes() == original
+        # In place: the loaded index reads the very file it replaces.
+        ResolutionIndex.load(path).save(path)
+        assert path.read_bytes() == original
+
+    def test_resave_over_a_mapped_file_keeps_old_views(self, saved_index, mini_pair):
+        index, path = saved_index
+        loaded = ResolutionIndex.load(path)
+        before = {token: loaded.postings[token].tolist() for token in index.postings}
+        # A different index renamed over the mapped path: the first
+        # handle still reads the pages of the file it opened.
+        other = ResolutionIndex.build(mini_pair.kb2)
+        other.save(path)
+        assert ResolutionIndex.load(path).n2 == other.n2 != index.n2
+        assert {t: loaded.postings[t].tolist() for t in index.postings} == before
+        assert list(loaded.uris2) == index.uris2
+        assert not path.with_name(path.name + ".tmp").exists()
 
     def test_sections_are_aligned(self, saved_index):
         _, path = saved_index
@@ -153,12 +180,11 @@ class TestMigration:
 
         legacy = tmp_path / "legacy.idx"
         legacy.write_bytes(MAGIC + bytes([1]) + pickle.dumps(_Detonator()))
-        for mmap in (False, True):
-            with pytest.raises(ValueError) as refusal:
-                ResolutionIndex.load(legacy, mmap=mmap)
-            message = str(refusal.value)
-            assert "unsupported index format version 1" in message
-            assert "\n" not in message
+        with pytest.raises(ValueError) as refusal:
+            ResolutionIndex.load(legacy)
+        message = str(refusal.value)
+        assert "unsupported index format version 1" in message
+        assert "\n" not in message
 
     def test_migrate_cli_rewrites_a_v2_file(self, saved_index, tmp_path):
         from repro.cli import main
@@ -178,16 +204,14 @@ class TestMigration:
 
 
 class TestLoadInfoAndGauges:
-    @pytest.mark.parametrize("mmap", [False, pytest.param(True, marks=needs_numpy)])
-    def test_load_info_and_span(self, saved_index, mmap):
+    def test_load_info_and_span(self, saved_index, numpy_sections):
         from repro.obs import Recorder, use_recorder
 
         _, path = saved_index
         recorder = Recorder()
         with use_recorder(recorder):
-            loaded = ResolutionIndex.load(path, mmap=mmap)
+            loaded = ResolutionIndex.load(path)
         expected = {
-            "mmap": mmap,
             "format_version": FORMAT_VERSION,
             "file_bytes": path.stat().st_size,
         }
@@ -207,15 +231,14 @@ class TestLoadInfoAndGauges:
         text = render_metrics(recorder)
         assert f"index_file_bytes {path.stat().st_size}" in text
         assert f"index_format_version {FORMAT_VERSION}" in text
-        assert "index_mmap 0" in text
+        assert "index_mmap" not in text
 
 
-@needs_numpy
 class TestMappedViews:
     @pytest.fixture
     def mapped(self, saved_index):
         index, path = saved_index
-        return index, ResolutionIndex.load(path, mmap=True)
+        return index, ResolutionIndex.load(path)
 
     def test_postings_view(self, mapped):
         index, loaded = mapped
@@ -256,3 +279,32 @@ class TestMappedViews:
         assert len(loaded.in_neighbors) == len(index.in_neighbors)
         assert list(loaded.in_neighbors.ids) == list(index.in_neighbors.ids)
         assert loaded.in_neighbors.to_lists() == index.in_neighbors.to_lists()
+
+
+class TestMemoryviewSections:
+    """Without numpy the loader views each section as a stdlib
+    ``memoryview`` cast instead of an ndarray; the two must agree."""
+
+    @needs_numpy
+    def test_fields_equal_numpy_backed_load(self, tmp_path, monkeypatch):
+        # The serving benchmark's shape (yago_imdb), scaled down.
+        pair = scaled_profile("yago_imdb", 0.15)
+        path = tmp_path / "kb2.idx"
+        ResolutionIndex.build(pair.kb2).save(path)
+        arrays = ResolutionIndex.load(path)
+        hide_numpy(monkeypatch)
+        views = ResolutionIndex.load(path)
+        assert isinstance(views.in_neighbors.ids, memoryview)
+
+        assert list(views.postings) == list(arrays.postings)
+        for token in arrays.postings:
+            assert views.postings[token].tolist() == arrays.postings[token].tolist()
+            assert views.singleton_weights[token] == arrays.singleton_weights[token]
+        assert dict(views.names) == dict(arrays.names)
+        assert list(views.uris2) == list(arrays.uris2)
+        for field in ("offsets", "ids"):
+            assert (
+                getattr(views.in_neighbors, field).tolist()
+                == getattr(arrays.in_neighbors, field).tolist()
+            )
+        assert views.in_neighbors.to_lists() == arrays.in_neighbors.to_lists()

@@ -105,15 +105,15 @@ class TestPersistence:
         loaded = ResolutionIndex.load(path)
         assert loaded.kb_name == index.kb_name
         assert loaded.n2 == index.n2
-        assert loaded.uris2 == index.uris2
+        assert list(loaded.uris2) == index.uris2
         assert loaded.config == index.config
-        assert loaded.names == index.names
+        assert dict(loaded.names) == index.names
         assert set(loaded.postings) == set(index.postings)
         for token in index.postings:
-            assert loaded.postings[token] == index.postings[token]
-        assert loaded.singleton_weights == index.singleton_weights
-        assert loaded.in_neighbors.offsets == index.in_neighbors.offsets
-        assert loaded.in_neighbors.ids == index.in_neighbors.ids
+            assert loaded.postings[token].tolist() == index.postings[token].tolist()
+        assert dict(loaded.singleton_weights) == index.singleton_weights
+        assert loaded.in_neighbors.offsets.tolist() == index.in_neighbors.offsets.tolist()
+        assert loaded.in_neighbors.ids.tolist() == index.in_neighbors.ids.tolist()
 
     def test_magic_header_written(self, restaurant_kbs, tmp_path):
         _, kb2 = restaurant_kbs

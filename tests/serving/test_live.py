@@ -3,7 +3,7 @@
 The load-bearing property throughout: an engine over base + delta
 answers **bit-identically** to an engine over a full rebuild of the
 same live entities -- the same contract every other serving layer
-(mmap, sharding) already holds to.  The controlled KBs here keep every
+(loaded indexes, sharding) already holds to.  The controlled KBs here keep every
 edit relation-neutral (two literal attributes, globally distinct
 values), which is the scope ``docs/live_index.md`` documents for exact
 equivalence and byte-identical compaction.
@@ -69,7 +69,7 @@ BASE = [entity(i) for i in range(8)]
 CONFIG = MinoanERConfig()
 
 needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="mmap loading requires numpy"
+    not numpy_available(), reason="numpy not importable"
 )
 
 
@@ -128,9 +128,9 @@ class TestUpsertLedger:
 # LiveIndex overlay semantics
 # ----------------------------------------------------------------------
 class TestLiveIndex:
-    """Overlay views over an eager base.  The subclasses below re-run
-    every case over a memory-mapped base and over the pure-python mask
-    path (numpy hidden from the overlay)."""
+    """Overlay views over a built base.  The subclasses below re-run
+    every case over a loaded (memory-mapped) base and over the
+    pure-python mask path (numpy hidden from the overlay)."""
 
     @pytest.fixture(autouse=True)
     def _workdir(self, tmp_path):
@@ -157,7 +157,7 @@ class TestLiveIndex:
 
     def test_unaffected_token_posting_is_the_base_object(self):
         # Zero-copy: a token no edit touched must come back as the
-        # base's own sequence, not a copy (mmap slices stay slices).
+        # base's own sequence, not a copy (mapped slices stay slices).
         live = self.live()
         live.upsert(entity(99, "zeta99"))
         self.assert_base_posting(live, "alpha3")
@@ -348,7 +348,7 @@ class TestLiveIndexMapped(TestLiveIndex):
     def base(self, entities=BASE):
         path = self.tmp_path / "base.idx"
         build_index(entities).save(path)
-        return ResolutionIndex.load(path, mmap=True)
+        return ResolutionIndex.load(path)
 
     def assert_base_posting(self, live, token):
         # A mapped base hands out a fresh slice per lookup, so zero-copy
@@ -380,11 +380,13 @@ def final_entities():
     ]
 
 
-def edited_live_engine(mmap: bool, tmp_path, cache=None):
+def edited_live_engine(loaded: bool, tmp_path, cache=None):
+    """The edited engine over a built base, or (``loaded``) over that
+    base saved and mapped back in."""
     index = build_index(BASE)
-    if mmap:
+    if loaded:
         index.save(tmp_path / "base.idx")
-        index = ResolutionIndex.load(tmp_path / "base.idx", mmap=True)
+        index = ResolutionIndex.load(tmp_path / "base.idx")
     engine = LiveEngine(index, CONFIG, cache=cache)
     engine.delete("http://kb2/e5")
     engine.upsert(entity(99, "zeta99"))
@@ -407,17 +409,17 @@ PROBES = (
 
 
 class TestRebuildEquivalence:
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_single_decisions_equal_cold_rebuild(self, mmap, tmp_path):
-        live = edited_live_engine(mmap, tmp_path)
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_single_decisions_equal_cold_rebuild(self, loaded, tmp_path):
+        live = edited_live_engine(loaded, tmp_path)
         cold = MatchEngine(build_index(final_entities()), CONFIG)
         for probe in PROBES:
             a, b = live.match(probe), cold.match(probe)
             assert decision_fields(a) == decision_fields(b), probe.uri
 
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_batch_decisions_equal_cold_rebuild(self, mmap, tmp_path):
-        live = edited_live_engine(mmap, tmp_path)
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_batch_decisions_equal_cold_rebuild(self, loaded, tmp_path):
+        live = edited_live_engine(loaded, tmp_path)
         cold = MatchEngine(build_index(final_entities()), CONFIG)
         ours = live.match_batch(PROBES)
         theirs = cold.match_batch(PROBES)

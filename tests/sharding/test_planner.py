@@ -108,14 +108,14 @@ class TestPersistence:
             )
 
     def test_mmap_loads_shard_file(self, index, tmp_path):
-        pytest.importorskip("numpy")
-        paths = ShardPlanner(2).write(index, tmp_path / "kb2.idx")
-        mapped = ResolutionIndex.load(paths[0], mmap=True)
-        eager = ResolutionIndex.load(paths[0])
-        assert mapped.shard_info == eager.shard_info
-        for token, ids in eager.postings.items():
+        planner = ShardPlanner(2)
+        paths = planner.write(index, tmp_path / "kb2.idx")
+        mapped = ResolutionIndex.load(paths[0])
+        planned = planner.plan(index)[0]
+        assert mapped.shard_info == planned.shard_info
+        for token, ids in planned.postings.items():
             assert list(mapped.postings[token]) == list(ids)
-            assert mapped.global_entity_frequency(token) == eager.global_entity_frequency(token)
+            assert mapped.global_entity_frequency(token) == planned.global_entity_frequency(token)
 
     def test_unsharded_save_has_no_shard_sections(self, index, tmp_path):
         # Byte-identity of non-shard files: the optional section and

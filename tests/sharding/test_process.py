@@ -25,7 +25,7 @@ class TestSpawn:
         index, path = build_sharded(mini_pair, tmp_path, config, 2)
         engine = MatchEngine(index, config)
         batch = list(mini_pair.kb1)
-        router = ShardRouter.spawn(path, 2, mmap=False, config=config)
+        router = ShardRouter.spawn(path, 2, config=config)
         try:
             assert router.match_batch(batch) == engine.match_batch(batch)
             sample = batch[:10]
@@ -41,12 +41,12 @@ class TestSpawn:
         path = tmp_path / "kb2.idx"
         index.save(path)
         with pytest.raises(FileNotFoundError, match="missing shard files"):
-            ShardRouter.spawn(path, 3, mmap=False, config=config)
+            ShardRouter.spawn(path, 3, config=config)
 
     def test_hello_reports_shard_identity(self, mini_pair, tmp_path):
         config = MinoanERConfig()
         index, path = build_sharded(mini_pair, tmp_path, config, 2)
-        router = ShardRouter.spawn(path, 2, mmap=False, config=config)
+        router = ShardRouter.spawn(path, 2, config=config)
         try:
             hello = router._replicas[1][0].request("hello")
             assert hello["shard"] == 1
@@ -62,7 +62,7 @@ class TestHedging:
         index, path = build_sharded(mini_pair, tmp_path, config, 2)
         engine = MatchEngine(index, config)
         batch = list(mini_pair.kb1)[:15]
-        router = ShardRouter.spawn(path, 2, replicas=2, mmap=False, config=config)
+        router = ShardRouter.spawn(path, 2, replicas=2, config=config)
         try:
             assert [router.match(e) for e in batch] == [
                 engine.match(e) for e in batch
@@ -79,7 +79,7 @@ class TestHedging:
     def test_single_replica_never_hedges(self, mini_pair, tmp_path):
         config = MinoanERConfig(serving_hedge_ms=0.0)
         _, path = build_sharded(mini_pair, tmp_path, config, 2)
-        router = ShardRouter.spawn(path, 2, replicas=1, mmap=False, config=config)
+        router = ShardRouter.spawn(path, 2, replicas=1, config=config)
         try:
             for entity in list(mini_pair.kb1)[:5]:
                 router.match(entity)
@@ -95,7 +95,7 @@ class TestWorkerDeath:
         batch = list(mini_pair.kb1)
         errors = []
         router = ShardRouter.spawn(
-            path, 2, mmap=False, config=config,
+            path, 2, config=config,
             on_shard_error=lambda shard, error: errors.append(shard),
         )
         try:
@@ -119,7 +119,7 @@ class TestWorkerDeath:
         index, path = build_sharded(mini_pair, tmp_path, config, 2)
         engine = MatchEngine(index, config)
         batch = list(mini_pair.kb1)[:10]
-        router = ShardRouter.spawn(path, 2, replicas=2, mmap=False, config=config)
+        router = ShardRouter.spawn(path, 2, replicas=2, config=config)
         try:
             router._replicas[0][0].kill()
             decisions = router.match_batch(batch)
@@ -131,7 +131,7 @@ class TestWorkerDeath:
     def test_fail_fast_raises_on_dead_shard(self, mini_pair, tmp_path):
         config = MinoanERConfig()
         _, path = build_sharded(mini_pair, tmp_path, config, 2)
-        router = ShardRouter.spawn(path, 2, mmap=False, config=config)
+        router = ShardRouter.spawn(path, 2, config=config)
         try:
             router._replicas[1][0].kill()
             with pytest.raises(ShardFailure):
@@ -144,7 +144,7 @@ class TestTraceMerge:
     def test_close_grafts_worker_snapshots(self, mini_pair, tmp_path):
         config = MinoanERConfig()
         _, path = build_sharded(mini_pair, tmp_path, config, 2)
-        router = ShardRouter.spawn(path, 2, mmap=False, config=config)
+        router = ShardRouter.spawn(path, 2, config=config)
         router.match(list(mini_pair.kb1)[0])
         router.close()
         assert "shard.worker" in router.recorder.span_names()

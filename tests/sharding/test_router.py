@@ -4,7 +4,7 @@ The property sweep runs inline replicas (wire-faithful JSON round
 trips, no subprocess overhead) over random shard counts in 1..8 on all
 four calibrated benchmark profiles, comparing every decision field the
 stream carries -- ids, scores, rules, degraded flags -- on both the
-single-query and the batch path, with mmap on and off and across the
+single-query and the batch path, over built and loaded shards and across the
 config variants that change the merge shape (adaptive cut, candidate
 cap, reciprocity off).
 """
@@ -27,12 +27,12 @@ PROFILES = [
 ]
 
 
-def inline_router(index, config, shards, **kwargs):
+def inline_router(index, config, shards):
     replica_sets = [
         [InlineReplica(ShardWorker(MatchEngine(shard, config)))]
         for shard in ShardPlanner(shards).plan(index)
     ]
-    return ShardRouter(index, replica_sets, config, **kwargs)
+    return ShardRouter(index, replica_sets, config)
 
 
 def decision_fields(decision):
@@ -97,7 +97,6 @@ class TestPropertySweep:
 
 class TestMemmappedShards:
     def test_mmap_shards_identical(self, tmp_path):
-        pytest.importorskip("numpy")
         pair = scaled_profile("restaurant", 0.3)
         config = MinoanERConfig()
         index = ResolutionIndex.build(pair.kb2, config)
@@ -105,12 +104,12 @@ class TestMemmappedShards:
         index.save(path)
         paths = ShardPlanner(3).write(index, path)
 
-        full = ResolutionIndex.load(path, mmap=True)
+        full = ResolutionIndex.load(path)
         replica_sets = [
             [
                 InlineReplica(
                     ShardWorker(
-                        MatchEngine(ResolutionIndex.load(p, mmap=True), config)
+                        MatchEngine(ResolutionIndex.load(p), config)
                     )
                 )
             ]
@@ -298,18 +297,25 @@ class TestRouterBehaviour:
             router.close()
 
 
-class TestScatterModes:
-    """``scatter=`` only changes *how* requests fan out, never the answer."""
+def host_cpus(monkeypatch, cpus: int) -> None:
+    """Pin the CPU count the router picks its fan-out from: one CPU
+    scatters sequentially on the query thread, more use the pool."""
+    monkeypatch.setattr("repro.sharding.router._host_cpus", lambda: cpus)
 
-    def test_sequential_and_pool_identical(self, mini_pair):
+
+class TestScatterModes:
+    """The fan-out path only changes *how* requests go out, never the answer."""
+
+    def test_sequential_and_pool_identical(self, mini_pair, monkeypatch):
         config = MinoanERConfig()
         index = ResolutionIndex.build(mini_pair.kb2, config)
         engine = MatchEngine(index, config)
         batch = list(mini_pair.kb1)
         expected_single = [decision_fields(engine.match(e)) for e in batch]
         expected_batch = [decision_fields(d) for d in engine.match_batch(batch)]
-        for scatter in ("sequential", "pool"):
-            router = inline_router(index, config, 3, scatter=scatter)
+        for cpus in (1, 2):
+            host_cpus(monkeypatch, cpus)
+            router = inline_router(index, config, 3)
             try:
                 assert [
                     decision_fields(router.match(e)) for e in batch
@@ -320,10 +326,11 @@ class TestScatterModes:
             finally:
                 router.close()
 
-    def test_sequential_records_per_shard_timings(self, mini_pair):
+    def test_sequential_records_per_shard_timings(self, mini_pair, monkeypatch):
+        host_cpus(monkeypatch, 1)
         config = MinoanERConfig()
         index = ResolutionIndex.build(mini_pair.kb2, config)
-        router = inline_router(index, config, 3, scatter="sequential")
+        router = inline_router(index, config, 3)
         try:
             router.match(list(mini_pair.kb1)[0])
             assert router.last_shard_ms is not None
@@ -335,10 +342,11 @@ class TestScatterModes:
         finally:
             router.close()
 
-    def test_pool_does_not_record_round_trips(self, mini_pair):
+    def test_pool_does_not_record_round_trips(self, mini_pair, monkeypatch):
+        host_cpus(monkeypatch, 2)
         config = MinoanERConfig()
         index = ResolutionIndex.build(mini_pair.kb2, config)
-        router = inline_router(index, config, 2, scatter="pool")
+        router = inline_router(index, config, 2)
         try:
             router.match(list(mini_pair.kb1)[0])
             # Overlapping round trips have no meaningful per-shard wall
@@ -347,12 +355,6 @@ class TestScatterModes:
             assert router.last_service_ms is not None
         finally:
             router.close()
-
-    def test_rejects_unknown_mode(self, mini_pair):
-        config = MinoanERConfig()
-        index = ResolutionIndex.build(mini_pair.kb2, config)
-        with pytest.raises(ValueError, match="scatter"):
-            inline_router(index, config, 2, scatter="sideways")
 
 
 class TestTokenShipping:

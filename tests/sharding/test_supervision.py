@@ -57,7 +57,7 @@ class TestResurrect:
         index, path = build_sharded(mini_pair, tmp_path, config, 2)
         engine = MatchEngine(index, config)
         batch = list(mini_pair.kb1)[:10]
-        router = ShardRouter.spawn(path, 2, mmap=False, config=config)
+        router = ShardRouter.spawn(path, 2, config=config)
         try:
             dead = router._replicas[0][0]
             sigkill(dead)
@@ -75,7 +75,7 @@ class TestResurrect:
     ):
         config = MinoanERConfig()
         _, path = build_sharded(mini_pair, tmp_path, config, 2)
-        router = ShardRouter.spawn(path, 2, mmap=False, config=config)
+        router = ShardRouter.spawn(path, 2, config=config)
         try:
             assert router.resurrect(0, 0) is False  # alive: no-op
         finally:
@@ -85,7 +85,7 @@ class TestResurrect:
     def test_resurrected_worker_gets_a_breaker(self, mini_pair, tmp_path):
         config = MinoanERConfig()
         _, path = build_sharded(mini_pair, tmp_path, config, 2)
-        router = ShardRouter.spawn(path, 2, mmap=False, config=config)
+        router = ShardRouter.spawn(path, 2, config=config)
         try:
             sigkill(router._replicas[1][0])
             router.resurrect(1, 0)
@@ -108,7 +108,7 @@ class TestSigkillMidStream:
         expected = engine.match_batch(batch) + [
             engine.match(probe) for probe in batch
         ]
-        router = ShardRouter.spawn(path, 2, replicas=2, mmap=False, config=config)
+        router = ShardRouter.spawn(path, 2, replicas=2, config=config)
         supervisor = ReplicaSupervisor(
             router, base_backoff_s=0.0, jitter_ratio=0.0
         )
@@ -137,7 +137,7 @@ class TestSigkillMidStream:
         engine = MatchEngine(index, config)
         batch = list(mini_pair.kb1)[:8]
         router = ShardRouter.spawn(
-            path, 2, mmap=False, config=config,
+            path, 2, config=config,
             supervise=True,
             supervisor_options=dict(
                 interval_s=0.02, base_backoff_s=0.0, jitter_ratio=0.0
@@ -188,7 +188,7 @@ class TestResurrectionEquivalence:
                 shutil.copy(shard_file, run_dir / shard_file.name)
             base = ResolutionIndex.load(run_path)
             router = LiveShardRouter.spawn(
-                run_path, 2, replicas=2, mmap=False, config=config, index=base
+                run_path, 2, replicas=2, config=config, index=base
             )
             router.index_path = run_path
             supervisor = ReplicaSupervisor(
@@ -238,7 +238,7 @@ class TestResurrectionEquivalence:
         index, path = build_sharded(mini_pair, tmp_path, config, 2)
         base = ResolutionIndex.load(path)
         router = LiveShardRouter.spawn(
-            path, 2, replicas=2, mmap=False, config=config, index=base
+            path, 2, replicas=2, config=config, index=base
         )
         try:
             sigkill(router._replicas[0][0])
