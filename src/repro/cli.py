@@ -50,7 +50,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.core.config import MinoanERConfig
 from repro.core.dirty import DirtyMinoanER
@@ -154,20 +154,70 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _config_options(args: argparse.Namespace) -> dict[str, Any]:
+    """The :class:`MinoanERConfig` fields this command's flags set.
+
+    The one place where flags become a config.  It raises
+    ``ValueError`` for an out-of-range value -- of a config field, or
+    of a flag the command reads itself -- before any file is read, and
+    :func:`main` reports that as a usage error.
+    """
+    if args.command == "serve":
+        options: dict[str, Any] = dict(
+            serving_cache_size=args.cache_size,
+            serving_candidate_cap=args.candidate_cap,
+            serving_deadline_ms=args.deadline_ms,
+            serving_hedge_ms=args.hedge_ms,
+            failure_mode=args.failure_mode,
+            serving_max_pending=args.max_pending,
+            serving_quota_qps=args.quota_qps,
+            serving_quota_burst=args.quota_burst,
+        )
+        if args.provenance is not None:
+            options["provenance_sample_rate"] = args.provenance
+        delta, tombstones = args.auto_compact_delta, args.auto_compact_tombstones
+        checks = [
+            (args.batch_size >= 1, f"--batch-size must be >= 1, got {args.batch_size}"),
+            (args.shards >= 0, f"--shards must be >= 0, got {args.shards}"),
+            (args.replicas >= 1, f"--replicas must be >= 1, got {args.replicas}"),
+            (
+                delta is None or delta >= 1,
+                f"--auto-compact-delta must be >= 1, got {delta}",
+            ),
+            (
+                tombstones is None or 0.0 < tombstones <= 1.0,
+                f"--auto-compact-tombstones must be in (0, 1], got {tombstones}",
+            ),
+        ]
+    elif args.command in ("resolve", "dedupe", "index"):
+        options = dict(
+            name_attributes_k=args.name_attributes,
+            candidates_k=args.candidates,
+            relations_n=args.relations,
+            theta=args.theta,
+            use_reciprocity=not args.no_reciprocity,
+            use_neighbor_evidence=not args.no_neighbors,
+        )
+        checks = []
+        if args.command == "resolve":
+            options.update(
+                failure_mode=args.failure_mode,
+                retry_max_attempts=args.retry_attempts,
+            )
+            checks.append(
+                (args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
+            )
+    else:
+        return {}
+    for ok, message in checks:
+        if not ok:
+            raise ValueError(message)
+    MinoanERConfig(**options)
+    return options
+
+
 def _config_from(args: argparse.Namespace) -> MinoanERConfig:
-    defaults = MinoanERConfig()
-    return MinoanERConfig(
-        name_attributes_k=args.name_attributes,
-        candidates_k=args.candidates,
-        relations_n=args.relations,
-        theta=args.theta,
-        use_reciprocity=not args.no_reciprocity,
-        use_neighbor_evidence=not args.no_neighbors,
-        failure_mode=getattr(args, "failure_mode", defaults.failure_mode),
-        retry_max_attempts=getattr(
-            args, "retry_attempts", defaults.retry_max_attempts
-        ),
-    )
+    return MinoanERConfig(**args.config_options)
 
 
 def _write_pairs(pairs: Sequence[tuple[str, str]], destination: str | None) -> None:
@@ -371,24 +421,7 @@ def command_serve(args: argparse.Namespace) -> int:
 
     index = ResolutionIndex.load(args.index)
     load_info = index.load_info or {}
-    overrides: dict = dict(
-        serving_cache_size=args.cache_size,
-        serving_candidate_cap=args.candidate_cap,
-        serving_batch_size=args.batch_size,
-        serving_deadline_ms=args.deadline_ms,
-        serving_shards=args.shards,
-        serving_replicas=args.replicas,
-        serving_hedge_ms=args.hedge_ms,
-        failure_mode=args.failure_mode,
-        serving_max_pending=args.max_pending,
-        serving_quota_qps=args.quota_qps,
-        serving_quota_burst=args.quota_burst,
-        compaction_max_delta=args.auto_compact_delta,
-        compaction_max_tombstone_ratio=args.auto_compact_tombstones,
-    )
-    if args.provenance is not None:
-        overrides["provenance_sample_rate"] = args.provenance
-    config = index.config.with_options(**overrides)
+    config = index.config.with_options(**args.config_options)
 
     def emit_error(
         message: str,
@@ -414,13 +447,13 @@ def command_serve(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(record) + "\n")
         sys.stdout.flush()
 
-    if config.serving_shards:
+    if args.shards:
         from repro.sharding import LiveShardRouter
 
         engine: MatchEngine = LiveShardRouter.spawn(
             args.index,
-            config.serving_shards,
-            replicas=config.serving_replicas,
+            args.shards,
+            replicas=args.replicas,
             config=config,
             on_shard_error=lambda shard, error: emit_error(str(error), shard=shard),
             index=index,
@@ -467,16 +500,13 @@ def command_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     compactor = None
-    if (
-        config.compaction_max_delta is not None
-        or config.compaction_max_tombstone_ratio is not None
-    ):
+    if args.auto_compact_delta is not None or args.auto_compact_tombstones is not None:
         from repro.serving.compaction import CompactionScheduler
 
         compactor = CompactionScheduler(
             engine,
-            max_delta=config.compaction_max_delta,
-            max_tombstone_ratio=config.compaction_max_tombstone_ratio,
+            max_delta=args.auto_compact_delta,
+            max_tombstone_ratio=args.auto_compact_tombstones,
         ).start()
     # index.load may have run before the engine's recorder existed (it
     # records on the ambient recorder); re-surface how the index entered
@@ -498,11 +528,8 @@ def command_serve(args: argparse.Namespace) -> int:
         f"format v{load_info.get('format_version')}, "
         f"{load_info.get('file_bytes')} bytes, memory-mapped"
     )
-    if config.serving_shards:
-        provenance += (
-            f", {config.serving_shards} shards x "
-            f"{config.serving_replicas} replicas"
-        )
+    if args.shards:
+        provenance += f", {args.shards} shards x {args.replicas} replicas"
     if metrics_server is not None:
         provenance += f", metrics port {metrics_server.port}"
     print(f"# index {args.index}: {provenance}", file=sys.stderr)
@@ -582,7 +609,7 @@ def command_serve(args: argparse.Namespace) -> int:
                     batch = []
                 handle_control(item)
                 continue
-            if config.serving_batch_size == 1:
+            if args.batch_size == 1:
                 try:
                     decision = engine.match(item.entity, source=item.source)
                 except LoadShedError as error:
@@ -601,7 +628,7 @@ def command_serve(args: argparse.Namespace) -> int:
                 write_decisions([decision], sys.stdout)
             else:
                 batch.append(item)
-                if len(batch) >= config.serving_batch_size:
+                if len(batch) >= args.batch_size:
                     answer_batch(batch)
                     batch = []
         if batch:
@@ -721,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-i", "--input", help="JSONL request file (default: stdin)"
     )
     serve.add_argument(
-        "--batch-size", type=int, default=serving_defaults.serving_batch_size,
+        "--batch-size", type=int, default=1,
         help="queries resolved together; >1 lets related queries share "
         "context (default %(default)s)",
     )
@@ -751,13 +778,13 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.resilience.policy import FAILURE_MODES
 
     serve.add_argument(
-        "--shards", type=int, default=serving_defaults.serving_shards,
+        "--shards", type=int, default=0,
         metavar="N", help="serve through N shard worker processes over the "
         "files written by 'repro index --shards N' (bit-identical to "
         "unsharded serving; default: single-process)",
     )
     serve.add_argument(
-        "--replicas", type=int, default=serving_defaults.serving_replicas,
+        "--replicas", type=int, default=1,
         metavar="R", help="worker replicas per shard; >1 enables hedged "
         "requests (default %(default)s)",
     )
@@ -833,7 +860,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.config_options = _config_options(args)
+    except ValueError as error:
+        parser.error(str(error))
     trace_path = getattr(args, "trace", None)
     chaos_spec = getattr(args, "chaos", None)
     if not trace_path and not chaos_spec:

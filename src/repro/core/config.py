@@ -2,20 +2,28 @@
 
 The paper's sensitivity analysis (Figure 5) varies four parameters and
 recommends the global default ``(k, K, N, theta) = (2, 15, 3, 0.6)``,
-which is also the default here.  All remaining knobs either reproduce a
-fixed design decision of the paper (e.g. ``value_threshold = 1`` in R2)
-or expose an ablation used in its evaluation (rule toggles, purging).
+which is also the default here.  The remaining fields reproduce a fixed
+design decision of the paper (e.g. ``value_threshold = 1`` in R2),
+expose an ablation used in its evaluation (rule toggles, purging), or
+tune the kernel, serving and resilience layers built around it.
+
+A field lives here only if the library reads it as ``config.<field>``
+(``tests/core/test_config.py`` checks this).  Settings that one
+command-line subcommand reads straight after parsing (``serve``'s
+``--batch-size``, ``--shards``, ``--replicas`` and ``--auto-compact-*``)
+stay flags of that subcommand, and recording is switched off by passing
+``recorder=NULL_RECORDER`` to the pipeline or engine, not by a field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 
 @dataclass(frozen=True)
 class MinoanERConfig:
-    """All knobs of the MinoanER pipeline.
+    """Every knob the MinoanER pipelines and serving tier read.
 
     Parameters
     ----------
@@ -36,7 +44,7 @@ class MinoanERConfig:
         R2 matches the top value candidate when ``beta`` reaches this
         threshold; the paper fixes it to 1 ("many common and infrequent
         tokens").
-    purge_blocks / purging_budget_ratio / max_block_comparisons:
+    purge_blocks / purging_budget_ratio:
         Block Purging of oversized token blocks (section 3.3): retained
         token blocks may suggest at most ``purging_budget_ratio`` of the
         brute-force ``|E1|*|E2|`` comparisons (paper regime: ~1%%).
@@ -54,9 +62,6 @@ class MinoanERConfig:
         per-node cut of the paper's future work (section 7): each node's
         list is truncated at the first large weight gap in its local
         similarity distribution.
-    tokenizer_min_length / stopwords:
-        Tokenisation options (defaults follow the paper: keep all
-        alphanumeric tokens, no stopword list).
     kernel_backend:
         Implementation of the blocking-graph hot path (see
         :mod:`repro.kernels`): ``"python"`` and ``"numpy"`` are the
@@ -74,11 +79,6 @@ class MinoanERConfig:
         candidates survive.  ``None`` (the default) keeps every touched
         candidate, which is required for exact batch/serve equivalence;
         setting a cap trades recall for bounded query latency.
-    serving_batch_size:
-        Default micro-batch size of the ``serve`` CLI subcommand.  Size
-        1 answers queries independently (cacheable); larger batches are
-        resolved together, which lets related queries contribute
-        query-side context (Entity Frequencies, neighbor evidence).
     failure_mode / retry_max_attempts / retry_base_delay_s:
         Stage-failure behaviour of the pipelines (see
         ``docs/resilience.md``): ``fail_fast`` aborts on the first
@@ -94,22 +94,17 @@ class MinoanERConfig:
         exceeds it mid-pipeline receives a *degraded* name-evidence-only
         answer flagged ``degraded=true`` instead of blocking the
         stream.
-    breaker_threshold / breaker_reset_s:
-        Circuit breaker guarding the numpy kernel backend in the
-        serving engine: after ``breaker_threshold`` consecutive kernel
-        failures queries fall back to the pure-python kernels
-        (bit-identical, slower) for ``breaker_reset_s`` seconds before
-        a half-open probe retries numpy.
-    serving_shards / serving_replicas / serving_hedge_ms:
-        Sharded serving tier (``docs/sharding.md``).  ``serving_shards``
-        = 0 (the default) serves from one in-process engine; N >= 1
-        routes queries through a :class:`repro.sharding.ShardRouter`
-        over N shard worker processes (files written by
-        ``repro index --shards N``), ``serving_replicas`` per shard.
-        ``serving_hedge_ms`` fixes the delay before a backup (hedged)
-        request fires at a sibling replica; ``None`` adapts it to the
-        shard's observed p95 latency.  Decisions are bit-identical to
-        unsharded serving at any shard/replica count.
+    breaker_threshold:
+        Consecutive failures that open a circuit breaker: the serving
+        engine's breaker around the numpy kernels (queries fall back to
+        the bit-identical, slower pure-python kernels) and each shard
+        replica's breaker in the router (the replica is skipped).  An
+        open breaker lets a half-open probe through after 30 s.
+    serving_hedge_ms:
+        Delay before a backup (hedged) request of the sharded serving
+        tier (``docs/sharding.md``) fires at a sibling replica; ``None``
+        adapts it to the shard's observed p95 latency.  Decisions are
+        bit-identical to unsharded serving at any shard/replica count.
     serving_max_pending / serving_quota_qps / serving_quota_burst:
         Admission control of the serving engine
         (``docs/resilience.md``).  ``serving_max_pending`` bounds the
@@ -118,19 +113,6 @@ class MinoanERConfig:
         token bucket of ``serving_quota_burst`` capacity (default
         ``max(1, 2 * qps)``).  Both default off; rejections surface as
         explicit load-shed error records, never silent drops.
-    retry_budget_ratio:
-        Finagle-style retry budget of the sharded router in
-        ``failure_mode="retry"``: retries may add at most this fraction
-        on top of real traffic once the initial reserve drains, which
-        stops retry amplification when a shard is down hard.  ``None``
-        disables the budget (retries bounded only by
-        ``retry_max_attempts``).
-    compaction_max_delta / compaction_max_tombstone_ratio:
-        Background-compaction triggers of the live serving tier
-        (``docs/live_index.md``): compact when the delta overlay holds
-        at least ``compaction_max_delta`` edits, or when tombstones
-        exceed ``compaction_max_tombstone_ratio`` of the id space.
-        Both default ``None`` (compaction stays operator-driven).
     provenance_sample_rate:
         Fraction of serving queries that carry a full
         :class:`repro.obs.ProvenanceRecord` (fired rule, evidence type,
@@ -138,15 +120,6 @@ class MinoanERConfig:
         disables provenance; sampling is deterministic (systematic over
         the query sequence), so replayed request streams sample the
         same queries.  Every query gets a ``trace_id`` regardless.
-    observability:
-        When True (the default) the instrumented components record
-        spans and metrics into the ambient
-        :func:`repro.obs.current_recorder` -- a no-op unless a real
-        recorder is installed (e.g. by the ``--trace`` CLI flag or
-        :func:`repro.obs.use_recorder`).  When False they pin the no-op
-        recorder, guaranteeing zero tracing work even inside an active
-        trace; phase timings (``ResolutionResult.timings``) are derived
-        from span objects and stay correct either way.
     """
 
     name_attributes_k: int = 2
@@ -156,7 +129,6 @@ class MinoanERConfig:
     value_threshold: float = 1.0
     purge_blocks: bool = True
     purging_budget_ratio: float = 0.01
-    max_block_comparisons: int | None = None
     use_name_rule: bool = True
     use_value_rule: bool = True
     use_rank_aggregation: bool = True
@@ -165,29 +137,19 @@ class MinoanERConfig:
     enforce_unique_mapping: bool = True
     dynamic_pruning: bool = False
     pruning_gap_ratio: float = 0.2
-    tokenizer_min_length: int = 1
-    stopwords: tuple[str, ...] = field(default=())
     kernel_backend: str = "auto"
     serving_cache_size: int = 1024
     serving_candidate_cap: int | None = None
-    serving_batch_size: int = 1
     provenance_sample_rate: float = 0.0
-    observability: bool = True
     failure_mode: str = "fail_fast"
     retry_max_attempts: int = 3
     retry_base_delay_s: float = 0.01
     serving_deadline_ms: float | None = None
     breaker_threshold: int = 3
-    breaker_reset_s: float = 30.0
-    serving_shards: int = 0
-    serving_replicas: int = 1
     serving_hedge_ms: float | None = None
     serving_max_pending: int | None = None
     serving_quota_qps: float | None = None
     serving_quota_burst: float | None = None
-    retry_budget_ratio: float | None = 0.2
-    compaction_max_delta: int | None = None
-    compaction_max_tombstone_ratio: float | None = None
 
     def __post_init__(self) -> None:
         if self.name_attributes_k < 0:
@@ -224,10 +186,6 @@ class MinoanERConfig:
                 f"serving_candidate_cap must be >= 1 or None, "
                 f"got {self.serving_candidate_cap}"
             )
-        if self.serving_batch_size < 1:
-            raise ValueError(
-                f"serving_batch_size must be >= 1, got {self.serving_batch_size}"
-            )
         if not 0.0 <= self.provenance_sample_rate <= 1.0:
             raise ValueError(
                 f"provenance_sample_rate must be in [0, 1], "
@@ -257,18 +215,6 @@ class MinoanERConfig:
             raise ValueError(
                 f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
             )
-        if self.breaker_reset_s < 0:
-            raise ValueError(
-                f"breaker_reset_s must be >= 0, got {self.breaker_reset_s}"
-            )
-        if self.serving_shards < 0:
-            raise ValueError(
-                f"serving_shards must be >= 0, got {self.serving_shards}"
-            )
-        if self.serving_replicas < 1:
-            raise ValueError(
-                f"serving_replicas must be >= 1, got {self.serving_replicas}"
-            )
         if self.serving_hedge_ms is not None and self.serving_hedge_ms < 0:
             raise ValueError(
                 f"serving_hedge_ms must be >= 0 or None, "
@@ -288,23 +234,6 @@ class MinoanERConfig:
             raise ValueError(
                 f"serving_quota_burst must be > 0 or None, "
                 f"got {self.serving_quota_burst}"
-            )
-        if self.retry_budget_ratio is not None and self.retry_budget_ratio < 0:
-            raise ValueError(
-                f"retry_budget_ratio must be >= 0 or None, "
-                f"got {self.retry_budget_ratio}"
-            )
-        if self.compaction_max_delta is not None and self.compaction_max_delta < 1:
-            raise ValueError(
-                f"compaction_max_delta must be >= 1 or None, "
-                f"got {self.compaction_max_delta}"
-            )
-        if self.compaction_max_tombstone_ratio is not None and not (
-            0.0 < self.compaction_max_tombstone_ratio <= 1.0
-        ):
-            raise ValueError(
-                f"compaction_max_tombstone_ratio must be in (0, 1] or None, "
-                f"got {self.compaction_max_tombstone_ratio}"
             )
 
     def with_options(self, **changes: Any) -> "MinoanERConfig":
@@ -327,24 +256,14 @@ def config_to_dict(config: MinoanERConfig) -> dict[str, Any]:
     header (``repro.serving.format``) so a loaded index reconstructs an
     equal :class:`MinoanERConfig` without pickling it.
     """
-    out: dict[str, Any] = {}
-    for spec in fields(config):
-        value = getattr(config, spec.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[spec.name] = value
-    return out
+    return {spec.name: getattr(config, spec.name) for spec in fields(config)}
 
 
 def config_from_dict(data: Mapping[str, Any]) -> MinoanERConfig:
     """Rebuild a :class:`MinoanERConfig` from :func:`config_to_dict` output.
 
     Unknown keys are ignored (an index written by a build with extra
-    knobs still loads), missing keys take defaults, and JSON's
-    list/tuple erasure is undone so the round-trip compares equal.
+    or since-removed knobs still loads) and missing keys take defaults.
     """
     known = {spec.name for spec in fields(MinoanERConfig)}
-    kwargs = {key: value for key, value in data.items() if key in known}
-    if isinstance(kwargs.get("stopwords"), list):
-        kwargs["stopwords"] = tuple(kwargs["stopwords"])
-    return MinoanERConfig(**kwargs)
+    return MinoanERConfig(**{key: value for key, value in data.items() if key in known})

@@ -25,7 +25,7 @@ from repro.graph.blocking_graph import DisjunctiveBlockingGraph
 from repro.graph.construction import build_blocking_graph
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
-from repro.obs import NULL_RECORDER, Recorder, current_recorder, phase_span
+from repro.obs import Recorder, current_recorder, phase_span
 from repro.resilience.faults import inject
 from repro.resilience.policy import RetryPolicy
 
@@ -119,8 +119,9 @@ class MinoanER:
     recorder:
         Observability sink for the per-phase spans.  ``None`` (the
         default) resolves the ambient :func:`repro.obs.current_recorder`
-        at each run -- a no-op unless a trace is active -- and
-        ``config.observability = False`` pins the no-op recorder.
+        at each run -- a no-op unless a trace is active;
+        :data:`repro.obs.NULL_RECORDER` pins the no-op recorder even
+        inside an active trace (phase timings stay correct).
 
     Examples
     --------
@@ -146,8 +147,6 @@ class MinoanER:
         """The span/metric sink of the next run (never None)."""
         if self._recorder is not None:
             return self._recorder
-        if not self.config.observability:
-            return NULL_RECORDER
         return current_recorder()
 
     def build_statistics(self, kb: KnowledgeBase) -> KBStatistics:
@@ -172,7 +171,6 @@ class MinoanER:
                 tokens,
                 cartesian=len(stats1.kb) * len(stats2.kb),
                 budget_ratio=config.purging_budget_ratio,
-                max_comparisons=config.max_block_comparisons,
             )
         return names, tokens
 

@@ -287,7 +287,6 @@ class MatchEngine:
             self._fallback = get_backend("python")
             self.breaker = CircuitBreaker(
                 failure_threshold=self.config.breaker_threshold,
-                reset_after_s=self.config.breaker_reset_s,
                 recorder=self.recorder,
             )
         else:
@@ -721,13 +720,11 @@ class MatchEngine:
             return shared
         ef = index.global_entity_frequency
         counts = [len(token_index[t]) * ef(t) for t in shared]
-        threshold = config.max_block_comparisons
-        if threshold is None:
-            threshold = purging_threshold_from_counts(
-                counts,
-                cartesian=len(qkb) * index.n2,
-                budget_ratio=config.purging_budget_ratio,
-            )
+        threshold = purging_threshold_from_counts(
+            counts,
+            cartesian=len(qkb) * index.n2,
+            budget_ratio=config.purging_budget_ratio,
+        )
         return [t for t, count in zip(shared, counts) if count <= threshold]
 
     def _interned(self, qkb: KnowledgeBase) -> InternedBlocks:

@@ -332,7 +332,6 @@ class ShardRouter(MatchEngine):
                 if replica.breaker is None:
                     replica.breaker = CircuitBreaker(
                         failure_threshold=self.config.breaker_threshold,
-                        reset_after_s=self.config.breaker_reset_s,
                         recorder=self.recorder,
                     )
         self.shards = len(self._replicas)
@@ -363,11 +362,7 @@ class ShardRouter(MatchEngine):
         #: Finagle-style retry budget shared by every shard call in
         #: ``failure_mode="retry"``: retries stop when sustained
         #: failures outpace real traffic (docs/resilience.md).
-        self.retry_budget = (
-            RetryBudget(ratio=self.config.retry_budget_ratio)
-            if self.config.retry_budget_ratio is not None
-            else None
-        )
+        self.retry_budget = RetryBudget()
         #: ``shard -> replica`` factory used by :meth:`resurrect`;
         #: :meth:`spawn` installs one over the shard files it launched
         #: from.  ``None`` means dead replicas stay dead (constructed
@@ -584,8 +579,7 @@ class ShardRouter(MatchEngine):
         amplification once sustained failures outpace traffic.
         """
         if self.config.failure_mode == "retry":
-            if self.retry_budget is not None:
-                self.retry_budget.note_request()
+            self.retry_budget.note_request()
             policy = RetryPolicy(
                 max_attempts=self.config.retry_max_attempts,
                 base_delay_s=self.config.retry_base_delay_s,
@@ -804,7 +798,6 @@ class ShardRouter(MatchEngine):
         if replica.breaker is None:
             replica.breaker = CircuitBreaker(
                 failure_threshold=self.config.breaker_threshold,
-                reset_after_s=self.config.breaker_reset_s,
                 recorder=self.recorder,
             )
         with self._resurrection_gate():
@@ -853,8 +846,7 @@ class ShardRouter(MatchEngine):
             "hedge_lost": int(recorder.counter_value("shard.hedge.lost")),
             "resurrections": int(recorder.counter_value("shard.resurrections")),
         }
-        if self.retry_budget is not None:
-            snapshot["sharding"]["retry_budget"] = self.retry_budget.stats()
+        snapshot["sharding"]["retry_budget"] = self.retry_budget.stats()
         if self.supervisor is not None:
             snapshot["sharding"]["supervisor"] = self.supervisor.stats()
         return snapshot

@@ -149,6 +149,85 @@ class TestTraceFlag:
         assert "serving.candidates" in payload["histograms"]
 
 
+@pytest.fixture
+def index_path(dataset_dir, capsys):
+    path = dataset_dir / "kb2.idx"
+    assert main(["index", str(dataset_dir / "kb2.nt"), "-o", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("serve", "--batch-size", "0"),
+            ("serve", "--shards", "-1"),
+            ("serve", "--replicas", "0"),
+            ("serve", "--auto-compact-delta", "0"),
+            ("serve", "--auto-compact-tombstones", "1.5"),
+            ("serve", "--cache-size", "-1"),
+            ("serve", "--candidate-cap", "0"),
+            ("serve", "--deadline-ms", "0"),
+            ("serve", "--hedge-ms", "-1"),
+            ("serve", "--max-pending", "0"),
+            ("serve", "--provenance", "2"),
+            ("resolve", "--theta", "1.5"),
+            ("resolve", "--candidates", "0"),
+            ("resolve", "--retry-attempts", "0"),
+            ("resolve", "--workers", "0"),
+        ],
+    )
+    def test_out_of_range_value_is_a_usage_error(
+        self, dataset_dir, index_path, capsys, command, flag, value
+    ):
+        if command == "serve":
+            argv = ["serve", str(index_path)]
+        else:
+            argv = ["resolve", str(dataset_dir / "kb1.nt"), str(dataset_dir / "kb2.nt")]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+class TestAutoCompactFlags:
+    @pytest.fixture
+    def schedulers(self, monkeypatch):
+        import repro.serving.compaction as compaction
+
+        built = []
+
+        class RecordingScheduler:
+            def __init__(self, engine, **kwargs):
+                built.append(kwargs)
+
+            def start(self):
+                return self
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(compaction, "CompactionScheduler", RecordingScheduler)
+        return built
+
+    def serve(self, index_path, *flags):
+        requests = index_path.with_name("queries.jsonl")
+        requests.write_text('{"pairs": [["name", "anything"]]}\n', encoding="utf-8")
+        return main(["serve", str(index_path), "-i", str(requests), *flags])
+
+    def test_flags_build_the_scheduler(self, index_path, schedulers, capsys):
+        flags = ["--auto-compact-delta", "5", "--auto-compact-tombstones", "0.25"]
+        assert self.serve(index_path, *flags) == 0
+        assert schedulers == [{"max_delta": 5, "max_tombstone_ratio": 0.25}]
+
+    def test_no_flags_no_scheduler(self, index_path, schedulers, capsys):
+        assert self.serve(index_path) == 0
+        assert schedulers == []
+
+
 class TestDedupeCommand:
     def test_dedupe_runs(self, dataset_dir, capsys):
         code = main(["dedupe", str(dataset_dir / "kb2.nt")])

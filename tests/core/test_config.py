@@ -1,7 +1,12 @@
 """Unit tests for MinoanERConfig validation and defaults."""
 
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.config import PAPER_DEFAULT, MinoanERConfig
 
 
@@ -53,3 +58,29 @@ class TestValidation:
         changed = MinoanERConfig().with_options(candidates_k=5)
         assert changed.candidates_k == 5
         assert changed.theta == 0.6
+
+
+def _config_reads() -> set[str]:
+    """Attribute names read as ``config.<name>`` or ``<expr>.config.<name>``
+    anywhere in ``src/repro`` outside the module defining the config."""
+    package = Path(repro.__file__).parent
+    reads: set[str] = set()
+    for path in package.rglob("*.py"):
+        if path == package / "core" / "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Attribute) or not isinstance(node.ctx, ast.Load):
+                continue
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "config") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "config"
+            ):
+                reads.add(node.attr)
+    return reads
+
+
+def test_every_field_is_read():
+    # A field nothing reads is a knob that does nothing: delete it, or
+    # keep the setting where its one reader lives.
+    unread = {spec.name for spec in fields(MinoanERConfig)} - _config_reads()
+    assert not unread, f"MinoanERConfig fields never read: {sorted(unread)}"

@@ -87,17 +87,22 @@ class TestTracing:
             recorder.counters().get("kernels.dispatch.python", 0)
         )
 
-    def test_observability_knob_disables_recording(self, restaurant_kbs):
-        from repro.obs import Recorder, use_recorder
+    def test_null_recorder_disables_recording(self, restaurant_kbs):
+        from repro.obs import NULL_RECORDER, Recorder, use_recorder
+        from repro.parallel.context import ParallelContext
+        from repro.parallel.pipeline import ParallelMinoanER
 
         recorder = Recorder()
-        with use_recorder(recorder):
-            result = MinoanER(MinoanERConfig(observability=False)).resolve(
-                *restaurant_kbs
-            )
+        with use_recorder(recorder), ParallelContext(num_workers=2) as context:
+            results = [
+                MinoanER(recorder=NULL_RECORDER).resolve(*restaurant_kbs),
+                ParallelMinoanER(context=context, recorder=NULL_RECORDER).resolve(
+                    *restaurant_kbs
+                ),
+            ]
         assert recorder.spans() == []
         # Timings stay populated even with tracing off.
-        assert result.timings["total"] > 0.0
+        assert all(result.timings["total"] > 0.0 for result in results)
 
     def test_explicit_recorder_wins_over_ambient(self, restaurant_kbs):
         from repro.obs import Recorder, use_recorder

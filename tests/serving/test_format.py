@@ -7,6 +7,7 @@ zero-copy view classes ``load`` returns, and the stdlib memoryview
 sections it falls back to without numpy.
 """
 
+import json
 from array import array
 
 import pytest
@@ -160,11 +161,28 @@ class TestByteDeterminism:
             assert section["offset"] % index_format.ALIGNMENT == 0
 
     def test_config_survives_json_roundtrip(self):
-        config = MinoanERConfig(candidates_k=9, stopwords=("the", "of"))
+        config = MinoanERConfig(candidates_k=9, serving_hedge_ms=2.5)
         assert config_from_dict(config_to_dict(config)) == config
         # Unknown keys from a newer build are ignored, not fatal.
         augmented = dict(config_to_dict(config), future_knob=True)
         assert config_from_dict(augmented) == config
+        # So are the knobs an older build wrote into its index headers
+        # and shard workers' --config JSON.
+        removed = dict(
+            tokenizer_min_length=4,
+            stopwords=["the", "of"],
+            serving_shards=3,
+            serving_replicas=2,
+            serving_batch_size=8,
+            compaction_max_delta=100,
+            compaction_max_tombstone_ratio=0.5,
+            max_block_comparisons=50,
+            retry_budget_ratio=None,
+            breaker_reset_s=5.0,
+            observability=False,
+        )
+        parent_era = dict(config_to_dict(config), **removed)
+        assert config_from_dict(json.loads(json.dumps(parent_era))) == config
 
 
 class _Detonator:
