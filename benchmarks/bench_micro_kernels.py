@@ -32,12 +32,7 @@ from repro.graph.construction import (
 from repro.graph.pruning import top_k_candidates
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
-from repro.kernels import (
-    InternedBlocks,
-    available_backends,
-    get_backend,
-    retained_edge_arrays,
-)
+from repro.kernels import InternedBlocks, available_backends, get_backend
 
 KERNEL_BACKENDS = [name for name in available_backends() if name != "dict"]
 
@@ -125,7 +120,7 @@ def test_kernel_gamma_topk(benchmark, profiles, interned_bbc, backend):
     stats2 = KBStatistics(pair.kb2)
     impl = get_backend(backend)
     value_1, value_2 = impl.value_topk(interned_bbc, 15)
-    edges = retained_edge_arrays(value_1, value_2)
+    edges = impl.retained_edges(value_1, value_2)
     side1, side2 = benchmark(
         lambda: impl.gamma_topk(
             edges, stats1.in_neighbor_csr(), stats2.in_neighbor_csr(), 15

@@ -35,6 +35,8 @@ def main() -> None:
         pairs = result.matching.matches_by_rule(rule)
         correct = len(pairs & pair.ground_truth)
         print(f"  {rule}: {len(pairs):4d} matches ({correct} correct)")
+    # R3 never proposes from a KB2 entity no KB1 entity points at (R4
+    # would drop it), so this counts the proposals R4 actually saw.
     print(f"  removed by reciprocity (R4): {len(result.matching.removed_by_reciprocity)}")
 
     # -- The k = 1 trap ------------------------------------------------

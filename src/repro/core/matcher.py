@@ -40,9 +40,15 @@ class MatchingResult:
         for R2, the aggregate rank score for R3).
     proposed:
         All pairs proposed by R1-R3 before reciprocity filtering and
-        conflict resolution, with their rule labels.
+        conflict resolution, with their rule labels.  With R4 on, R3's
+        side-2 sweep skips the nodes no side-1 node points at (see
+        :func:`repro.core.rules.rank_aggregation_scope`), so the
+        proposals R4 would certainly have removed are never made and
+        are absent here.
     removed_by_reciprocity:
-        Proposed pairs discarded by R4.
+        Proposed pairs discarded by R4 -- likewise without those never
+        made proposals.  ``matches``, ``rule_of`` and ``scores`` are
+        exactly what the unrestricted sweep followed by R4 gives.
     """
 
     matches: set[Match]
@@ -98,6 +104,7 @@ class NonIterativeMatcher:
                     matched_2,
                     config.theta,
                     use_neighbor_evidence=config.use_neighbor_evidence,
+                    use_reciprocity=config.use_reciprocity,
                 ),
                 "R3",
             )

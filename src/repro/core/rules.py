@@ -9,6 +9,8 @@ fixed order R1 -> R2 -> R3 -> R4 (Definition 4.1:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.rank_aggregation import top_aggregate_candidate
 from repro.graph.blocking_graph import DisjunctiveBlockingGraph
 
@@ -64,12 +66,33 @@ def value_rule(
     return matches
 
 
+def rank_aggregation_scope(
+    graph: DisjunctiveBlockingGraph, side: int, use_reciprocity: bool
+) -> Sequence[int]:
+    """The ascending node ids of ``side`` that R3 visits.
+
+    Side 1: every node.  Side 2 with reciprocity (R4) on: only the nodes
+    some side-1 node points at.  A side-2 proposal ``(partner, eid)``
+    survives R4 only if the edge ``partner -> eid`` exists, so any other
+    side-2 node's proposal is one R4 would remove.  Skipping those nodes
+    changes no other proposal: a side-2 node's proposal reads only its
+    own candidate lists and whether it is claimed itself, and what it
+    claims (itself, and a side-1 partner) no later side-2 node reads.
+    The serial rule and the parallel ``match:R3_side2`` stage both
+    iterate this, so a batch's R3 costs its candidates, not ``n2``.
+    """
+    if side == 1:
+        return range(graph.n1)
+    return graph.targets_of(1) if use_reciprocity else range(graph.n2)
+
+
 def rank_aggregation_rule(
     graph: DisjunctiveBlockingGraph,
     matched_1: set[int],
     matched_2: set[int],
     theta: float,
     use_neighbor_evidence: bool = True,
+    use_reciprocity: bool = False,
 ) -> list[tuple[Match, float]]:
     """R3: match remaining entities to their best rank-aggregated candidate.
 
@@ -82,14 +105,18 @@ def rank_aggregation_rule(
     Matches are applied greedily in iteration order: once a node is
     matched (as source or as chosen candidate) it is skipped, mirroring
     Algorithm 2's in-place update of ``M``.
+
+    ``use_reciprocity`` says R4 will filter the result: side 2 then
+    visits only :func:`rank_aggregation_scope`, which drops exactly the
+    side-2 proposals R4 would remove and leaves every other one as is.
     """
     matches: list[tuple[Match, float]] = []
     claimed_1 = set(matched_1)
     claimed_2 = set(matched_2)
-    for side, size in ((1, graph.n1), (2, graph.n2)):
+    for side in (1, 2):
         claimed_own = claimed_1 if side == 1 else claimed_2
         claimed_other = claimed_2 if side == 1 else claimed_1
-        for eid in range(size):
+        for eid in rank_aggregation_scope(graph, side, use_reciprocity):
             if eid in claimed_own:
                 continue
             value_candidates = graph.value_candidates(side, eid)

@@ -49,9 +49,12 @@ class DisjunctiveBlockingGraph:
         self.n1 = n1
         self.n2 = n2
         self._name_matches = (name_matches_1, name_matches_2)
-        self._value_candidates = (list(value_candidates_1), list(value_candidates_2))
-        self._neighbor_candidates = (list(neighbor_candidates_1), list(neighbor_candidates_2))
-        self._out_sets: tuple[list[frozenset[int]] | None, list[frozenset[int]] | None] = (None, None)
+        # Kept as given, not copied: a kernel's lazy sequence (e.g. a
+        # numpy ``RankedLists``) builds a node's tuple only when read.
+        self._value_candidates = (value_candidates_1, value_candidates_2)
+        self._neighbor_candidates = (neighbor_candidates_1, neighbor_candidates_2)
+        # Per side, the out-sets built so far (node -> targets).
+        self._out_sets: tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]] = ({}, {})
 
     # ------------------------------------------------------------------
     # Accessors (side is 1 or 2; eid is an id on that side)
@@ -91,24 +94,19 @@ class DisjunctiveBlockingGraph:
     # Directed-edge existence (used by reciprocity rule R4)
     # ------------------------------------------------------------------
     def _out_set(self, side: int, eid: int) -> frozenset[int]:
+        """``eid``'s targets, built on first use: R4 over a serving batch
+        reads the out-sets of the proposals' nodes, not of all ``n2``."""
         index = self._check_side(side)
         cache = self._out_sets[index]
-        if cache is None:
-            n = self.n1 if side == 1 else self.n2
-            cache = []
-            for node in range(n):
-                targets: set[int] = set()
-                name_partner = self._name_matches[index].get(node)
-                if name_partner is not None:
-                    targets.add(name_partner)
-                targets.update(c for c, _ in self._value_candidates[index][node])
-                targets.update(c for c, _ in self._neighbor_candidates[index][node])
-                cache.append(frozenset(targets))
-            if side == 1:
-                self._out_sets = (cache, self._out_sets[1])
-            else:
-                self._out_sets = (self._out_sets[0], cache)
-        return cache[eid]
+        targets = cache.get(eid)
+        if targets is None:
+            found = {c for c, _ in self._value_candidates[index][eid]}
+            found.update(c for c, _ in self._neighbor_candidates[index][eid])
+            name_partner = self._name_matches[index].get(eid)
+            if name_partner is not None:
+                found.add(name_partner)
+            targets = cache[eid] = frozenset(found)
+        return targets
 
     def has_directed_edge(self, side: int, eid: int, other: int) -> bool:
         """True iff ``other`` is in any candidate set of ``eid``."""
@@ -117,6 +115,15 @@ class DisjunctiveBlockingGraph:
     def is_reciprocal(self, eid1: int, eid2: int) -> bool:
         """True iff both directed edges between the pair exist (rule R4)."""
         return self.has_directed_edge(1, eid1, eid2) and self.has_directed_edge(2, eid2, eid1)
+
+    def targets_of(self, side: int) -> list[int]:
+        """Ascending ids of the other side's nodes that some node of
+        ``side`` points at (the union of that side's out-sets)."""
+        n = self.n1 if self._check_side(side) == 0 else self.n2
+        found: set[int] = set()
+        for eid in range(n):
+            found.update(self._out_set(side, eid))
+        return sorted(found)
 
     # ------------------------------------------------------------------
     # Aggregate views
@@ -200,7 +207,5 @@ class DisjunctiveBlockingGraph:
         return graph
 
     def __repr__(self) -> str:
-        return (
-            f"DisjunctiveBlockingGraph(n1={self.n1}, n2={self.n2}, "
-            f"directed_edges={self.edge_count()})"
-        )
+        # Sizes only: counting edges would build every out-set.
+        return f"DisjunctiveBlockingGraph(n1={self.n1}, n2={self.n2})"

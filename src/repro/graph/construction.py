@@ -160,14 +160,14 @@ def _kernel_evidence(
     :mod:`repro.kernels`); only the data layout and wall-clock differ.
     """
     from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM
-    from repro.kernels import InternedBlocks, get_backend, retained_edge_arrays
+    from repro.kernels import InternedBlocks, get_backend
 
     impl = get_backend(backend)
     n1, n2 = len(stats1.kb), len(stats2.kb)
     cut = (pruning_gap_ratio, DEFAULT_ADAPTIVE_MINIMUM) if dynamic_pruning else None
     interned = InternedBlocks.from_blocks(token_blocks, n1, n2)
     value_1, value_2 = impl.value_topk(interned, k, cut)
-    edges = retained_edge_arrays(value_1, value_2)
+    edges = impl.retained_edges(value_1, value_2)
     neighbor_1, neighbor_2 = impl.gamma_topk(
         edges, stats1.in_neighbor_csr(), stats2.in_neighbor_csr(), k, cut
     )

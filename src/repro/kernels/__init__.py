@@ -35,8 +35,8 @@ from repro.kernels.dispatch import (
 from repro.kernels.interning import (
     CSRAdjacency,
     InternedBlocks,
+    RankedLists,
     block_weight,
-    retained_edge_arrays,
 )
 from repro.kernels.python_backend import accumulate_row, select_row
 
@@ -45,6 +45,7 @@ __all__ = [
     "KERNEL_BACKENDS",
     "CSRAdjacency",
     "InternedBlocks",
+    "RankedLists",
     "accumulate_row",
     "available_backends",
     "block_weight",
@@ -52,6 +53,5 @@ __all__ = [
     "missing_api",
     "numpy_available",
     "resolve_backend_name",
-    "retained_edge_arrays",
     "select_row",
 ]

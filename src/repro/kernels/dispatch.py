@@ -28,14 +28,16 @@ KERNEL_API = (
     "beta_sparse",
     "gamma_topk",
     "is_available",
+    "retained_edges",
     "row_evidence",
     "select_row",
     "value_topk",
 )
 """Entry points every array backend module exposes.
 
-The batch kernels (``value_topk``/``gamma_topk`` and their
-oracle-comparable dict views) plus the single-row serving surface
+The batch kernels (``value_topk``/``gamma_topk``, the
+``retained_edges`` union between them, and their oracle-comparable dict
+views) plus the single-row serving surface
 (``accumulate_row``/``select_row`` and the fused ``row_evidence``).
 The serving engine's breaker fallback swaps backends mid-call, so the
 python and numpy modules must stay signature-compatible across this

@@ -14,23 +14,25 @@ by interning the inputs once into flat, contiguous integer arrays:
   implementation's floating-point accumulation order per pair).
 * :class:`CSRAdjacency` -- a flat-array adjacency (offsets + ids), used
   for the top in-neighbor maps that drive ``gamma`` propagation.
-* :func:`retained_edge_arrays` -- the undirected union of retained
-  ``beta`` edges as three parallel arrays, in exactly the first-insertion
-  order of :func:`repro.graph.construction.retained_beta_edges`, so
-  ``gamma`` accumulation orders (and therefore float sums) match the
-  dict reference bit for bit.
+* :class:`RankedLists` -- per-node ranked candidate lists in the same
+  CSR layout (offsets + ids + scores): what the numpy top-K kernels
+  return, so a side nobody reads is never turned into tuples.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Iterable, Sequence
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from repro.graph.blocking_graph import CandidateList
 
 EdgeArrays = tuple[array, array, array]
-"""Retained beta edges as parallel ``(sources, targets, weights)`` arrays."""
+"""Retained beta edges as parallel ``(sources, targets, weights)`` arrays
+(the output of every backend's ``retained_edges`` kernel; the numpy
+backend's are ndarrays)."""
 
 
 class CSRAdjacency:
@@ -94,6 +96,112 @@ class CSRAdjacency:
 
     def __repr__(self) -> str:
         return f"CSRAdjacency({len(self)} nodes, {len(self.ids)} edges)"
+
+
+class RankedLists(Sequence[CandidateList]):
+    """Per-node ranked candidate lists in one CSR layout.
+
+    Node ``i``'s :data:`~repro.graph.blocking_graph.CandidateList` is
+    ``zip(ids[offsets[i]:offsets[i+1]], scores[offsets[i]:offsets[i+1]])``.
+    A read-only sequence that builds a node's tuple the first time that
+    node is read (and keeps it), so a side of 100k mostly-empty lists
+    costs three flat arrays, not 100k tuples, when a batch reads a few
+    thousand of them.
+
+    ``offsets``/``ids``/``scores`` are any sliceable sequences with
+    ``.tolist()`` -- ndarrays from the numpy kernels, ``array('i')`` /
+    ``array('d')`` from :meth:`from_items`.  Slicing ``lists[lo:hi]``
+    shares ``ids``/``scores``; pickling ships the three arrays.
+
+    >>> lists = RankedLists.from_items(3, [(1, ((4, 2.0), (0, 1.5)))])
+    >>> lists[0], lists[1]
+    ((), ((4, 2.0), (0, 1.5)))
+    >>> [node for node, _ in lists.items()], len(lists[1:])
+    ([1], 2)
+    """
+
+    def __init__(self, offsets, ids, scores):
+        self.offsets = offsets
+        self.ids = ids
+        self.scores = scores
+        # On first read: offsets as a python list, and per node the
+        # tuple once built (None until then).
+        self._starts: list[int] | None = None
+        self._built: list[CandidateList | None] | None = None
+
+    @classmethod
+    def from_items(
+        cls, size: int, items: Iterable[tuple[int, CandidateList]]
+    ) -> "RankedLists":
+        """``size`` nodes from ``(node, candidate list)`` pairs given in
+        ascending node order; absent nodes get an empty list.  Costs one
+        python step per given node, not per node of ``size``."""
+        counts = [0] * (size + 1)
+        ids = array("i")
+        scores = array("d")
+        for node, ranked in items:
+            if ranked:
+                candidates, weights = zip(*ranked)
+                ids.extend(candidates)
+                scores.extend(weights)
+                counts[node + 1] = len(candidates)
+        return cls(array("i", accumulate(counts)), ids, scores)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, node):
+        if isinstance(node, slice):
+            lo, hi, step = node.indices(len(self))
+            if step != 1:
+                return [self[i] for i in range(lo, hi, step)]
+            return RankedLists(self.offsets[lo : max(lo, hi) + 1], self.ids, self.scores)
+        built = self._built
+        if built is None:
+            self._starts = self.offsets.tolist()
+            built = self._built = [None] * len(self)
+        ranked = built[node]
+        if ranked is None:
+            if node < 0:
+                node += len(built)
+            start, end = self._starts[node], self._starts[node + 1]
+            ranked = built[node] = tuple(
+                zip(self.ids[start:end].tolist(), self.scores[start:end].tolist())
+            )
+        return ranked
+
+    def _flat(self) -> tuple[list[int], list[int], list[float]]:
+        """Offsets rebased to 0 and the covered ids / scores, as lists."""
+        offsets = self.offsets.tolist()
+        lo, hi = offsets[0], offsets[-1]
+        if lo:
+            offsets = [offset - lo for offset in offsets]
+        return offsets, self.ids[lo:hi].tolist(), self.scores[lo:hi].tolist()
+
+    def __iter__(self) -> Iterator[CandidateList]:
+        offsets, ids, scores = self._flat()
+        for start, end in zip(offsets, offsets[1:]):
+            yield tuple(zip(ids[start:end], scores[start:end]))
+
+    def items(self) -> Iterator[tuple[int, CandidateList]]:
+        """``(node, candidate list)`` of every non-empty node, ascending.
+
+        Jumps from one non-empty node to the next by bisecting the
+        offsets, so the python work is per non-empty node, not per node.
+        """
+        offsets, ids, scores = self._flat()
+        position = 0
+        while position < len(ids):
+            node = bisect_right(offsets, position) - 1
+            stop = offsets[node + 1]
+            yield node, tuple(zip(ids[position:stop], scores[position:stop]))
+            position = stop
+
+    def __reduce__(self):
+        return (RankedLists, (self.offsets, self.ids, self.scores))
+
+    def __repr__(self) -> str:
+        return f"RankedLists({len(self)} nodes, {self.offsets[-1] - self.offsets[0]} candidates)"
 
 
 def block_weight(comparisons: int) -> float:
@@ -224,32 +332,3 @@ class InternedBlocks:
             f"{len(self.side1_ids)}+{len(self.side2_ids)} assignments)"
         )
 
-
-def retained_edge_arrays(
-    value_candidates_1: Sequence[CandidateList],
-    value_candidates_2: Sequence[CandidateList],
-) -> EdgeArrays:
-    """Undirected union of the directed top-K ``beta`` edges, as arrays.
-
-    Preserves the first-insertion order (side 1 sweeps first, then side
-    2 adds edges not already retained) of
-    :func:`repro.graph.construction.retained_beta_edges`, so downstream
-    ``gamma`` float accumulation visits edges in the identical order.
-    """
-    sources = array("i")
-    targets = array("i")
-    weights = array("d")
-    seen: set[tuple[int, int]] = set()
-    for eid1, candidates in enumerate(value_candidates_1):
-        for eid2, weight in candidates:
-            sources.append(eid1)
-            targets.append(eid2)
-            weights.append(weight)
-            seen.add((eid1, eid2))
-    for eid2, candidates in enumerate(value_candidates_2):
-        for eid1, weight in candidates:
-            if (eid1, eid2) not in seen:
-                sources.append(eid1)
-                targets.append(eid2)
-                weights.append(weight)
-    return sources, targets, weights

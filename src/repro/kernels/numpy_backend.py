@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.graph.blocking_graph import CandidateList
 from repro.graph.pruning import adaptive_cut
-from repro.kernels.interning import CSRAdjacency, EdgeArrays, InternedBlocks
+from repro.kernels.interning import CSRAdjacency, EdgeArrays, InternedBlocks, RankedLists
 
 name = "numpy"
 
@@ -194,6 +194,51 @@ def select_row(
     return ranked
 
 
+def _empty(n: int) -> RankedLists:
+    """``n`` empty candidate lists."""
+    return RankedLists(
+        np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    )
+
+
+def _group_ranks(lengths: "np.ndarray") -> "np.ndarray":
+    """Each entry's position inside its group, for groups laid out
+    back to back with the given lengths."""
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
+
+
+def _adaptive_lengths(
+    scores: "np.ndarray", lengths: "np.ndarray", gap_ratio: float, minimum: int
+) -> "np.ndarray":
+    """:func:`~repro.graph.pruning.adaptive_cut` of every ranked list at
+    once: the cut lengths of the lists laid out back to back in
+    ``scores`` with the given ``lengths``.
+
+    One step per rank position across all lists that are still uncut, so
+    each list's running sum is added in list order, exactly the scalar
+    loop's ``kept_weight``: the same floats, the same comparisons.
+    """
+    lengths = lengths.copy()
+    long = np.flatnonzero(lengths > minimum)
+    if not long.size:
+        return lengths
+    starts = (np.cumsum(lengths) - lengths)[long]
+    remaining = lengths[long]
+    running = np.zeros(long.size)
+    for position in range(minimum):
+        running += scores[starts + position]
+    for position in range(minimum, int(remaining.max())):
+        # Lists cut earlier have remaining == their cut <= position.
+        rows = np.flatnonzero(remaining > position)
+        weights = scores[starts[rows] + position]
+        dropped = weights < gap_ratio * (running[rows] / position)
+        remaining[rows[dropped]] = position
+        running[rows] += weights
+    lengths[long] = remaining
+    return lengths
+
+
 def _topk_grouped(
     groups: "np.ndarray",
     candidates: "np.ndarray",
@@ -201,44 +246,32 @@ def _topk_grouped(
     n: int,
     k: int,
     cut: AdaptiveCut,
-) -> list[CandidateList]:
-    """Per-group top-K with the (-score, candidate id) ranking key.
+) -> RankedLists:
+    """Per-group top-K with the (-score, candidate id) ranking key, as
+    one CSR :class:`RankedLists` over all ``n`` groups.
 
     Precondition: within every group, entries with equal scores appear
     in ascending candidate order (true of both ``_accumulate_pairs``
     orientations, whose input is sorted by ``(row, col)``).  The stable
     two-key lexsort then realises the full ``(group, -score, candidate)``
-    order without a third sort pass.
+    order without a third sort pass.  No step is per group: an empty
+    group costs one offset.
     """
     if len(groups) == 0 or k <= 0:
-        return [()] * n
-    if n == 1:
-        # Batch of one: the grouped problem degenerates to a single row,
-        # shared with the serving hot path's fused selection.
-        return [select_row(candidates, scores, k, cut)]
+        return _empty(n)
     order = np.lexsort((-scores, groups))
     counts = np.bincount(groups, minlength=n)
-    offsets = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
-    rank = np.arange(len(groups), dtype=np.int64) - np.repeat(offsets[:-1], counts)
-    kept = order[rank < k]
-    candidate_list = candidates[kept].tolist()
-    score_list = scores[kept].tolist()
-    kept_counts = np.minimum(counts, k).tolist()
-    out: list[CandidateList] = []
-    position = 0
-    for node in range(n):
-        take = kept_counts[node]
-        ranked = tuple(
-            zip(
-                candidate_list[position : position + take],
-                score_list[position : position + take],
-            )
-        )
-        if cut is not None:
-            ranked = adaptive_cut(ranked, cut[0], cut[1])
-        out.append(ranked)
-        position += take
-    return out
+    kept = order[_group_ranks(counts) < k]
+    lengths = np.minimum(counts, k)
+    ids = candidates[kept]
+    ranked = scores[kept]
+    if cut is not None:
+        cut_lengths = _adaptive_lengths(ranked, lengths, cut[0], cut[1])
+        keep = _group_ranks(lengths) < np.repeat(cut_lengths, lengths)
+        ids, ranked, lengths = ids[keep], ranked[keep], cut_lengths
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return RankedLists(offsets, ids, ranked)
 
 
 def _beta_pairs(interned: InternedBlocks):
@@ -290,15 +323,54 @@ def value_topk(
     interned: InternedBlocks,
     k: int,
     cut: AdaptiveCut = None,
-) -> tuple[list[CandidateList], list[CandidateList]]:
+) -> tuple[RankedLists, RankedLists]:
     """Fused beta accumulation + transpose + top-K for both sides."""
     pairs = _beta_pairs(interned)
     if pairs is None:
-        return [()] * interned.n1, [()] * interned.n2
+        return _empty(interned.n1), _empty(interned.n2)
     unique_rows, unique_cols, sums = pairs
     side1 = _topk_grouped(unique_rows, unique_cols, sums, interned.n1, k, cut)
     side2 = _topk_grouped(unique_cols, unique_rows, sums, interned.n2, k, cut)
     return side1, side2
+
+
+def _side_arrays(lists) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """``(lengths, ids, scores)`` of one side's candidate lists laid back
+    to back: read off a :class:`RankedLists`' arrays, or gathered from
+    plain tuples (a merged batch's side 1, a python-backend result)."""
+    if isinstance(lists, RankedLists):
+        offsets = _as_int64(lists.offsets)
+        lo, hi = int(offsets[0]), int(offsets[-1])
+        return (
+            np.diff(offsets),
+            _as_int64(lists.ids)[lo:hi],
+            _as_float64(lists.scores)[lo:hi],
+        )
+    lengths = np.fromiter((len(ranked) for ranked in lists), dtype=np.int64, count=len(lists))
+    ids = np.fromiter((c for ranked in lists for c, _ in ranked), dtype=np.int64)
+    scores = np.fromiter((s for ranked in lists for _, s in ranked), dtype=np.float64)
+    return lengths, ids, scores
+
+
+def retained_edges(value_candidates_1, value_candidates_2) -> EdgeArrays:
+    """Undirected union of the directed top-K ``beta`` edges, as arrays.
+
+    The python backend's first-insertion order without a per-edge step:
+    every side-1 edge in list order, then the side-2 edges whose pair
+    side 1 did not retain (one ``isin`` over ``eid1 * n2 + eid2`` keys),
+    in list order.  Weights are copied, never recomputed.
+    """
+    lengths1, targets1, weights1 = _side_arrays(value_candidates_1)
+    lengths2, sources2, weights2 = _side_arrays(value_candidates_2)
+    n2 = len(lengths2)
+    sources1 = np.repeat(np.arange(len(lengths1), dtype=np.int64), lengths1)
+    targets2 = np.repeat(np.arange(n2, dtype=np.int64), lengths2)
+    new = ~np.isin(sources2 * n2 + targets2, sources1 * n2 + targets1)
+    return (
+        np.concatenate((sources1, sources2[new])),
+        np.concatenate((targets1, targets2[new])),
+        np.concatenate((weights1, weights2[new])),
+    )
 
 
 def _gamma_pairs(
@@ -356,12 +428,12 @@ def gamma_topk(
     adjacency2: CSRAdjacency,
     k: int,
     cut: AdaptiveCut = None,
-) -> tuple[list[CandidateList], list[CandidateList]]:
+) -> tuple[RankedLists, RankedLists]:
     """Fused gamma propagation + transpose + top-K for both sides."""
     n1, n2 = len(adjacency1), len(adjacency2)
     pairs = _gamma_pairs(edges, adjacency1, adjacency2)
     if pairs is None:
-        return [()] * n1, [()] * n2
+        return _empty(n1), _empty(n2)
     unique_rows, unique_cols, sums = pairs
     side1 = _topk_grouped(unique_rows, unique_cols, sums, n1, k, cut)
     side2 = _topk_grouped(unique_cols, unique_rows, sums, n2, k, cut)

@@ -35,7 +35,7 @@ NodeRange = tuple[int, int, int]
 BlockItems = list[tuple[Sequence[int], Sequence[int]]]
 """Blocks as ``(own-side ids, other-side ids)`` pairs, in block order."""
 
-RangeRows = tuple[int, int, list[CandidateList]]
+RangeRows = tuple[int, int, Sequence[CandidateList]]
 """``(side, lo, rows)``: the candidate lists of nodes ``lo..`` of ``side``."""
 
 
@@ -130,10 +130,9 @@ def gamma_range_kernel(
     """Neighbor candidates of every node of the given ranges (lines 20-33).
 
     Each range runs the backend's fused ``gamma_topk`` over *all*
-    retained edges (in :func:`~repro.kernels.interning.retained_edge_arrays`
-    order) with its own side's in-neighbor adjacency restricted to the
-    range -- only the range's nodes receive evidence -- and keeps their
-    rows.
+    retained edges (in the ``retained_edges`` kernel's order) with its
+    own side's in-neighbor adjacency restricted to the range -- only the
+    range's nodes receive evidence -- and keeps their rows.
     """
     impl = get_backend(backend)
     swapped = (edges[1], edges[0], edges[2])

@@ -26,8 +26,9 @@ Floating-point equivalence with the dict reference
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappush, heappushpop, nsmallest
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.graph.blocking_graph import CandidateList
 from repro.graph.pruning import adaptive_cut
@@ -208,6 +209,36 @@ def value_topk(
         for ids, sums in zip(column_ids, column_sums)
     ]
     return side1, side2
+
+
+def retained_edges(
+    value_candidates_1: Sequence[CandidateList],
+    value_candidates_2: Sequence[CandidateList],
+) -> EdgeArrays:
+    """Undirected union of the directed top-K ``beta`` edges, as arrays.
+
+    Preserves the first-insertion order (side 1 sweeps first, then side
+    2 adds edges not already retained) of
+    :func:`repro.graph.construction.retained_beta_edges`, so downstream
+    ``gamma`` float accumulation visits edges in the identical order.
+    """
+    sources = array("i")
+    targets = array("i")
+    weights = array("d")
+    seen: set[tuple[int, int]] = set()
+    for eid1, candidates in enumerate(value_candidates_1):
+        for eid2, weight in candidates:
+            sources.append(eid1)
+            targets.append(eid2)
+            weights.append(weight)
+            seen.add((eid1, eid2))
+    for eid2, candidates in enumerate(value_candidates_2):
+        for eid1, weight in candidates:
+            if (eid1, eid2) not in seen:
+                sources.append(eid1)
+                targets.append(eid2)
+                weights.append(weight)
+    return sources, targets, weights
 
 
 def _gamma_sparse_rows(

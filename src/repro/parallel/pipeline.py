@@ -18,12 +18,12 @@ from __future__ import annotations
 from repro.core.config import MinoanERConfig
 from repro.core.matcher import MatchingResult, NonIterativeMatcher
 from repro.core.pipeline import MinoanER, ResolutionResult
-from repro.core.rules import name_rule
+from repro.core.rules import name_rule, rank_aggregation_scope
 from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
 from repro.graph.construction import name_evidence
 from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kernels import resolve_backend_name, retained_edge_arrays
+from repro.kernels import get_backend, resolve_backend_name
 from repro.kernels.partition import (
     beta_range_kernel,
     gamma_range_kernel,
@@ -146,7 +146,8 @@ class ParallelMinoanER(MinoanER):
             if config.dynamic_pruning
             else None
         )
-        pruning = (config.candidates_k, cut, resolve_backend_name(config.kernel_backend))
+        backend = resolve_backend_name(config.kernel_backend)
+        pruning = (config.candidates_k, cut, backend)
 
         blocks = [(block.side1, block.side2) for block in tokens]
         value_1, value_2 = self._range_stage(
@@ -155,7 +156,7 @@ class ParallelMinoanER(MinoanER):
         )
         neighbor_1, neighbor_2 = self._range_stage(
             "graph:gamma", sizes, ranges, gamma_range_kernel,
-            retained_edge_arrays(value_1, value_2),
+            get_backend(backend).retained_edges(value_1, value_2),
             stats1.in_neighbor_csr(), stats2.in_neighbor_csr(), *pruning,
         )
         return DisjunctiveBlockingGraph(
@@ -211,9 +212,13 @@ class ParallelMinoanER(MinoanER):
 
         if config.use_rank_aggregation:
             proposals: dict[tuple[int, int], tuple[int, float]] = {}
-            for side, size in ((1, graph.n1), (2, graph.n2)):
+            scopes = {
+                side: rank_aggregation_scope(graph, side, config.use_reciprocity)
+                for side in (1, 2)
+            }
+            for side in (1, 2):
                 matched = matched_1 if side == 1 else matched_2
-                unmatched = [eid for eid in range(size) if eid not in matched]
+                unmatched = [eid for eid in scopes[side] if eid not in matched]
                 chunks = context.run_stage(
                     f"match:R3_side{side}",
                     unmatched,
@@ -228,10 +233,10 @@ class ParallelMinoanER(MinoanER):
                         proposals[(side, eid)] = (partner, score)
             # Replay Algorithm 2's greedy claiming deterministically.
             claimed_1, claimed_2 = set(matched_1), set(matched_2)
-            for side, size in ((1, graph.n1), (2, graph.n2)):
+            for side in (1, 2):
                 claimed_own = claimed_1 if side == 1 else claimed_2
                 claimed_other = claimed_2 if side == 1 else claimed_1
-                for eid in range(size):
+                for eid in scopes[side]:
                     if eid in claimed_own or (side, eid) not in proposals:
                         continue
                     partner, score = proposals[(side, eid)]

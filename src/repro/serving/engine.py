@@ -70,10 +70,10 @@ from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
 from repro.kernels import (
     InternedBlocks,
+    RankedLists,
     block_weight,
     get_backend,
     resolve_backend_name,
-    retained_edge_arrays,
 )
 from repro.obs import NULL_RECORDER, Recorder, current_recorder
 from repro.obs.provenance import RULE_EVIDENCE, ProvenanceRecord, ProvenanceSampler
@@ -677,7 +677,7 @@ class MatchEngine:
         config = self.config
         assert len(index.in_neighbors) == index.id_space
         names_forward, names_reverse = self._batch_name_evidence(qstats)
-        edges = retained_edge_arrays(value_1, value_2)
+        edges = self._run_kernel("retained_edges", value_1, value_2)
         neighbor_1, neighbor_2 = self._run_kernel(
             "gamma_topk",
             edges,
@@ -904,11 +904,19 @@ class MatchEngine:
         rows, columns = self._run_kernel("value_topk", self._interned(qkb), keep, None)
         cols: dict[str, list[list[object]]] = {}
         if cap is None:
-            for candidate, ranked in enumerate(columns):
-                if ranked:
-                    if self._cut is not None:
-                        ranked = adaptive_cut(ranked, *self._cut)
-                    cols[str(candidate)] = [[int(e), float(s)] for e, s in ranked]
+            # Non-empty columns only: a RankedLists finds them from its
+            # offsets instead of visiting all id_space columns.
+            touched = (
+                columns.items()
+                if isinstance(columns, RankedLists)
+                else ((c, ranked) for c, ranked in enumerate(columns) if ranked)
+            )
+            for candidate, ranked in touched:
+                if self._cut is not None:
+                    ranked = adaptive_cut(ranked, *self._cut)
+                # Already python (int, float) pairs, which encode as the
+                # same JSON arrays as lists: no per-pair copy.
+                cols[str(candidate)] = ranked
         return {
             "rows": [[[int(c), float(s)] for c, s in row] for row in rows],
             "cols": cols,

@@ -40,7 +40,7 @@ from typing import Any, Sequence
 from repro.core.config import MinoanERConfig
 from repro.graph.blocking_graph import CandidateList
 from repro.graph.pruning import adaptive_cut
-from repro.kernels import select_row
+from repro.kernels import RankedLists, select_row
 
 __all__ = ["merge_batch_evidence", "merge_single_evidence"]
 
@@ -131,7 +131,7 @@ def merge_batch_evidence(
     n_entities: int,
     id_space: int,
     evidences: Sequence[dict[str, Any]],
-) -> tuple[list[CandidateList], list[CandidateList]]:
+) -> tuple[list[CandidateList], RankedLists]:
     """A batch's ``(value_1, value_2)`` from per-source ``batch_evidence``.
 
     Uncapped, this reproduces what the ``value_topk`` kernel returns for
@@ -139,7 +139,8 @@ def merge_batch_evidence(
     Capped, it *is* the definition: each merged row keeps its ``cap``
     strongest candidates before pruning, and the candidate columns are
     rebuilt from those capped rows in batch-entity order.  ``value_2``
-    spans the index's whole ``id_space``; the engine feeds both to
+    spans the index's whole ``id_space`` as a :class:`RankedLists` built
+    from the touched columns alone; the engine feeds both to
     ``MatchEngine._assemble_graph``.
     """
     k = config.candidates_k
@@ -151,16 +152,18 @@ def merge_batch_evidence(
                 [evidence["rows"][position] for evidence in evidences]
             )
             value_1.append(select_row(ids, sums, k, cut))
-        value_2: list[CandidateList] = [() for _ in range(id_space)]
-        for evidence in evidences:
-            for candidate, ranked in evidence["cols"].items():
-                value_2[int(candidate)] = tuple(
-                    (int(entity), float(score)) for entity, score in ranked
-                )
-        return value_1, value_2
+        columns = sorted(
+            (
+                (int(candidate), ranked)
+                for evidence in evidences
+                for candidate, ranked in evidence["cols"].items()
+            ),
+            key=lambda column: column[0],
+        )
+        return value_1, RankedLists.from_items(id_space, columns)
 
-    column_ids: list[list[int]] = [[] for _ in range(id_space)]
-    column_sums: list[list[float]] = [[] for _ in range(id_space)]
+    column_ids: dict[int, list[int]] = {}
+    column_sums: dict[int, list[float]] = {}
     for position in range(n_entities):
         ids, sums = _concat_rows(
             [evidence["rows"][position] for evidence in evidences]
@@ -168,10 +171,13 @@ def merge_batch_evidence(
         ids, sums = _capped(ids, sums, cap)
         value_1.append(select_row(ids, sums, k, cut))
         for candidate, score in zip(ids, sums):
-            column_ids[candidate].append(position)
-            column_sums[candidate].append(score)
-    value_2 = [
-        select_row(ids, sums, k, cut)
-        for ids, sums in zip(column_ids, column_sums)
-    ]
+            column_ids.setdefault(candidate, []).append(position)
+            column_sums.setdefault(candidate, []).append(score)
+    value_2 = RankedLists.from_items(
+        id_space,
+        (
+            (candidate, select_row(column_ids[candidate], column_sums[candidate], k, cut))
+            for candidate in sorted(column_ids)
+        ),
+    )
     return value_1, value_2

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import MinoanERConfig
 from repro.core.matcher import NonIterativeMatcher
+from repro.core.rank_aggregation import top_aggregate_candidate
+from repro.core.rules import name_rule, value_rule
 from repro.graph.blocking_graph import DisjunctiveBlockingGraph
 
 
@@ -101,3 +103,90 @@ class TestMatcherProperties:
             eid2 = graph.name_match(1, eid1)
             if eid2 is not None and graph.name_match(2, eid2) == eid1:
                 assert (eid1, eid2) in result.matches
+
+
+def unrestricted_match(graph, config):
+    """The matcher as it was before R3 learned its scope: R1, R2, then
+    R3 over *every* unmatched node of both sides, then the matcher's
+    shared tail (R4 and unique mapping)."""
+    collected = [(pair, score, "R1") for pair, score in name_rule(graph)]
+    matched_1 = {pair[0] for pair, _, _ in collected}
+    matched_2 = {pair[1] for pair, _, _ in collected}
+    for pair, score in value_rule(graph, matched_1, matched_2, config.value_threshold):
+        collected.append((pair, score, "R2"))
+        matched_1.add(pair[0])
+        matched_2.add(pair[1])
+    for side, size in ((1, graph.n1), (2, graph.n2)):
+        claimed_own = matched_1 if side == 1 else matched_2
+        claimed_other = matched_2 if side == 1 else matched_1
+        for eid in range(size):
+            if eid in claimed_own:
+                continue
+            best = top_aggregate_candidate(
+                graph.value_candidates(side, eid),
+                graph.neighbor_candidates(side, eid),
+                config.theta,
+            )
+            if best is None:
+                continue
+            partner, score = best
+            collected.append(((eid, partner) if side == 1 else (partner, eid), score, "R3"))
+            claimed_own.add(eid)
+            claimed_other.add(partner)
+    return NonIterativeMatcher(config).assemble(graph, collected)
+
+
+class TestR3Scope:
+    """With R4 on, R3's side-2 sweep visits only the side-2 nodes some
+    side-1 node points at; the final decisions are exactly those of the
+    unrestricted sweep followed by R4."""
+
+    @given(graph=random_graph())
+    @settings(max_examples=300)
+    def test_decisions_equal_unrestricted_sweep(self, graph):
+        config = MinoanERConfig()
+        scoped = NonIterativeMatcher(config).match(graph)
+        reference = unrestricted_match(graph, config)
+        assert scoped.matches == reference.matches
+        assert scoped.rule_of == reference.rule_of
+        assert scoped.scores == reference.scores
+        # Only proposals R4 removed are missing, and nothing is added.
+        missing = set(reference.proposed) - set(scoped.proposed)
+        assert set(scoped.proposed) <= set(reference.proposed)
+        assert {pair for pair, _ in missing} <= reference.removed_by_reciprocity
+        assert scoped.removed_by_reciprocity <= reference.removed_by_reciprocity
+
+    @given(graph=random_graph())
+    @settings(max_examples=120)
+    def test_without_reciprocity_nothing_is_skipped(self, graph):
+        config = MinoanERConfig(use_reciprocity=False)
+        scoped = NonIterativeMatcher(config).match(graph)
+        assert scoped.proposed == unrestricted_match(graph, config).proposed
+
+    def test_unreachable_node_was_the_only_removal(self):
+        """b1 points at a0 but a0 points only at b0: the full sweep's
+        proposal (a0, b1) was R4's only removal; the scoped sweep never
+        makes it, and the decisions do not change."""
+        graph = DisjunctiveBlockingGraph(
+            n1=1,
+            n2=2,
+            name_matches_1={},
+            name_matches_2={},
+            value_candidates_1=[((0, 2.0),)],
+            value_candidates_2=[((0, 2.0),), ((0, 0.5),)],
+            neighbor_candidates_1=[()],
+            neighbor_candidates_2=[(), ()],
+        )
+        config = MinoanERConfig()
+        reference = unrestricted_match(graph, config)
+        assert reference.removed_by_reciprocity == {(0, 1)}
+        assert ((0, 1), "R3") in reference.proposed
+        scoped = NonIterativeMatcher(config).match(graph)
+        assert graph.targets_of(1) == [0]
+        assert scoped.removed_by_reciprocity == set()
+        assert scoped.proposed == [((0, 0), "R2")]
+        assert (scoped.matches, scoped.rule_of, scoped.scores) == (
+            reference.matches,
+            reference.rule_of,
+            reference.scores,
+        )

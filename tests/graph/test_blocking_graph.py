@@ -78,8 +78,19 @@ class TestDirectedEdges:
         assert (1, 2) in pairs
         assert (0, 2) not in pairs
 
-    def test_repr_mentions_edges(self, small_graph):
-        assert "directed_edges" in repr(small_graph)
+    def test_repr_shows_sizes_only(self, small_graph):
+        """Logging a 100k-node serving graph must not build its out-sets."""
+        assert repr(small_graph) == "DisjunctiveBlockingGraph(n1=2, n2=3)"
+        assert small_graph._out_sets == ({}, {})
+
+    def test_out_sets_built_per_node(self, small_graph):
+        assert small_graph.is_reciprocal(1, 2)
+        assert sorted(small_graph._out_sets[0]) == [1]
+        assert sorted(small_graph._out_sets[1]) == [2]
+
+    def test_targets_of(self, small_graph):
+        assert small_graph.targets_of(1) == [0, 1, 2]
+        assert small_graph.targets_of(2) == [0, 1]
 
 
 class TestNetworkxExport:

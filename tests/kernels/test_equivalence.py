@@ -7,6 +7,8 @@ block collections and in-neighbor maps) through every backend and the
 reference implementation of :mod:`repro.graph.construction`.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +18,12 @@ from repro.graph import construction as reference
 from repro.kernels import (
     CSRAdjacency,
     InternedBlocks,
+    RankedLists,
     available_backends,
     get_backend,
-    retained_edge_arrays,
+    numpy_available,
 )
+from repro.kernels.python_backend import retained_edges
 
 BACKENDS = [name for name in available_backends() if name != "dict"]
 
@@ -103,7 +107,7 @@ class TestRetainedEdges:
         n1, n2, blocks = data
         value_1, value_2 = reference.value_evidence(blocks, n1, n2, k)
         expected = reference.retained_beta_edges(value_1, value_2)
-        sources, targets, weights = retained_edge_arrays(value_1, value_2)
+        sources, targets, weights = retained_edges(value_1, value_2)
         assert list(zip(sources, targets)) == list(expected)
         assert list(weights) == list(expected.values())
 
@@ -120,7 +124,7 @@ class TestGammaEquivalence:
         value_1, value_2 = reference.value_evidence(blocks, n1, n2, k)
         beta_edges = reference.retained_beta_edges(value_1, value_2)
         expected = reference.neighbor_evidence(beta_edges, stats1, stats2, k)
-        edges = retained_edge_arrays(value_1, value_2)
+        edges = retained_edges(value_1, value_2)
         side1, side2 = get_backend(backend).gamma_topk(
             edges, stats1.in_neighbor_csr(), stats2.in_neighbor_csr(), k
         )
@@ -134,7 +138,7 @@ class TestGammaEquivalence:
         stats1 = _FakeStats(data.draw(in_neighbor_map(size=n1)))
         stats2 = _FakeStats(data.draw(in_neighbor_map(size=n2)))
         value_1, value_2 = reference.value_evidence(blocks, n1, n2, 4)
-        edges = retained_edge_arrays(value_1, value_2)
+        edges = retained_edges(value_1, value_2)
         adjacency1 = stats1.in_neighbor_csr()
         adjacency2 = stats2.in_neighbor_csr()
         rows = get_backend(backend).accumulate_gamma(edges, adjacency1, adjacency2)
@@ -168,3 +172,129 @@ class TestFullGraphEquivalence:
             stats1, stats2, names, tokens, k=15, backend=backend
         )
         assert kernel_graph.identical(dict_graph)
+
+
+numpy_only = pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
+
+CUTS = [None, (0.2, 3), (0.5, 1)]
+"""Adaptive cut off, at the config default, and aggressive."""
+
+
+def _bits(lists):
+    """A side's candidate lists with every float as its exact bits."""
+    return [tuple((c, s.hex()) for c, s in ranked) for ranked in lists]
+
+
+def _topk_both(interned, k, cut):
+    """``value_topk`` of the python and the numpy backend."""
+    return (
+        get_backend("python").value_topk(interned, k, cut),
+        get_backend("numpy").value_topk(interned, k, cut),
+    )
+
+
+@numpy_only
+class TestRankedLists:
+    """The numpy top-K kernels return :class:`RankedLists`: element for
+    element, bit for bit the python backend's tuples."""
+
+    @given(
+        data=kb_pair_blocks(),
+        k=st.integers(min_value=0, max_value=6),
+        cut=st.sampled_from(CUTS),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_value_topk_equals_python(self, data, k, cut):
+        n1, n2, blocks = data
+        interned = InternedBlocks.from_blocks(blocks, n1, n2)
+        expected, actual = _topk_both(interned, k, cut)
+        for mine, theirs in zip(actual, expected):
+            assert isinstance(mine, RankedLists) and len(mine) == len(theirs)
+            assert _bits(mine) == _bits(theirs)
+
+    @given(data=st.data(), cut=st.sampled_from(CUTS))
+    @settings(max_examples=60, deadline=None)
+    def test_gamma_topk_equals_python(self, data, cut):
+        n1, n2, blocks = data.draw(kb_pair_blocks())
+        k = data.draw(st.integers(min_value=0, max_value=6))
+        adjacency1 = CSRAdjacency.from_lists(data.draw(in_neighbor_map(size=n1)))
+        adjacency2 = CSRAdjacency.from_lists(data.draw(in_neighbor_map(size=n2)))
+        value_1, value_2 = reference.value_evidence(blocks, n1, n2, 4)
+        edges = retained_edges(value_1, value_2)
+        expected = get_backend("python").gamma_topk(edges, adjacency1, adjacency2, k, cut)
+        actual = get_backend("numpy").gamma_topk(edges, adjacency1, adjacency2, k, cut)
+        for mine, theirs in zip(actual, expected):
+            assert isinstance(mine, RankedLists)
+            assert _bits(mine) == _bits(theirs)
+
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_batch_of_one_and_empty_columns(self, cut):
+        # One query touching columns 1 and 4 of six; 0, 2, 3, 5 stay empty.
+        blocks = BlockCollection([Block("a", [0], [1, 4]), Block("b", [0], [4])])
+        interned = InternedBlocks.from_blocks(blocks, 1, 6)
+        (expected_1, expected_2), (side1, side2) = _topk_both(interned, 15, cut)
+        assert _bits(side1) == _bits(expected_1) and len(side1) == 1
+        assert _bits(side2) == _bits(expected_2)
+        assert [node for node, _ in side2.items()] == [1, 4]
+        assert side2[0] == side2[-1] == () and side2[4] == expected_2[4]
+
+    @pytest.mark.parametrize("k", [0, 15])
+    def test_all_empty_result(self, k):
+        interned = InternedBlocks.from_blocks(BlockCollection([]), 3, 5)
+        for sides in zip(*_topk_both(interned, k, None)):
+            expected, actual = sides
+            assert list(actual) == list(expected) == [()] * len(expected)
+            assert list(actual.items()) == []
+
+    def test_pickles_and_slices(self):
+        """The process backend pickles kernel output and
+        ``gamma_range_kernel`` keeps ``rows[lo:hi]``."""
+        blocks = BlockCollection(
+            [Block("a", [0, 1], [0, 2, 3]), Block("b", [1, 2], [2]), Block("c", [2], [5])]
+        )
+        interned = InternedBlocks.from_blocks(blocks, 3, 6)
+        _, (_, side2) = _topk_both(interned, 2, None)
+        as_lists = list(side2)
+        for lo, hi in [(0, 6), (1, 4), (2, 3), (4, 4), (5, 6)]:
+            window = side2[lo:hi]
+            assert isinstance(window, RankedLists)
+            assert list(window) == as_lists[lo:hi]
+            assert list(pickle.loads(pickle.dumps(window))) == as_lists[lo:hi]
+            assert list(window.items()) == [
+                (node - lo, ranked) for node, ranked in enumerate(as_lists) if lo <= node < hi and ranked
+            ]
+        assert list(pickle.loads(pickle.dumps(side2))) == as_lists
+        assert side2[::2] == as_lists[::2]
+        with pytest.raises(IndexError):
+            side2[6]
+
+
+@numpy_only
+class TestRetainedEdgeKernels:
+    @given(
+        data=kb_pair_blocks(),
+        k=st.integers(min_value=0, max_value=6),
+        ranked=st.sampled_from(["numpy", "python"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_numpy_equals_python_in_order_and_bits(self, data, k, ranked):
+        """Same edges, same order, same float bits -- whether the side
+        lists arrive as ``RankedLists`` or as plain tuples."""
+        n1, n2, blocks = data
+        interned = InternedBlocks.from_blocks(blocks, n1, n2)
+        value_1, value_2 = get_backend(ranked).value_topk(interned, k)
+        expected = get_backend("python").retained_edges(value_1, value_2)
+        actual = get_backend("numpy").retained_edges(value_1, value_2)
+        assert actual[0].tolist() == expected[0].tolist()
+        assert actual[1].tolist() == expected[1].tolist()
+        assert [w.hex() for w in actual[2].tolist()] == [w.hex() for w in expected[2].tolist()]
+
+    def test_mixed_inputs(self):
+        """A merged batch pairs a tuple list (side 1) with ``RankedLists``
+        (side 2); the union is the same as from two tuple lists."""
+        value_1 = [((1, 2.0), (0, 0.5)), ()]
+        value_2 = RankedLists.from_items(3, [(0, ((0, 0.5), (1, 0.25))), (2, ((1, 0.75),))])
+        expected = get_backend("python").retained_edges(value_1, list(value_2))
+        actual = get_backend("numpy").retained_edges(value_1, value_2)
+        assert [a.tolist() for a in actual] == [e.tolist() for e in expected]
+        assert actual[0].tolist() == [0, 0, 1, 1]

@@ -138,28 +138,25 @@ class TestSelectRow:
 
 
 @needs_numpy
-class TestTopkGroupedFastPath:
-    def test_single_group_matches_general_path(self):
-        """n == 1 delegates to select_row; results must match the
-        grouped lexsort path run with a padded second group."""
+class TestTopkGrouped:
+    def test_single_group_equals_select_row(self):
+        """A batch of one runs the grouped path too; its one list is the
+        serving row kernel's selection of the same row."""
         import numpy as np
 
         import repro.kernels.numpy_backend as numpy_backend
 
-        candidates = np.array([4, 0, 2, 7], dtype=np.int64)
-        scores = np.array([1.0, 2.0, 1.0, 0.5], dtype=np.float64)
+        # The precondition's layout: ascending candidate within equal scores.
+        candidates = np.array([0, 2, 4, 7], dtype=np.int64)
+        scores = np.array([2.0, 1.0, 1.0, 0.5], dtype=np.float64)
         groups = np.zeros(4, dtype=np.int64)
-        fast = numpy_backend._topk_grouped(groups, candidates, scores, 1, 2, None)
-        # Same row plus a padding group, laid out in the precondition's
-        # (ascending candidate within equal scores) order.
-        general = numpy_backend._topk_grouped(
-            np.array([0, 0, 0, 0, 1], dtype=np.int64),
-            np.array([0, 2, 4, 7, 0], dtype=np.int64),
-            np.array([2.0, 1.0, 1.0, 0.5, 1.0], dtype=np.float64),
-            2, 2, None,
+        for k, cut in ((2, None), (4, (0.5, 1))):
+            (ranked,) = numpy_backend._topk_grouped(groups, candidates, scores, 1, k, cut)
+            assert ranked == numpy_backend.select_row(candidates, scores, k, cut)
+        assert numpy_backend._topk_grouped(groups, candidates, scores, 1, 2, None)[0] == (
+            (0, 2.0),
+            (2, 1.0),
         )
-        assert fast[0] == ((0, 2.0), (2, 1.0))
-        assert general[0] == fast[0]
 
 
 class TestRowEvidence:

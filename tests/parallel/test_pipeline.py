@@ -17,6 +17,8 @@ def assert_same_resolution(parallel, serial, label=""):
     assert parallel.matches == serial.matches, label
     assert parallel.matching.rule_of == serial.matching.rule_of, label
     assert parallel.matching.scores == serial.matching.scores, label
+    # Both sweep the same R3 scope, so even the pre-R4 proposals agree.
+    assert parallel.matching.proposed == serial.matching.proposed, label
 
 
 ORACLE_SCALES = {
