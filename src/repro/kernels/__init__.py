@@ -33,6 +33,7 @@ from repro.kernels.dispatch import (
     resolve_backend_name,
 )
 from repro.kernels.interning import (
+    BatchEvidence,
     CSRAdjacency,
     InternedBlocks,
     RankedLists,
@@ -43,6 +44,7 @@ from repro.kernels.python_backend import accumulate_row, select_row
 __all__ = [
     "KERNEL_API",
     "KERNEL_BACKENDS",
+    "BatchEvidence",
     "CSRAdjacency",
     "InternedBlocks",
     "RankedLists",

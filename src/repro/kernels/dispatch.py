@@ -25,9 +25,11 @@ KERNEL_API = (
     "accumulate_beta",
     "accumulate_gamma",
     "accumulate_row",
+    "batch_evidence",
     "beta_sparse",
     "gamma_topk",
     "is_available",
+    "merge_batch_evidence",
     "retained_edges",
     "row_evidence",
     "select_row",
@@ -37,8 +39,10 @@ KERNEL_API = (
 
 The batch kernels (``value_topk``/``gamma_topk``, the
 ``retained_edges`` union between them, and their oracle-comparable dict
-views) plus the single-row serving surface
-(``accumulate_row``/``select_row`` and the fused ``row_evidence``).
+views), the single-row serving surface (``accumulate_row``/
+``select_row`` and the fused ``row_evidence``), and the per-source
+batch evidence a shard ships and the router merges
+(``batch_evidence``/``merge_batch_evidence``).
 The serving engine's breaker fallback swaps backends mid-call, so the
 python and numpy modules must stay signature-compatible across this
 whole surface; the conformance test walks this tuple."""

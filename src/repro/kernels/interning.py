@@ -17,6 +17,8 @@ by interning the inputs once into flat, contiguous integer arrays:
 * :class:`RankedLists` -- per-node ranked candidate lists in the same
   CSR layout (offsets + ids + scores): what the numpy top-K kernels
   return, so a side nobody reads is never turned into tuples.
+* :class:`BatchEvidence` -- one source's batch value evidence as flat
+  arrays: what a shard worker ships and the batch merge consumes.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.graph.blocking_graph import CandidateList
 
@@ -110,10 +111,10 @@ class RankedLists(Sequence[CandidateList]):
 
     ``offsets``/``ids``/``scores`` are any sliceable sequences with
     ``.tolist()`` -- ndarrays from the numpy kernels, ``array('i')`` /
-    ``array('d')`` from :meth:`from_items`.  Slicing ``lists[lo:hi]``
+    ``array('d')`` from the python batch merge.  Slicing ``lists[lo:hi]``
     shares ``ids``/``scores``; pickling ships the three arrays.
 
-    >>> lists = RankedLists.from_items(3, [(1, ((4, 2.0), (0, 1.5)))])
+    >>> lists = RankedLists(array("i", [0, 0, 2, 2]), array("i", [4, 0]), array("d", [2.0, 1.5]))
     >>> lists[0], lists[1]
     ((), ((4, 2.0), (0, 1.5)))
     >>> [node for node, _ in lists.items()], len(lists[1:])
@@ -128,24 +129,6 @@ class RankedLists(Sequence[CandidateList]):
         # tuple once built (None until then).
         self._starts: list[int] | None = None
         self._built: list[CandidateList | None] | None = None
-
-    @classmethod
-    def from_items(
-        cls, size: int, items: Iterable[tuple[int, CandidateList]]
-    ) -> "RankedLists":
-        """``size`` nodes from ``(node, candidate list)`` pairs given in
-        ascending node order; absent nodes get an empty list.  Costs one
-        python step per given node, not per node of ``size``."""
-        counts = [0] * (size + 1)
-        ids = array("i")
-        scores = array("d")
-        for node, ranked in items:
-            if ranked:
-                candidates, weights = zip(*ranked)
-                ids.extend(candidates)
-                scores.extend(weights)
-                counts[node + 1] = len(candidates)
-        return cls(array("i", accumulate(counts)), ids, scores)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -202,6 +185,30 @@ class RankedLists(Sequence[CandidateList]):
 
     def __repr__(self) -> str:
         return f"RankedLists({len(self)} nodes, {self.offsets[-1] - self.offsets[0]} candidates)"
+
+
+class BatchEvidence(NamedTuple):
+    """One source's value evidence for a batch, as seven flat arrays.
+
+    *Rows*, one per batch entity in batch order: entity ``i`` holds the
+    next ``row_lengths[i]`` pairs of ``row_ids`` (KB2 ids) and
+    ``row_scores``, ranked ``(-score, id)``.  *Columns*, one per
+    non-empty KB2 column: column ``col_nodes[j]`` (strictly ascending)
+    holds the next ``col_lengths[j]`` pairs of ``col_ids`` (batch
+    positions) and ``col_scores``, ranked the same way.
+
+    Every field is an ndarray (numpy kernels) or an ``array('i')`` /
+    ``array('d')`` (python kernels, the wire decoder); the batch
+    kernels and :mod:`repro.sharding.protocol` read either.
+    """
+
+    row_lengths: Any
+    row_ids: Any
+    row_scores: Any
+    col_nodes: Any
+    col_lengths: Any
+    col_ids: Any
+    col_scores: Any
 
 
 def block_weight(comparisons: int) -> float:

@@ -19,7 +19,13 @@ import numpy as np
 
 from repro.graph.blocking_graph import CandidateList
 from repro.graph.pruning import adaptive_cut
-from repro.kernels.interning import CSRAdjacency, EdgeArrays, InternedBlocks, RankedLists
+from repro.kernels.interning import (
+    BatchEvidence,
+    CSRAdjacency,
+    EdgeArrays,
+    InternedBlocks,
+    RankedLists,
+)
 
 name = "numpy"
 
@@ -239,6 +245,18 @@ def _adaptive_lengths(
     return lengths
 
 
+def _cut_grouped(
+    ids: "np.ndarray", scores: "np.ndarray", lengths: "np.ndarray", cut: AdaptiveCut
+) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """Ranked lists laid back to back, each cut by ``cut``: the kept
+    ``(ids, scores, lengths)``."""
+    if cut is None:
+        return ids, scores, lengths
+    cut_lengths = _adaptive_lengths(scores, lengths, cut[0], cut[1])
+    keep = _group_ranks(lengths) < np.repeat(cut_lengths, lengths)
+    return ids[keep], scores[keep], cut_lengths
+
+
 def _topk_grouped(
     groups: "np.ndarray",
     candidates: "np.ndarray",
@@ -246,29 +264,28 @@ def _topk_grouped(
     n: int,
     k: int,
     cut: AdaptiveCut,
+    ties_sorted: bool = True,
 ) -> RankedLists:
     """Per-group top-K with the (-score, candidate id) ranking key, as
     one CSR :class:`RankedLists` over all ``n`` groups.
 
-    Precondition: within every group, entries with equal scores appear
-    in ascending candidate order (true of both ``_accumulate_pairs``
-    orientations, whose input is sorted by ``(row, col)``).  The stable
-    two-key lexsort then realises the full ``(group, -score, candidate)``
-    order without a third sort pass.  No step is per group: an empty
-    group costs one offset.
+    With ``ties_sorted``, the caller guarantees that within every group
+    entries with equal scores appear in ascending candidate order (true
+    of both ``_accumulate_pairs`` orientations, whose input is sorted by
+    ``(row, col)``), so a stable two-key lexsort realises the full
+    ``(group, -score, candidate)`` order; otherwise (rows concatenated
+    from several sources) the candidate id is a third sort key.  No step
+    is per group: an empty group costs one offset.
     """
     if len(groups) == 0 or k <= 0:
         return _empty(n)
-    order = np.lexsort((-scores, groups))
+    keys = (-scores, groups) if ties_sorted else (candidates, -scores, groups)
+    order = np.lexsort(keys)
     counts = np.bincount(groups, minlength=n)
     kept = order[_group_ranks(counts) < k]
-    lengths = np.minimum(counts, k)
-    ids = candidates[kept]
-    ranked = scores[kept]
-    if cut is not None:
-        cut_lengths = _adaptive_lengths(ranked, lengths, cut[0], cut[1])
-        keep = _group_ranks(lengths) < np.repeat(cut_lengths, lengths)
-        ids, ranked, lengths = ids[keep], ranked[keep], cut_lengths
+    ids, ranked, lengths = _cut_grouped(
+        candidates[kept], scores[kept], np.minimum(counts, k), cut
+    )
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     return RankedLists(offsets, ids, ranked)
@@ -332,6 +349,93 @@ def value_topk(
     side1 = _topk_grouped(unique_rows, unique_cols, sums, interned.n1, k, cut)
     side2 = _topk_grouped(unique_cols, unique_rows, sums, interned.n2, k, cut)
     return side1, side2
+
+
+def batch_evidence(
+    interned: InternedBlocks,
+    keep: int,
+    cut: AdaptiveCut = None,
+    columns: bool = True,
+) -> BatchEvidence:
+    """One source's merge-ready batch value evidence: :func:`value_topk`'s
+    arrays as they are.
+
+    Rows keep their top ``keep`` pairs *uncut* (the cut belongs to the
+    merged row).  With ``columns``, every non-empty column ships its top
+    ``keep`` pairs cut by ``cut``: a KB2 entity's column lives wholly in
+    one source, so it is already final.
+    """
+    rows, side2 = value_topk(interned, keep)
+    if columns:
+        lengths = np.diff(side2.offsets)
+        nodes = np.flatnonzero(lengths)
+        col_ids, col_scores, col_lengths = _cut_grouped(
+            side2.ids, side2.scores, lengths[nodes], cut
+        )
+    else:
+        nodes = col_lengths = col_ids = np.empty(0, dtype=np.int64)
+        col_scores = np.empty(0)
+    return BatchEvidence(
+        np.diff(rows.offsets), rows.ids, rows.scores, nodes, col_lengths, col_ids, col_scores
+    )
+
+
+def _concat(parts, convert) -> "np.ndarray":
+    """One array from per-source arrays (empty without sources)."""
+    return np.concatenate([convert(part) for part in parts]) if parts else convert(())
+
+
+def _stitch_columns(sources, id_space: int) -> RankedLists:
+    """The sources' disjoint columns as one :class:`RankedLists` over
+    ``id_space`` nodes: one stable sort by column id, one gather."""
+    nodes = _concat([source.col_nodes for source in sources], _as_int64)
+    lengths = _concat([source.col_lengths for source in sources], _as_int64)
+    ids = _concat([source.col_ids for source in sources], _as_int64)
+    scores = _concat([source.col_scores for source in sources], _as_float64)
+    order = np.argsort(nodes, kind="stable")
+    sorted_lengths = lengths[order]
+    starts = (np.cumsum(lengths) - lengths)[order]
+    take = np.repeat(starts, sorted_lengths) + _group_ranks(sorted_lengths)
+    offsets = np.zeros(id_space + 1, dtype=np.int64)
+    counts = np.bincount(nodes, weights=lengths, minlength=id_space).astype(np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return RankedLists(offsets, ids[take], scores[take])
+
+
+def merge_batch_evidence(
+    sources,
+    n_entities: int,
+    id_space: int,
+    k: int,
+    cut: AdaptiveCut = None,
+    cap: int | None = None,
+) -> tuple[RankedLists, RankedLists]:
+    """A batch's ``(value_1, value_2)`` from per-source
+    :class:`BatchEvidence`, vectorised.
+
+    Rows: grouped top-``k`` over the union of the sources' rows under
+    ``(-score, id)``, then ``cut``.  Columns: the sources' disjoint
+    columns stitched by column id.  With ``cap``, every merged row first
+    keeps its ``cap`` strongest pairs and both sides are ranked from
+    those capped rows (the columns the sources shipped are not read).
+    """
+    groups = _concat(
+        [np.repeat(np.arange(n_entities), _as_int64(s.row_lengths)) for s in sources],
+        _as_int64,
+    )
+    ids = _concat([source.row_ids for source in sources], _as_int64)
+    scores = _concat([source.row_scores for source in sources], _as_float64)
+    if cap is None:
+        value_1 = _topk_grouped(groups, ids, scores, n_entities, k, cut, ties_sorted=False)
+        return value_1, _stitch_columns(sources, id_space)
+    capped = _topk_grouped(groups, ids, scores, n_entities, cap, None, ties_sorted=False)
+    positions = np.repeat(np.arange(n_entities), np.diff(capped.offsets))
+    # Capped rows are ranked per position, so ties reach both groupings
+    # id-ascending (candidates per row, positions per column).
+    return (
+        _topk_grouped(positions, capped.ids, capped.scores, n_entities, k, cut),
+        _topk_grouped(capped.ids, positions, capped.scores, id_space, k, cut),
+    )
 
 
 def _side_arrays(lists) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:

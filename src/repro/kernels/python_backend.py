@@ -28,11 +28,18 @@ from __future__ import annotations
 
 from array import array
 from heapq import heappush, heappushpop, nsmallest
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from repro.graph.blocking_graph import CandidateList
 from repro.graph.pruning import adaptive_cut
-from repro.kernels.interning import CSRAdjacency, EdgeArrays, InternedBlocks
+from repro.kernels.interning import (
+    BatchEvidence,
+    CSRAdjacency,
+    EdgeArrays,
+    InternedBlocks,
+    RankedLists,
+)
 
 name = "python"
 
@@ -209,6 +216,136 @@ def value_topk(
         for ids, sums in zip(column_ids, column_sums)
     ]
     return side1, side2
+
+
+def batch_evidence(
+    interned: InternedBlocks,
+    keep: int,
+    cut: AdaptiveCut = None,
+    columns: bool = True,
+) -> BatchEvidence:
+    """One source's merge-ready batch value evidence: :func:`value_topk`'s
+    lists laid out as flat arrays.
+
+    Rows keep their top ``keep`` pairs *uncut* (the cut belongs to the
+    merged row).  With ``columns``, every non-empty column ships its top
+    ``keep`` pairs cut by ``cut``: a KB2 entity's column lives wholly in
+    one source, so it is already final.
+    """
+    rows, side2 = value_topk(interned, keep)
+    col_nodes, col_lengths, col_ids, col_scores = array("i"), array("i"), array("i"), array("d")
+    if columns:
+        for node, ranked in enumerate(side2):
+            if ranked:
+                if cut is not None:
+                    ranked = adaptive_cut(ranked, cut[0], cut[1])
+                col_nodes.append(node)
+                col_lengths.append(len(ranked))
+                col_ids.extend([position for position, _ in ranked])
+                col_scores.extend([score for _, score in ranked])
+    return BatchEvidence(
+        array("i", [len(ranked) for ranked in rows]),
+        array("i", [candidate for ranked in rows for candidate, _ in ranked]),
+        array("d", [score for ranked in rows for _, score in ranked]),
+        col_nodes,
+        col_lengths,
+        col_ids,
+        col_scores,
+    )
+
+
+def _spans(lengths) -> list[tuple[int, int]]:
+    """``(start, end)`` of each list laid back to back with ``lengths``."""
+    starts = list(accumulate(lengths.tolist(), initial=0))
+    return list(zip(starts, starts[1:]))
+
+
+def _ranked_lists(size: int, columns) -> RankedLists:
+    """``size`` nodes from ``(node, ids, scores)`` given in ascending node
+    order; absent nodes get an empty list.  One python step per given
+    node, not per node of ``size``."""
+    counts = [0] * (size + 1)
+    ids, scores = array("i"), array("d")
+    for node, column_ids, column_scores in columns:
+        ids.extend(column_ids)
+        scores.extend(column_scores)
+        counts[node + 1] += len(column_ids)
+    return RankedLists(array("i", accumulate(counts)), ids, scores)
+
+
+def merge_batch_evidence(
+    sources,
+    n_entities: int,
+    id_space: int,
+    k: int,
+    cut: AdaptiveCut = None,
+    cap: int | None = None,
+) -> tuple[list[CandidateList], RankedLists]:
+    """A batch's ``(value_1, value_2)`` from per-source
+    :class:`BatchEvidence`.
+
+    Rows: per batch entity, :func:`select_row` over the union of the
+    sources' rows.  Columns: the sources' disjoint columns stitched by
+    column id.  With ``cap``, every merged row first keeps its ``cap``
+    strongest pairs and both sides are ranked from those capped rows
+    (the columns the sources shipped are not read).
+    """
+    rows = [
+        (_spans(source.row_lengths), source.row_ids.tolist(), source.row_scores.tolist())
+        for source in sources
+    ]
+    value_1: list[CandidateList] = []
+    column_ids: dict[int, list[int]] = {}
+    column_sums: dict[int, list[float]] = {}
+    for position in range(n_entities):
+        ids: list[int] = []
+        sums: list[float] = []
+        for spans, row_ids, row_scores in rows:
+            start, end = spans[position]
+            ids += row_ids[start:end]
+            sums += row_scores[start:end]
+        if cap is None:
+            value_1.append(_select_row(ids, sums, k, cut))
+            continue
+        if len(ids) > cap:
+            capped = _select_row(ids, sums, cap, None)
+            ids = [candidate for candidate, _ in capped]
+            sums = [score for _, score in capped]
+        value_1.append(_select_row(ids, sums, k, cut))
+        for candidate, score in zip(ids, sums):
+            column_ids.setdefault(candidate, []).append(position)
+            column_sums.setdefault(candidate, []).append(score)
+    if cap is None:
+        return value_1, _stitch_columns(sources, id_space)
+    ranked = (
+        (candidate, _select_row(column_ids[candidate], column_sums[candidate], k, cut))
+        for candidate in sorted(column_ids)
+    )
+    return value_1, _ranked_lists(
+        id_space,
+        (
+            (candidate, [c for c, _ in column], [s for _, s in column])
+            for candidate, column in ranked
+        ),
+    )
+
+
+def _stitch_columns(sources, id_space: int) -> RankedLists:
+    """The sources' disjoint columns as one :class:`RankedLists` over
+    ``id_space`` nodes, by column id (source order on a repeat)."""
+    flat = [(source.col_ids.tolist(), source.col_scores.tolist()) for source in sources]
+    pieces = sorted(
+        (node, index, start, end)
+        for index, source in enumerate(sources)
+        for node, (start, end) in zip(source.col_nodes.tolist(), _spans(source.col_lengths))
+    )
+    return _ranked_lists(
+        id_space,
+        (
+            (node, flat[index][0][start:end], flat[index][1][start:end])
+            for node, index, start, end in pieces
+        ),
+    )
 
 
 def retained_edges(

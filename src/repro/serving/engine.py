@@ -64,13 +64,13 @@ from repro.core.config import MinoanERConfig
 from repro.core.matcher import NonIterativeMatcher
 from repro.core.rank_aggregation import top_aggregate_candidate
 from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
-from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM, adaptive_cut
+from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM
 from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
 from repro.kernels import (
+    BatchEvidence,
     InternedBlocks,
-    RankedLists,
     block_weight,
     get_backend,
     resolve_backend_name,
@@ -652,7 +652,12 @@ class MatchEngine:
         if self.config.serving_candidate_cap is not None:
             evidence = self.batch_evidence(batch, deadline, qkb=qkb)
             value_1, value_2 = merge_batch_evidence(
-                self.config, self._cut, len(batch), self.index.id_space, [evidence]
+                self._run_kernel,
+                self.config,
+                self._cut,
+                len(batch),
+                self.index.id_space,
+                [evidence],
             )
         else:
             value_1, value_2 = self._run_kernel(
@@ -876,7 +881,7 @@ class MatchEngine:
         entities: Iterable[EntityDescription],
         deadline: Deadline | None = None,
         qkb: KnowledgeBase | None = None,
-    ) -> dict[str, object]:
+    ) -> BatchEvidence:
         """This index's value evidence for a whole batch, merge-ready.
 
         Per batch entity, the strongest pairs of its ``beta`` row over
@@ -885,42 +890,21 @@ class MatchEngine:
         the globally merged row).  Without a cap the shard-final pruned
         candidate columns travel too: each KB2 entity's column lives
         wholly in its owner shard, so its top ``candidates_k`` + cut
-        here *is* the global column.  One ``value_topk`` call yields
-        both (the cut is applied to the columns afterwards, as the
-        kernel itself would).  ``qkb`` short-circuits re-tokenising a
-        batch the caller already profiled.
+        here *is* the global column.  One ``batch_evidence`` kernel call
+        yields both as flat arrays (:class:`~repro.kernels.BatchEvidence`)
+        straight from ``value_topk``'s output.  ``qkb`` short-circuits
+        re-tokenising a batch the caller already profiled.
         """
-        batch = list(entities)
-        index = self.index
         config = self.config
-        if not batch or index.n2 == 0:
-            return {"rows": [[] for _ in batch], "cols": {}}
         if qkb is None:
-            qkb = KnowledgeBase(batch, name="query", tokenizer=index.tokenizer)
+            qkb = KnowledgeBase(list(entities), name="query", tokenizer=self.index.tokenizer)
         if deadline is not None:
             deadline.check("batch evidence")
         cap = config.serving_candidate_cap
         keep = cap if cap is not None else config.candidates_k
-        rows, columns = self._run_kernel("value_topk", self._interned(qkb), keep, None)
-        cols: dict[str, list[list[object]]] = {}
-        if cap is None:
-            # Non-empty columns only: a RankedLists finds them from its
-            # offsets instead of visiting all id_space columns.
-            touched = (
-                columns.items()
-                if isinstance(columns, RankedLists)
-                else ((c, ranked) for c, ranked in enumerate(columns) if ranked)
-            )
-            for candidate, ranked in touched:
-                if self._cut is not None:
-                    ranked = adaptive_cut(ranked, *self._cut)
-                # Already python (int, float) pairs, which encode as the
-                # same JSON arrays as lists: no per-pair copy.
-                cols[str(candidate)] = ranked
-        return {
-            "rows": [[[int(c), float(s)] for c, s in row] for row in rows],
-            "cols": cols,
-        }
+        return self._run_kernel(
+            "batch_evidence", self._interned(qkb), keep, self._cut, cap is None
+        )
 
     # ------------------------------------------------------------------
     # Metrics

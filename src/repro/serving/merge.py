@@ -31,28 +31,22 @@ everything (see ``docs/sharding.md`` for the long form):
 * **Columns** (batches, uncapped) -- a KB2 entity's candidate column
   lives wholly in its owner source, so that source's pruned column *is*
   the global one and columns merge by disjoint union.
+
+A batch's evidence travels as flat arrays
+(:class:`~repro.kernels.BatchEvidence`) and merges in one call of the
+``merge_batch_evidence`` kernel, vectorised on the numpy backend.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.config import MinoanERConfig
 from repro.graph.blocking_graph import CandidateList
 from repro.graph.pruning import adaptive_cut
-from repro.kernels import RankedLists, select_row
+from repro.kernels import BatchEvidence, RankedLists, select_row
 
 __all__ = ["merge_batch_evidence", "merge_single_evidence"]
-
-
-def _concat_rows(rows: Sequence[Sequence[Sequence[Any]]]) -> tuple[list[int], list[float]]:
-    ids: list[int] = []
-    sums: list[float] = []
-    for row in rows:
-        for candidate, score in row:
-            ids.append(int(candidate))
-            sums.append(float(score))
-    return ids, sums
 
 
 def _merge_ranked(
@@ -108,7 +102,9 @@ def merge_single_evidence(
     k = config.candidates_k
     cap = config.serving_candidate_cap
     if cap is not None:
-        ids, sums = _concat_rows([evidence["row"] for evidence in evidences])
+        rows = [evidence["row"] for evidence in evidences]
+        ids = [int(candidate) for row in rows for candidate, _ in row]
+        sums = [float(score) for row in rows for _, score in row]
         ids, sums = _capped(ids, sums, cap)
         return select_row(ids, sums, k, cut), sorted(ids)
     value_list = _merge_ranked([evidence["row"] for evidence in evidences], k, cut)
@@ -126,12 +122,13 @@ def merge_single_evidence(
 
 
 def merge_batch_evidence(
+    run_kernel: Callable[..., Any],
     config: MinoanERConfig,
     cut,
     n_entities: int,
     id_space: int,
-    evidences: Sequence[dict[str, Any]],
-) -> tuple[list[CandidateList], RankedLists]:
+    evidences: Sequence[BatchEvidence],
+) -> tuple[Sequence[CandidateList], RankedLists]:
     """A batch's ``(value_1, value_2)`` from per-source ``batch_evidence``.
 
     Uncapped, this reproduces what the ``value_topk`` kernel returns for
@@ -141,43 +138,15 @@ def merge_batch_evidence(
     rebuilt from those capped rows in batch-entity order.  ``value_2``
     spans the index's whole ``id_space`` as a :class:`RankedLists` built
     from the touched columns alone; the engine feeds both to
-    ``MatchEngine._assemble_graph``.
+    ``MatchEngine._assemble_graph``.  ``run_kernel`` is the engine's
+    breaker-guarded kernel call (``MatchEngine._run_kernel``).
     """
-    k = config.candidates_k
-    cap = config.serving_candidate_cap
-    value_1: list[CandidateList] = []
-    if cap is None:
-        for position in range(n_entities):
-            ids, sums = _concat_rows(
-                [evidence["rows"][position] for evidence in evidences]
-            )
-            value_1.append(select_row(ids, sums, k, cut))
-        columns = sorted(
-            (
-                (int(candidate), ranked)
-                for evidence in evidences
-                for candidate, ranked in evidence["cols"].items()
-            ),
-            key=lambda column: column[0],
-        )
-        return value_1, RankedLists.from_items(id_space, columns)
-
-    column_ids: dict[int, list[int]] = {}
-    column_sums: dict[int, list[float]] = {}
-    for position in range(n_entities):
-        ids, sums = _concat_rows(
-            [evidence["rows"][position] for evidence in evidences]
-        )
-        ids, sums = _capped(ids, sums, cap)
-        value_1.append(select_row(ids, sums, k, cut))
-        for candidate, score in zip(ids, sums):
-            column_ids.setdefault(candidate, []).append(position)
-            column_sums.setdefault(candidate, []).append(score)
-    value_2 = RankedLists.from_items(
+    return run_kernel(
+        "merge_batch_evidence",
+        evidences,
+        n_entities,
         id_space,
-        (
-            (candidate, select_row(column_ids[candidate], column_sums[candidate], k, cut))
-            for candidate in sorted(column_ids)
-        ),
+        config.candidates_k,
+        cut,
+        config.serving_candidate_cap,
     )
-    return value_1, value_2

@@ -44,7 +44,7 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -68,7 +68,13 @@ from repro.serving.io import entity_to_json
 from repro.serving.live import LiveServingMixin
 from repro.serving.merge import merge_batch_evidence, merge_single_evidence
 from repro.sharding.planner import ShardPlanner, shard_paths
-from repro.sharding.protocol import read_frame, snapshot_from_json, write_frame
+from repro.sharding.protocol import (
+    ProtocolError,
+    read_frame,
+    snapshot_from_json,
+    unpack_batch_evidence,
+    write_frame,
+)
 from repro.sharding.worker import ShardWorker
 
 __all__ = [
@@ -86,7 +92,7 @@ HEDGE_MIN_SAMPLES = 8
 """Latency observations a shard needs before its p95 drives hedging."""
 
 HEDGE_WINDOW = 128
-"""Recent per-shard latencies kept for the adaptive hedge delay."""
+"""Recent per-shard, per-op latencies kept for the adaptive hedge delay."""
 
 
 class ShardFailure(RuntimeError):
@@ -242,8 +248,8 @@ class InlineReplica:
     """An in-process replica over a :class:`ShardWorker`, for tests.
 
     Requests and responses still round-trip through JSON so the inline
-    path exercises exact wire fidelity (float repr round-trips, string
-    column keys) without subprocess overhead -- the property tests run
+    path exercises exact wire fidelity (float repr round-trips, packed
+    batch arrays) without subprocess overhead -- the property tests run
     hundreds of sharded queries through it.
     """
 
@@ -339,9 +345,10 @@ class ShardRouter(MatchEngine):
         self._down: set[int] = set()
         self._rr = [0] * self.shards
         self._rr_lock = threading.Lock()
-        self._latency: list[deque[float]] = [
-            deque(maxlen=HEDGE_WINDOW) for _ in range(self.shards)
-        ]
+        #: Recent round-trip milliseconds per ``(shard, op)``.
+        self._latency: defaultdict[tuple[int, str], deque[float]] = defaultdict(
+            lambda: deque(maxlen=HEDGE_WINDOW)
+        )
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, 2 * self.shards), thread_name_prefix="shard-router"
         )
@@ -489,11 +496,20 @@ class ShardRouter(MatchEngine):
         qkb: KnowledgeBase,
         deadline: Deadline | None,
     ) -> tuple[list[CandidateList], list[CandidateList], bool]:
-        """Scattered batch evidence, merged into ``(value_1, value_2)``."""
+        """Scattered batch evidence, merged into ``(value_1, value_2)``.
+
+        Each reply arrives unpacked and validated by the shard call
+        (:meth:`_request_shard`), so a malformed one failed over like
+        any other replica error."""
         payload = {"entities": [entity_to_json(entity) for entity in batch]}
-        evidences, degraded = self._gather("batch", payload, deadline)
+        replies, degraded = self._gather("batch", payload, deadline)
         value_1, value_2 = merge_batch_evidence(
-            self.config, self._cut, len(batch), self.index.id_space, evidences
+            self._run_kernel,
+            self.config,
+            self._cut,
+            len(batch),
+            self.index.id_space,
+            [reply["evidence"] for reply in replies],
         )
         return value_1, value_2, degraded
 
@@ -605,9 +621,14 @@ class ShardRouter(MatchEngine):
         Round-robin picks the primary; a backup fires after the hedge
         delay and the first good answer wins (losers cancelled).  A
         replica error rolls over to the next usable replica
-        immediately.  Raises :class:`ShardFailure` when the group is
-        exhausted and :class:`DeadlineExpired` when the budget runs out
-        (locally or reported by the worker).
+        immediately; so does a ``batch`` reply whose packed evidence
+        fails :func:`unpack_batch_evidence` (a good one is returned
+        with the unpacked evidence under ``"evidence"``).  Raises
+        :class:`ShardFailure` when the group is exhausted and
+        :class:`DeadlineExpired` when the budget runs out (locally or
+        reported by the worker).  The hedge delay is learnt per
+        ``(shard, op)``: a batch and a single query differ in cost by
+        orders of magnitude.
         """
         replicas = self._replica_order(shard)
         if deadline is not None:
@@ -654,7 +675,7 @@ class ShardRouter(MatchEngine):
                 + (f" ({last_error})" if last_error else "")
             )
         started = time.perf_counter()
-        hedge_delay = self._hedge_delay(shard)
+        hedge_delay = self._hedge_delay(shard, op)
         while True:
             if not inflight:
                 if launch() is None:
@@ -701,10 +722,19 @@ class ShardRouter(MatchEngine):
                 last_error = error
                 self._replica_failed(replica, error)
                 continue
+            if op == "batch":
+                try:
+                    body["evidence"] = unpack_batch_evidence(
+                        body, len(payload["entities"]), self.index.id_space
+                    )
+                except ProtocolError as error:
+                    last_error = ShardFailure(f"shard {shard}: {error}")
+                    self._replica_failed(replica, last_error)
+                    continue
             replica.breaker.record_success()
             elapsed_ms = (time.perf_counter() - started) * 1e3
             self.recorder.observe("shard.latency_ms", elapsed_ms)
-            self._latency[shard].append(elapsed_ms)
+            self._latency[shard, op].append(elapsed_ms)
             if hedge_replica is not None:
                 self.recorder.count(
                     "shard.hedge.won"
@@ -726,12 +756,12 @@ class ShardRouter(MatchEngine):
         replica.breaker.record_failure()
         self.recorder.count("shard.failures")
 
-    def _hedge_delay(self, shard: int) -> float:
-        """Seconds before a backup request fires for this shard."""
+    def _hedge_delay(self, shard: int, op: str) -> float:
+        """Seconds before a backup ``op`` request fires for this shard."""
         fixed = self.config.serving_hedge_ms
         if fixed is not None:
             return fixed / 1e3
-        window = self._latency[shard]
+        window = self._latency[shard, op]
         if len(window) < HEDGE_MIN_SAMPLES:
             return DEFAULT_HEDGE_DELAY_S
         return percentile(sorted(window), 0.95) / 1e3

@@ -33,7 +33,13 @@ from repro.resilience.policy import Deadline, DeadlineExpired
 from repro.serving.engine import MatchEngine
 from repro.serving.index import ResolutionIndex
 from repro.serving.io import entity_from_json
-from repro.sharding.protocol import ProtocolError, read_frame, snapshot_to_json, write_frame
+from repro.sharding.protocol import (
+    ProtocolError,
+    pack_batch_evidence,
+    read_frame,
+    snapshot_to_json,
+    write_frame,
+)
 
 __all__ = ["ShardWorker", "main"]
 
@@ -95,12 +101,14 @@ class ShardWorker:
                     weights=request.get("weights"),
                 )
             elif op == "batch":
-                result = self.engine.batch_evidence(
-                    [
-                        entity_from_json(entity, f"query-{i}")
-                        for i, entity in enumerate(request["entities"])
-                    ],
-                    deadline=self._deadline(request),
+                result = pack_batch_evidence(
+                    self.engine.batch_evidence(
+                        [
+                            entity_from_json(entity, f"query-{i}")
+                            for i, entity in enumerate(request["entities"])
+                        ],
+                        deadline=self._deadline(request),
+                    )
                 )
             elif op == "reload":
                 # Zero-drop swap: adopt a freshly compacted shard file.

@@ -8,6 +8,7 @@ reference implementation of :mod:`repro.graph.construction`.
 """
 
 import pickle
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.kernels import (
     InternedBlocks,
     RankedLists,
     available_backends,
+    block_weight,
     get_backend,
     numpy_available,
 )
@@ -293,8 +295,104 @@ class TestRetainedEdgeKernels:
         """A merged batch pairs a tuple list (side 1) with ``RankedLists``
         (side 2); the union is the same as from two tuple lists."""
         value_1 = [((1, 2.0), (0, 0.5)), ()]
-        value_2 = RankedLists.from_items(3, [(0, ((0, 0.5), (1, 0.25))), (2, ((1, 0.75),))])
+        value_2 = RankedLists(
+            array("i", [0, 2, 2, 3]), array("i", [0, 1, 1]), array("d", [0.5, 0.25, 0.75])
+        )
         expected = get_backend("python").retained_edges(value_1, list(value_2))
         actual = get_backend("numpy").retained_edges(value_1, value_2)
         assert [a.tolist() for a in actual] == [e.tolist() for e in expected]
         assert actual[0].tolist() == [0, 0, 1, 1]
+
+
+def _shard_blocks(blocks, n1, n2, owner, sources):
+    """The blocks split over ``sources`` by KB2 owner, each source keeping
+    the global block weights (what a shard file carries)."""
+    weights = [block_weight(len(block.side1) * len(block.side2)) for block in blocks]
+    return [
+        InternedBlocks.from_block_items(
+            (
+                (block.side1, [eid for eid in block.side2 if owner[eid] == source])
+                for block in blocks
+            ),
+            n1,
+            n2,
+            weights=weights,
+        )
+        for source in range(sources)
+    ]
+
+
+def _evidence_bits(evidence):
+    """A :class:`BatchEvidence`'s fields as lists, floats as exact bits."""
+    return [
+        [value.hex() if isinstance(value, float) else value for value in field.tolist()]
+        for field in evidence
+    ]
+
+
+@st.composite
+def sharded_batches(draw):
+    """Random blocks split over 1-8 sources, one of them possibly owning
+    no KB2 entity at all."""
+    n1, n2, blocks = draw(kb_pair_blocks())
+    sources = draw(st.integers(min_value=1, max_value=8))
+    owners = sources - 1 if sources > 1 and draw(st.booleans()) else sources
+    owner = draw(st.lists(st.integers(0, owners - 1), min_size=n2, max_size=n2))
+    return n1, n2, blocks, _shard_blocks(blocks, n1, n2, owner, sources)
+
+
+@numpy_only
+class TestBatchEvidenceKernels:
+    """``batch_evidence`` and ``merge_batch_evidence``: the numpy kernels
+    equal the python ones element for element and bit for bit, and the
+    uncapped merge equals ``value_topk`` over the unsplit blocks."""
+
+    @given(
+        data=sharded_batches(),
+        k=st.integers(min_value=0, max_value=6),
+        cut=st.sampled_from(CUTS),
+        cap=st.sampled_from([None, 1, 2, 5]),
+        absent=st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_numpy_equals_python(self, data, k, cut, cap, absent):
+        n1, n2, blocks, shards = data
+        keep = cap if cap is not None else k
+        merged = []
+        for backend in ("python", "numpy"):
+            kernels = get_backend(backend)
+            evidences = [kernels.batch_evidence(shard, keep, cut, cap is None) for shard in shards]
+            if absent is not None and absent < len(evidences):
+                del evidences[absent]  # a degraded shard: the survivors merge
+            merged.append((evidences, kernels.merge_batch_evidence(evidences, n1, n2, k, cut, cap)))
+        (expected_evidence, expected), (actual_evidence, actual) = merged
+        assert [_evidence_bits(e) for e in actual_evidence] == [
+            _evidence_bits(e) for e in expected_evidence
+        ]
+        for mine, theirs in zip(actual, expected):
+            assert len(mine) == len(theirs)
+            assert _bits(mine) == _bits(theirs)
+        if cap is None and absent is None:
+            whole = InternedBlocks.from_blocks(blocks, n1, n2)
+            for mine, theirs in zip(actual, get_backend("python").value_topk(whole, k, cut)):
+                assert _bits(mine) == _bits(theirs)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_no_sources_and_empty_sources(self, backend, cap):
+        kernels = get_backend(backend)
+        empty = kernels.batch_evidence(
+            InternedBlocks.from_blocks(BlockCollection([]), 3, 5), 4, None, cap is None
+        )
+        assert [field.tolist() for field in empty] == [[0, 0, 0], [], [], [], [], [], []]
+        for sources in ([], [empty], [empty, empty]):
+            value_1, value_2 = kernels.merge_batch_evidence(sources, 3, 5, 4, None, cap)
+            assert list(value_1) == [()] * 3 and list(value_2) == [()] * 5
+
+    def test_columns_left_out_when_capped(self):
+        blocks = BlockCollection([Block("a", [0, 1], [0, 2]), Block("b", [1], [2])])
+        interned = InternedBlocks.from_blocks(blocks, 2, 3)
+        for backend in ("python", "numpy"):
+            evidence = get_backend(backend).batch_evidence(interned, 1, None, False)
+            assert evidence.row_lengths.tolist() == [1, 1]
+            assert [field.tolist() for field in evidence[3:]] == [[], [], [], []]

@@ -1,19 +1,33 @@
-"""Wire framing and snapshot serialisation round-trips."""
+"""Wire framing, packed batch evidence and snapshot serialisation."""
 
+import base64
 import io
 import math
+import struct
+import sys
+from array import array
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.kernels import BatchEvidence, available_backends, get_backend, numpy_available
 from repro.obs import Recorder
 from repro.sharding import (
     ProtocolError,
+    protocol,
     read_frame,
     snapshot_from_json,
     snapshot_to_json,
     write_frame,
 )
-from repro.sharding.protocol import MAX_FRAME_BYTES
+from repro.sharding.protocol import (
+    BATCH_TYPECODES,
+    MAX_FRAME_BYTES,
+    pack_batch_evidence,
+    unpack_batch_evidence,
+)
 
 
 class TestFraming:
@@ -69,6 +83,142 @@ class TestFraming:
     def test_non_object_payload(self):
         with pytest.raises(ProtocolError, match="JSON object"):
             read_frame(io.BytesIO(b"2\n[]\n"))
+
+
+N_ENTITIES, ID_SPACE = 3, 10
+
+
+def sample_evidence():
+    """Entity 0 -> KB2 4 and 7, entity 1 -> nothing, entity 2 -> KB2 9;
+    the three columns hold those pairs back."""
+    return BatchEvidence(
+        array("i", [2, 0, 1]),
+        array("i", [4, 7, 9]),
+        array("d", [0.5, 0.25, 1 / 3]),
+        array("i", [4, 7, 9]),
+        array("i", [1, 1, 1]),
+        array("i", [0, 0, 2]),
+        array("d", [0.5, 0.25, 1 / 3]),
+    )
+
+
+def packed(field, values):
+    """``values`` packed as ``field`` would be, little-endian."""
+    items = array(BATCH_TYPECODES[field], values)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return base64.b64encode(items.tobytes()).decode("ascii")
+
+
+def reply(**fields):
+    """A packed ``batch`` reply of :func:`sample_evidence`, some fields
+    replaced by raw ``values`` lists (packed) or strings (as they are)."""
+    message = {"id": 1, "ok": True, "service_ms": 0.5, **pack_batch_evidence(sample_evidence())}
+    for field, value in fields.items():
+        message[field] = value if isinstance(value, (str, int)) else packed(field, value)
+    return message
+
+
+def fields_of(evidence):
+    return [
+        [v.hex() if isinstance(v, float) else v for v in field.tolist()] for field in evidence
+    ]
+
+
+CHECKS = ["numpy", "python"] if numpy_available() else ["python"]
+"""The reply checks run vectorised when numpy imports, else as loops."""
+
+
+def checks(kind):
+    return mock.patch.object(protocol, "numpy", protocol.numpy if kind == "numpy" else None)
+
+
+class TestPackedBatchEvidence:
+    def test_roundtrip_through_a_frame(self):
+        buffer = io.BytesIO()
+        write_frame(buffer, reply())
+        buffer.seek(0)
+        decoded = unpack_batch_evidence(read_frame(buffer), N_ENTITIES, ID_SPACE)
+        assert fields_of(decoded) == fields_of(sample_evidence())
+
+    def test_little_endian_int32_and_float64(self):
+        message = reply()
+        assert base64.b64decode(message["row_ids"]) == struct.pack("<3i", 4, 7, 9)
+        assert base64.b64decode(message["row_scores"]) == struct.pack("<3d", 0.5, 0.25, 1 / 3)
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
+    def test_ndarrays_pack_like_arrays(self):
+        import numpy as np
+
+        native = BatchEvidence(
+            *(np.asarray(field.tolist(), dtype=np.int64 if field.typecode == "i" else np.float64)
+              for field in sample_evidence())
+        )
+        assert pack_batch_evidence(native) == pack_batch_evidence(sample_evidence())
+
+    @pytest.mark.parametrize("kind", CHECKS)
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"row_ids": "!!not base64!!"}, "not base64"),
+            ({"row_scores": 12}, "not base64"),
+            ({"col_scores": "ünïcode"}, "not base64"),
+            ({"row_ids": base64.b64encode(b"12345").decode()}, "not a multiple of 4"),
+            ({"col_scores": base64.b64encode(bytes(20)).decode()}, "not a multiple of 8"),
+            ({"row_lengths": [2, 0, 2]}, "row lengths sum to 4"),
+            ({"row_lengths": [3, 0]}, "2 rows for 3 entities"),
+            ({"row_lengths": [3, -1, 1]}, "negative row length"),
+            ({"row_scores": [0.5, 0.25]}, "for 3 ids and 2 scores"),
+            ({"row_ids": [4, 7, 10]}, "row id outside"),
+            ({"row_ids": [4, -1, 9]}, "row id outside"),
+            ({"col_ids": [0, 0, 3]}, "column id outside"),
+            ({"col_lengths": [1, 2]}, "2 lengths for 3 columns"),
+            ({"col_lengths": [1, 1, 2]}, "column lengths sum to 4"),
+            ({"col_nodes": [4, 7, 10]}, "column node outside"),
+            ({"col_nodes": [4, 4, 9]}, "not strictly ascending"),
+            ({"col_nodes": [7, 4, 9]}, "not strictly ascending"),
+        ],
+    )
+    def test_malformed_reply_rejected(self, fields, message, kind):
+        with checks(kind), pytest.raises(ProtocolError, match=message):
+            unpack_batch_evidence(reply(**fields), N_ENTITIES, ID_SPACE)
+
+    def test_missing_field_rejected(self):
+        message = reply()
+        del message["col_nodes"]
+        with pytest.raises(ProtocolError, match="lacks 'col_nodes'"):
+            unpack_batch_evidence(message, N_ENTITIES, ID_SPACE)
+
+    @given(
+        data=st.data(),
+        field=st.sampled_from(BatchEvidence._fields),
+        cap=st.sampled_from([None, 1]),
+        kind=st.sampled_from(CHECKS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_field_is_rejected_or_merges(self, data, field, cap, kind):
+        """Whatever one field holds, the reply is a :class:`ProtocolError`
+        or evidence every backend merges without an error."""
+        value = data.draw(
+            st.one_of(
+                st.binary(max_size=40).map(lambda raw: base64.b64encode(raw).decode()),
+                st.text(max_size=12),
+                st.lists(st.integers(-2, 11), max_size=8)
+                if BATCH_TYPECODES[field] == "i"
+                else st.lists(st.floats(allow_nan=False), max_size=8),
+            )
+        )
+        try:
+            with checks(kind):
+                evidence = unpack_batch_evidence(reply(**{field: value}), N_ENTITIES, ID_SPACE)
+        except ProtocolError:
+            return
+        for backend in available_backends():
+            value_1, value_2 = get_backend(backend).merge_batch_evidence(
+                [evidence, sample_evidence()], N_ENTITIES, ID_SPACE, 4, (0.2, 3), cap
+            )
+            assert len(list(value_1)) == N_ENTITIES
+            assert len(list(value_2)) == ID_SPACE
 
 
 class TestSnapshotCodec:

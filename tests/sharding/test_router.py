@@ -9,7 +9,9 @@ config variants that change the merge shape (adaptive cut, candidate
 cap, reciprocity off).
 """
 
+import queue
 import random
+import threading
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.datasets.profiles import scaled_profile
 from repro.resilience.faults import parse_chaos, use_faults
 from repro.serving import MatchEngine, ResolutionIndex
 from repro.sharding import InlineReplica, ShardFailure, ShardPlanner, ShardRouter, ShardWorker
+from repro.sharding.router import DEFAULT_HEDGE_DELAY_S, HEDGE_MIN_SAMPLES
 
 PROFILES = [
     ("restaurant", 0.3),
@@ -257,6 +260,125 @@ class TestChaosDegrade:
             assert [decision_fields(d) for d in decisions] == [
                 decision_fields(d) for d in engine.match_batch(batch)
             ]
+        finally:
+            router.close()
+
+
+class _CorruptBatchWorker(ShardWorker):
+    """A worker whose ``batch`` replies arrive with a packed field broken."""
+
+    def handle(self, request):
+        response = super().handle(request)
+        if request.get("op") == "batch" and response.get("ok"):
+            response["row_ids"] = "@@ not base64 @@"
+        return response
+
+
+class TestMalformedBatchReplies:
+    """A packed reply the router cannot validate is the replica's fault:
+    it counts against the breaker and fails over or degrades, never
+    reaching the merge."""
+
+    CORRUPT = 1
+
+    def _router(self, index, config, replicas=1):
+        sets = []
+        for number, shard in enumerate(ShardPlanner(3).plan(index)):
+            worker = _CorruptBatchWorker if number == self.CORRUPT else ShardWorker
+            group = [InlineReplica(worker(MatchEngine(shard, config)))]
+            group += [
+                InlineReplica(ShardWorker(MatchEngine(shard, config)))
+                for _ in range(replicas - 1)
+            ]
+            sets.append(group)
+        return ShardRouter(index, sets, config)
+
+    def test_fail_fast_raises_shard_failure(self, mini_pair):
+        config = MinoanERConfig(breaker_threshold=1000)
+        index = ResolutionIndex.build(mini_pair.kb2, config)
+        router = self._router(index, config)
+        try:
+            with pytest.raises(ShardFailure, match="not base64"):
+                router.match_batch(list(mini_pair.kb1)[:4])
+            assert router.stats()["sharding"]["failures"] == 1
+        finally:
+            router.close()
+
+    def test_degrade_equals_an_absent_shard(self, mini_pair):
+        config = MinoanERConfig(failure_mode="degrade", breaker_threshold=1000)
+        index = ResolutionIndex.build(mini_pair.kb2, config)
+        batch = list(mini_pair.kb1)
+        router = self._router(index, config)
+        absent_sets = [
+            [InlineReplica(ShardWorker(MatchEngine(shard, config)))]
+            for shard in ShardPlanner(3).plan(index)
+        ]
+        absent_sets[self.CORRUPT] = [_DeadReplica(self.CORRUPT)]
+        absent = ShardRouter(index, absent_sets, config)
+        try:
+            decisions = router.match_batch(batch)
+            assert all(d.degraded for d in decisions)
+            assert [decision_fields(d) for d in decisions] == [
+                decision_fields(d) for d in absent.match_batch(batch)
+            ]
+            # Singles never touch the batch decoder: full evidence.
+            assert not router.match(batch[0]).degraded
+        finally:
+            router.close()
+            absent.close()
+
+    def test_breaker_opens_and_a_sibling_replica_answers(self, mini_pair):
+        config = MinoanERConfig(breaker_threshold=2)
+        index = ResolutionIndex.build(mini_pair.kb2, config)
+        engine = MatchEngine(index, config)
+        batch = list(mini_pair.kb1)[:6]
+        router = self._router(index, config, replicas=2)
+        try:
+            for _ in range(4):
+                decisions = router.match_batch(batch)
+                assert [decision_fields(d) for d in decisions] == [
+                    decision_fields(d) for d in engine.match_batch(batch)
+                ]
+            corrupt = router._replicas[self.CORRUPT][0]
+            assert corrupt.breaker.state == "open"
+            assert router.stats()["sharding"]["failures"] == 2
+        finally:
+            router.close()
+
+
+class _SlowBatchReplica(InlineReplica):
+    """Answers singles at once and batches after ``DELAY_S``, delivered
+    from a timer thread the way a worker pipe delivers them."""
+
+    DELAY_S = 0.02
+
+    def send(self, op, payload, sink):
+        if op != "batch":
+            return super().send(op, payload, sink)
+        held = queue.Queue()
+        rid = super().send(op, payload, held)
+        threading.Timer(self.DELAY_S, lambda: sink.put(held.get_nowait())).start()
+        return rid
+
+
+class TestHedgeDelayPerOp:
+    def test_batch_after_fast_singles_does_not_hedge(self, mini_pair):
+        """Sub-millisecond singles must not set the hedge delay for a
+        batch: with no batch latencies seen yet, a batch waits the
+        default delay, so a 20 ms batch fires no backup."""
+        config = MinoanERConfig()
+        index = ResolutionIndex.build(mini_pair.kb2, config)
+        (shard,) = ShardPlanner(1).plan(index)
+        replicas = [_SlowBatchReplica(ShardWorker(MatchEngine(shard, config))) for _ in range(2)]
+        router = ShardRouter(index, [replicas], config)
+        entities = list(mini_pair.kb1)
+        try:
+            for entity in entities[: 2 * HEDGE_MIN_SAMPLES]:
+                router.match(entity)
+            assert router.stats()["sharding"]["requests"] >= HEDGE_MIN_SAMPLES
+            assert _SlowBatchReplica.DELAY_S < DEFAULT_HEDGE_DELAY_S
+            router.match_batch(entities[:3])
+            assert router.stats()["sharding"]["hedge_fired"] == 0
         finally:
             router.close()
 
