@@ -11,9 +11,9 @@ pytest-benchmark comparison output:
 * ``top_k_candidates`` -- per-node pruning;
 * ``unique_mapping_clustering`` -- the final 1-1 assignment;
 * ``KnowledgeBase`` construction -- tokenisation + index building;
-* the array kernel layer (:mod:`repro.kernels`) counterparts of the
-  beta / fused value / gamma passes, per available backend, so the
-  dict-vs-kernel gap is visible in one pytest-benchmark run.
+* the numpy kernel (:mod:`repro.kernels`) counterparts of the beta /
+  fused value / gamma passes, so the dict-vs-kernel gap is visible in
+  one pytest-benchmark run.
 """
 
 import random
@@ -32,9 +32,7 @@ from repro.graph.construction import (
 from repro.graph.pruning import top_k_candidates
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
-from repro.kernels import InternedBlocks, available_backends, get_backend
-
-KERNEL_BACKENDS = [name for name in available_backends() if name != "dict"]
+from repro.kernels import InternedBlocks, numpy_backend
 
 
 def test_kb_construction(benchmark, profiles):
@@ -97,32 +95,26 @@ def interned_bbc(profiles):
     return InternedBlocks.from_blocks(blocks, len(pair.kb1), len(pair.kb2))
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_kernel_beta_accumulation(benchmark, interned_bbc, backend):
-    impl = get_backend(backend)
-    rows = benchmark(lambda: impl.accumulate_beta(interned_bbc))
+def test_kernel_beta_accumulation(benchmark, interned_bbc):
+    rows = benchmark(lambda: numpy_backend.accumulate_beta(interned_bbc))
     assert any(rows)
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_kernel_value_topk(benchmark, interned_bbc, backend):
+def test_kernel_value_topk(benchmark, interned_bbc):
     """Fused beta + transpose + top-K over the interned arrays."""
-    impl = get_backend(backend)
-    side1, side2 = benchmark(lambda: impl.value_topk(interned_bbc, 15))
+    side1, side2 = benchmark(lambda: numpy_backend.value_topk(interned_bbc, 15))
     assert len(side1) == interned_bbc.n1
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_kernel_gamma_topk(benchmark, profiles, interned_bbc, backend):
+def test_kernel_gamma_topk(benchmark, profiles, interned_bbc):
     """Fused gamma propagation + transpose + top-K over CSR adjacency."""
     pair = profiles["bbc_dbpedia"]
     stats1 = KBStatistics(pair.kb1)
     stats2 = KBStatistics(pair.kb2)
-    impl = get_backend(backend)
-    value_1, value_2 = impl.value_topk(interned_bbc, 15)
-    edges = impl.retained_edges(value_1, value_2)
+    value_1, value_2 = numpy_backend.value_topk(interned_bbc, 15)
+    edges = numpy_backend.retained_edges(value_1, value_2)
     side1, side2 = benchmark(
-        lambda: impl.gamma_topk(
+        lambda: numpy_backend.gamma_topk(
             edges, stats1.in_neighbor_csr(), stats2.in_neighbor_csr(), 15
         )
     )

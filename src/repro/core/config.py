@@ -5,7 +5,7 @@ recommends the global default ``(k, K, N, theta) = (2, 15, 3, 0.6)``,
 which is also the default here.  The remaining fields reproduce a fixed
 design decision of the paper (e.g. ``value_threshold = 1`` in R2),
 expose an ablation used in its evaluation (rule toggles, purging), or
-tune the kernel, serving and resilience layers built around it.
+tune the serving and resilience layers built around it.
 
 A field lives here only if the library reads it as ``config.<field>``
 (``tests/core/test_config.py`` checks this).  Settings that one
@@ -62,13 +62,6 @@ class MinoanERConfig:
         per-node cut of the paper's future work (section 7): each node's
         list is truncated at the first large weight gap in its local
         similarity distribution.
-    kernel_backend:
-        Implementation of the blocking-graph hot path (see
-        :mod:`repro.kernels`): ``"python"`` and ``"numpy"`` are the
-        array-backed sparse kernels, and ``"auto"`` (the default) picks
-        ``numpy`` when importable and ``python`` otherwise.  Both
-        backends produce bit-identical graphs; this is purely a
-        performance knob.
     serving_cache_size:
         Capacity of the :class:`repro.serving.cache.LRUCache` holding
         single-query decisions, keyed by entity content fingerprint
@@ -95,11 +88,9 @@ class MinoanERConfig:
         answer flagged ``degraded=true`` instead of blocking the
         stream.
     breaker_threshold:
-        Consecutive failures that open a circuit breaker: the serving
-        engine's breaker around the numpy kernels (queries fall back to
-        the bit-identical, slower pure-python kernels) and each shard
-        replica's breaker in the router (the replica is skipped).  An
-        open breaker lets a half-open probe through after 30 s.
+        Consecutive failures that open a shard replica's circuit
+        breaker in the router (the replica is skipped).  An open
+        breaker lets a half-open probe through after 30 s.
     serving_hedge_ms:
         Delay before a backup (hedged) request of the sharded serving
         tier (``docs/sharding.md``) fires at a sibling replica; ``None``
@@ -137,7 +128,6 @@ class MinoanERConfig:
     enforce_unique_mapping: bool = True
     dynamic_pruning: bool = False
     pruning_gap_ratio: float = 0.2
-    kernel_backend: str = "auto"
     serving_cache_size: int = 1024
     serving_candidate_cap: int | None = None
     provenance_sample_rate: float = 0.0
@@ -169,13 +159,6 @@ class MinoanERConfig:
         if not 0.0 < self.pruning_gap_ratio < 1.0:
             raise ValueError(
                 f"pruning_gap_ratio must be in (0, 1), got {self.pruning_gap_ratio}"
-            )
-        from repro.kernels.dispatch import KERNEL_BACKENDS
-
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, "
-                f"got {self.kernel_backend!r}"
             )
         if self.serving_cache_size < 0:
             raise ValueError(

@@ -216,7 +216,7 @@ class MinoanER:
                 k=self.config.candidates_k,
                 dynamic_pruning=self.config.dynamic_pruning,
                 pruning_gap_ratio=self.config.pruning_gap_ratio,
-                backend=self.config.kernel_backend,
+                kernels=True,
             ),
         )
 

@@ -49,8 +49,8 @@ class DisjunctiveBlockingGraph:
         self.n1 = n1
         self.n2 = n2
         self._name_matches = (name_matches_1, name_matches_2)
-        # Kept as given, not copied: a kernel's lazy sequence (e.g. a
-        # numpy ``RankedLists``) builds a node's tuple only when read.
+        # Kept as given, not copied: a kernel's lazy sequence (a
+        # ``RankedLists``) builds a node's tuple only when read.
         self._value_candidates = (value_candidates_1, value_candidates_2)
         self._neighbor_candidates = (neighbor_candidates_1, neighbor_candidates_2)
         # Per side, the out-sets built so far (node -> targets).

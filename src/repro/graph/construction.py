@@ -152,7 +152,6 @@ def _kernel_evidence(
     k: int,
     dynamic_pruning: bool,
     pruning_gap_ratio: float,
-    backend: str,
 ):
     """Value + neighbor evidence via the array kernel layer.
 
@@ -162,7 +161,7 @@ def _kernel_evidence(
     from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM
     from repro.kernels import InternedBlocks, get_backend
 
-    impl = get_backend(backend)
+    impl = get_backend()
     n1, n2 = len(stats1.kb), len(stats2.kb)
     cut = (pruning_gap_ratio, DEFAULT_ADAPTIVE_MINIMUM) if dynamic_pruning else None
     interned = InternedBlocks.from_blocks(token_blocks, n1, n2)
@@ -182,7 +181,7 @@ def build_blocking_graph(
     k: int = 15,
     dynamic_pruning: bool = False,
     pruning_gap_ratio: float = 0.2,
-    backend: str | None = None,
+    kernels: bool = False,
 ) -> DisjunctiveBlockingGraph:
     """Run Algorithm 1: weight and prune the disjunctive blocking graph.
 
@@ -201,18 +200,17 @@ def build_blocking_graph(
         Use the adaptive per-node candidate cut instead of a fixed
         top-K (the paper's future-work idea; see
         :func:`repro.graph.pruning.adaptive_candidates`).
-    backend:
-        Hot-path implementation: ``"python"`` / ``"numpy"`` (the array
-        kernels of :mod:`repro.kernels`) or ``"auto"``; ``None`` runs
-        this module's dict-of-dicts reference code, the oracle the
-        kernel tests compare against.  Every choice returns a
-        bit-identical graph.
+    kernels:
+        Run the hot path on the array kernels of :mod:`repro.kernels`
+        (what the pipeline does); ``False`` runs this module's
+        dict-of-dicts reference code, the oracle the kernel tests
+        compare against.  Both return a bit-identical graph.
     """
     n1, n2 = len(stats1.kb), len(stats2.kb)
     names_1, names_2 = name_evidence(name_blocks)
-    if backend is not None:
+    if kernels:
         value_1, value_2, neighbor_1, neighbor_2 = _kernel_evidence(
-            stats1, stats2, token_blocks, k, dynamic_pruning, pruning_gap_ratio, backend
+            stats1, stats2, token_blocks, k, dynamic_pruning, pruning_gap_ratio
         )
     else:
         if dynamic_pruning:

@@ -4,34 +4,24 @@ Algorithm 1's cost is dominated by three passes -- ``beta``
 accumulation over purged token blocks, the transpose + top-K pruning of
 the value evidence, and ``gamma`` propagation over retained edges.  The
 reference implementation (:mod:`repro.graph.construction`) runs them
-over dicts of dicts; this package re-implements them over integer-
-interned flat arrays (CSR-style), with two interchangeable backends:
+over dicts of dicts; :mod:`repro.kernels.numpy_backend` runs them over
+integer-interned flat arrays (CSR-style) with vectorised expansion +
+``unique``/``bincount`` collapse.
 
-* :mod:`repro.kernels.python_backend` -- dependency-free dense
-  scratch-row + touched-list accumulators;
-* :mod:`repro.kernels.numpy_backend` -- vectorised expansion +
-  ``unique``/``bincount`` collapse (used when numpy is importable).
-
-Both are **bit-identical** to the dict reference (same float
-accumulation order per pair), so backend selection
-(``MinoanERConfig.kernel_backend``) is purely a performance knob
-between the two, and the dict reference stays in
+The kernels are **bit-identical** to the dict reference (same float
+accumulation order per pair), which stays in
 :mod:`repro.graph.construction` as the equivalence oracle for tests --
-a reference implementation, not a third backend.
+a reference implementation, not a second runtime.
 
 :mod:`repro.kernels.partition` runs the same fused kernels one node
 range at a time for the stage-parallel pipeline.
 """
 
-from repro.kernels.dispatch import (
-    KERNEL_API,
-    KERNEL_BACKENDS,
-    available_backends,
-    get_backend,
-    missing_api,
-    numpy_available,
-    resolve_backend_name,
-)
+from __future__ import annotations
+
+from types import ModuleType
+
+from repro.kernels import numpy_backend
 from repro.kernels.interning import (
     BatchEvidence,
     CSRAdjacency,
@@ -39,21 +29,35 @@ from repro.kernels.interning import (
     RankedLists,
     block_weight,
 )
-from repro.kernels.python_backend import accumulate_row, select_row
+from repro.kernels.numpy_backend import accumulate_row, select_row
 
 __all__ = [
-    "KERNEL_API",
-    "KERNEL_BACKENDS",
     "BatchEvidence",
     "CSRAdjacency",
     "InternedBlocks",
     "RankedLists",
     "accumulate_row",
-    "available_backends",
     "block_weight",
     "get_backend",
-    "missing_api",
-    "numpy_available",
-    "resolve_backend_name",
+    "numpy_backend",
     "select_row",
 ]
+
+
+def get_backend() -> ModuleType:
+    """The kernel module, :mod:`repro.kernels.numpy_backend`.
+
+    Every call increments the ``kernels.dispatch.numpy`` counter on the
+    ambient :func:`repro.obs.current_recorder`, so traces show where
+    the offline pipeline dispatched kernels, and is a ``kernel:numpy``
+    injection site for chaos plans (the serving engine injects per
+    kernel *call* instead; see ``MatchEngine._run_kernel``).  Callers
+    look kernels up on the returned module at call time, so a wrapper
+    installed on a module attribute sees every call.
+    """
+    from repro.obs import current_recorder
+    from repro.resilience.faults import inject
+
+    current_recorder().count("kernels.dispatch.numpy")
+    inject("kernel:numpy")
+    return numpy_backend

@@ -8,15 +8,15 @@ by interning the inputs once into flat, contiguous integer arrays:
   :class:`~repro.blocking.base.BlockCollection`: one flat ``array('i')``
   of entity ids per side with per-block offsets, the per-block
   ``1 / log2(|b1|*|b2| + 1)`` weight hoisted into an ``array('d')``
-  (computed once, in pure Python, so every backend sees bit-identical
-  weights), and a per-KB1-entity CSR index of the blocks that contain
+  (computed once, with :func:`math.log2`, so the kernels see weights
+  bit-identical to the dict reference's), and a per-KB1-entity CSR index of the blocks that contain
   the entity (in ascending block order, which preserves the reference
   implementation's floating-point accumulation order per pair).
 * :class:`CSRAdjacency` -- a flat-array adjacency (offsets + ids), used
   for the top in-neighbor maps that drive ``gamma`` propagation.
 * :class:`RankedLists` -- per-node ranked candidate lists in the same
-  CSR layout (offsets + ids + scores): what the numpy top-K kernels
-  return, so a side nobody reads is never turned into tuples.
+  CSR layout (offsets + ids + scores): what the top-K kernels return,
+  so a side nobody reads is never turned into tuples.
 * :class:`BatchEvidence` -- one source's batch value evidence as flat
   arrays: what a shard worker ships and the batch merge consumes.
 """
@@ -30,10 +30,9 @@ from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.graph.blocking_graph import CandidateList
 
-EdgeArrays = tuple[array, array, array]
-"""Retained beta edges as parallel ``(sources, targets, weights)`` arrays
-(the output of every backend's ``retained_edges`` kernel; the numpy
-backend's are ndarrays)."""
+EdgeArrays = tuple[Any, Any, Any]
+"""Retained beta edges as parallel ``(sources, targets, weights)``
+ndarrays (the output of the ``retained_edges`` kernel)."""
 
 
 class CSRAdjacency:
@@ -46,9 +45,8 @@ class CSRAdjacency:
     ``offsets``/``ids`` are any sliceable int sequences with
     ``.tolist()`` -- ``array('i')`` when built in-process, zero-copy
     int32 views over the mapped index file when the adjacency comes
-    from ``ResolutionIndex.load``.  Both backends consume either
-    representation unchanged (the numpy kernels via
-    ``_as_int64``, the python kernels via :meth:`to_lists`).
+    from ``ResolutionIndex.load``.  The kernels consume either
+    representation unchanged.
 
     >>> adj = CSRAdjacency.from_lists([(1, 2), (), (0,)])
     >>> adj.neighbors(0)
@@ -109,12 +107,12 @@ class RankedLists(Sequence[CandidateList]):
     costs three flat arrays, not 100k tuples, when a batch reads a few
     thousand of them.
 
-    ``offsets``/``ids``/``scores`` are any sliceable sequences with
-    ``.tolist()`` -- ndarrays from the numpy kernels, ``array('i')`` /
-    ``array('d')`` from the python batch merge.  Slicing ``lists[lo:hi]``
-    shares ``ids``/``scores``; pickling ships the three arrays.
+    ``offsets``/``ids``/``scores`` are the kernels' ndarrays.  Slicing
+    ``lists[lo:hi]`` shares ``ids``/``scores``; pickling ships the three
+    arrays.
 
-    >>> lists = RankedLists(array("i", [0, 0, 2, 2]), array("i", [4, 0]), array("d", [2.0, 1.5]))
+    >>> import numpy as np
+    >>> lists = RankedLists(np.array([0, 0, 2, 2]), np.array([4, 0]), np.array([2.0, 1.5]))
     >>> lists[0], lists[1]
     ((), ((4, 2.0), (0, 1.5)))
     >>> [node for node, _ in lists.items()], len(lists[1:])
@@ -197,9 +195,8 @@ class BatchEvidence(NamedTuple):
     holds the next ``col_lengths[j]`` pairs of ``col_ids`` (batch
     positions) and ``col_scores``, ranked the same way.
 
-    Every field is an ndarray (numpy kernels) or an ``array('i')`` /
-    ``array('d')`` (python kernels, the wire decoder); the batch
-    kernels and :mod:`repro.sharding.protocol` read either.
+    Every field is an ndarray, as the ``batch_evidence`` kernel builds
+    it and :mod:`repro.sharding.protocol` decodes it.
     """
 
     row_lengths: Any
@@ -214,8 +211,8 @@ class BatchEvidence(NamedTuple):
 def block_weight(comparisons: int) -> float:
     """The block's edge-weight contribution ``1 / log2(|b1|*|b2| + 1)``.
 
-    Computed with :func:`math.log2` in every backend so the interned
-    weights are bit-identical to the dict reference's.
+    Computed with :func:`math.log2`, as the dict reference does, so the
+    interned weights are bit-identical to its.
     """
     return 1.0 / math.log2(comparisons + 1.0)
 

@@ -1,4 +1,4 @@
-"""Vectorised kernels over the interned arrays (optional numpy backend).
+"""Vectorised kernels over the interned arrays.
 
 Strategy: expand every suggested comparison (or in-neighbor pair) into
 flat parallel arrays *in reference order*, collapse duplicate pairs with
@@ -8,9 +8,9 @@ C loop in input order, so each pair's float sum is built in exactly the
 block/edge order of the dict reference -- the results are bit-identical,
 not merely approximately equal.
 
-The module imports numpy lazily-at-import; callers go through
-:mod:`repro.kernels.dispatch`, which only selects this backend when the
-import succeeds.  Core stays dependency-free.
+Callers reach this module through :func:`repro.kernels.get_backend`
+(offline) or look its kernels up as module attributes at call time
+(serving), never through ``from ... import``.
 """
 
 from __future__ import annotations
@@ -27,13 +27,8 @@ from repro.kernels.interning import (
     RankedLists,
 )
 
-name = "numpy"
-
 AdaptiveCut = tuple[float, int] | None
-
-
-def is_available() -> bool:
-    return True
+"""``(gap_ratio, minimum)`` for dynamic pruning, or None for plain top-K."""
 
 
 def _as_int64(buffer) -> "np.ndarray":
@@ -95,16 +90,15 @@ def accumulate_row(
 ) -> tuple[list[int], list[float]]:
     """Accumulate one entity's ``beta`` row from weighted posting lists.
 
-    Vectorised counterpart of the python backend's ``accumulate_row``:
-    the per-block candidate arrays are concatenated (mapped int32
+    The per-block candidate arrays are concatenated (mapped int32
     posting slices are consumed as-is -- no per-token python lists),
     block weights are expanded alongside, and duplicate candidates are
     collapsed with ``unique`` + ``bincount``.  ``bincount`` sums each
     bin sequentially in input order, so every candidate's float total is
     built in exactly the block visit order of the dict accumulation --
-    bit-identical sums.  Candidates return in ascending id order (the
-    python backend returns first-touch order); all consumers rank under
-    the total order ``(-score, id)``, which is insensitive to row order.
+    bit-identical sums.  Candidates return in ascending id order; all
+    consumers rank under the total order ``(-score, id)``, which is
+    insensitive to row order.
     ``as_arrays`` hands back the id / sum arrays themselves instead of
     python lists (what :func:`row_evidence` selects from in place).
     """
@@ -166,9 +160,10 @@ def select_row(
     Fused selection: one ``np.partition`` finds the k-th largest score,
     strictly-greater entries survive outright (provably at most k-1 of
     them), and the remaining slots are filled from the threshold ties by
-    smallest candidate id -- realising the exact bounded-heap total
-    order of the python backend without sorting the whole row.  Only the
-    <= k survivors are then ordered (``lexsort`` on ``(-score, id)``).
+    smallest candidate id -- realising the exact total order of
+    :func:`repro.graph.pruning.top_k_candidates` without sorting the
+    whole row.  Only the <= k survivors are then ordered (``lexsort``
+    on ``(-score, id)``).
     Scores are carried through untouched, so the returned floats are
     bit-identical to the accumulation's.
     """
@@ -441,7 +436,7 @@ def merge_batch_evidence(
 def _side_arrays(lists) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
     """``(lengths, ids, scores)`` of one side's candidate lists laid back
     to back: read off a :class:`RankedLists`' arrays, or gathered from
-    plain tuples (a merged batch's side 1, a python-backend result)."""
+    plain tuples."""
     if isinstance(lists, RankedLists):
         offsets = _as_int64(lists.offsets)
         lo, hi = int(offsets[0]), int(offsets[-1])
@@ -459,10 +454,12 @@ def _side_arrays(lists) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
 def retained_edges(value_candidates_1, value_candidates_2) -> EdgeArrays:
     """Undirected union of the directed top-K ``beta`` edges, as arrays.
 
-    The python backend's first-insertion order without a per-edge step:
-    every side-1 edge in list order, then the side-2 edges whose pair
-    side 1 did not retain (one ``isin`` over ``eid1 * n2 + eid2`` keys),
-    in list order.  Weights are copied, never recomputed.
+    The first-insertion order of
+    :func:`repro.graph.construction.retained_beta_edges` without a
+    per-edge step: every side-1 edge in list order, then the side-2
+    edges whose pair side 1 did not retain (one ``isin`` over
+    ``eid1 * n2 + eid2`` keys), in list order.  Weights are copied,
+    never recomputed.
     """
     lengths1, targets1, weights1 = _side_arrays(value_candidates_1)
     lengths2, sources2, weights2 = _side_arrays(value_candidates_2)

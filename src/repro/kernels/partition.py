@@ -25,9 +25,9 @@ from itertools import accumulate, compress
 from typing import Sequence
 
 from repro.graph.blocking_graph import CandidateList
-from repro.kernels.dispatch import get_backend
+from repro.kernels import get_backend
 from repro.kernels.interning import CSRAdjacency, EdgeArrays, InternedBlocks, block_weight
-from repro.kernels.python_backend import AdaptiveCut
+from repro.kernels.numpy_backend import AdaptiveCut
 
 NodeRange = tuple[int, int, int]
 """``(side, lo, hi)``: nodes ``lo..hi-1`` of KB ``side`` (1 or 2)."""
@@ -86,16 +86,15 @@ def beta_range_kernel(
     n2: int,
     k: int,
     cut: AdaptiveCut,
-    backend: str,
 ) -> list[RangeRows]:
     """Value candidates of every node of the given ranges (lines 10-19).
 
     ``tasks`` come from :func:`restrict_blocks`.  Each range runs the
-    backend's fused ``value_topk`` over its restricted blocks with
+    fused ``value_topk`` over its restricted blocks with
     itself as the row side and the *whole* other KB as the column side,
     and keeps the row result.
     """
-    impl = get_backend(backend)
+    impl = get_backend()
     out: list[RangeRows] = []
     for (side, lo, hi), items, weights in tasks:
         interned = InternedBlocks.from_block_items(
@@ -125,16 +124,15 @@ def gamma_range_kernel(
     adjacency2: CSRAdjacency,
     k: int,
     cut: AdaptiveCut,
-    backend: str,
 ) -> list[RangeRows]:
     """Neighbor candidates of every node of the given ranges (lines 20-33).
 
-    Each range runs the backend's fused ``gamma_topk`` over *all*
+    Each range runs the fused ``gamma_topk`` over *all*
     retained edges (in the ``retained_edges`` kernel's order) with its
     own side's in-neighbor adjacency restricted to the range -- only the
     range's nodes receive evidence -- and keeps their rows.
     """
-    impl = get_backend(backend)
+    impl = get_backend()
     swapped = (edges[1], edges[0], edges[2])
     out: list[RangeRows] = []
     for side, lo, hi in ranges:

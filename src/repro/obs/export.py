@@ -23,7 +23,6 @@ RESILIENCE_COUNTERS = (
     "stage.skipped",
     "deadline.expired",
     "breaker.trips",
-    "serving.kernel_fallback",
     "serving.request_errors",
     "serving.degraded",
 )

@@ -23,7 +23,7 @@ from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
 from repro.graph.construction import name_evidence
 from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kernels import get_backend, resolve_backend_name
+from repro.kernels import get_backend
 from repro.kernels.partition import (
     beta_range_kernel,
     gamma_range_kernel,
@@ -146,8 +146,7 @@ class ParallelMinoanER(MinoanER):
             if config.dynamic_pruning
             else None
         )
-        backend = resolve_backend_name(config.kernel_backend)
-        pruning = (config.candidates_k, cut, backend)
+        pruning = (config.candidates_k, cut)
 
         blocks = [(block.side1, block.side2) for block in tokens]
         value_1, value_2 = self._range_stage(
@@ -156,7 +155,7 @@ class ParallelMinoanER(MinoanER):
         )
         neighbor_1, neighbor_2 = self._range_stage(
             "graph:gamma", sizes, ranges, gamma_range_kernel,
-            get_backend(backend).retained_edges(value_1, value_2),
+            get_backend().retained_edges(value_1, value_2),
             stats1.in_neighbor_csr(), stats2.in_neighbor_csr(), *pruning,
         )
         return DisjunctiveBlockingGraph(

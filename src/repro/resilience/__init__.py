@@ -12,8 +12,8 @@ Failure is a first-class, observable, testable input (see
   :class:`Deadline` (monotonic budgets passed down call chains), plus
   the :data:`FAILURE_MODES` of ``ParallelContext``;
 * :mod:`repro.resilience.breaker` -- :class:`CircuitBreaker`, used by
-  the serving engine to trip the numpy kernel backend down to the
-  pure-python backend after repeated backend faults.
+  the shard router to stop sending requests to a replica after
+  repeated faults.
 
 Every retry, trip, expiry, skipped partition, and fired fault is
 counted through the ambient :func:`repro.obs.current_recorder`

@@ -1,11 +1,10 @@
 """Circuit breaker: stop hammering a backend that keeps failing.
 
-The serving engine uses one to guard the numpy kernel backend: after
-``failure_threshold`` consecutive kernel failures the breaker *opens*
-and queries are answered by the pure-python kernels (bit-identical
-results, just slower) instead of paying a doomed numpy attempt per
-query.  After ``reset_after_s`` the breaker goes *half-open* and lets
-attempts through again; one success closes it, one failure re-opens it.
+The shard router keeps one per replica: after ``failure_threshold``
+consecutive failures the breaker *opens* and requests go to a sibling
+replica instead of paying a doomed attempt per query.  After
+``reset_after_s`` the breaker goes *half-open* and lets attempts
+through again; one success closes it, one failure re-opens it.
 
 State transitions are counted and gauged on an optional recorder
 (``breaker.trips`` counter, ``breaker.state`` gauge with the numeric

@@ -27,8 +27,8 @@ The ``--chaos SPEC`` CLI flag parses into a plan via
 
 Examples: ``stage:*=error*2`` (first two matching executions raise),
 ``serve:match=delay:0.05`` (every query sleeps 50 ms),
-``kernel:numpy=error@0.5`` (each kernel dispatch fails with seeded
-probability one half).  ``TIMES`` bounds the *spec*, not each site: a
+``kernel:numpy=error@0.5`` (each kernel dispatch or serving kernel
+call fails with seeded probability one half).  ``TIMES`` bounds the *spec*, not each site: a
 glob spec firing twice is exhausted after two fires total.
 """
 
@@ -63,8 +63,7 @@ SITES: dict[str, str] = {
     "stage:match:R2": "one partition of the R2 rule stage",
     "stage:match:R3_side1": "one partition of the R3 rule stage (side 1)",
     "stage:match:R3_side2": "one partition of the R3 rule stage (side 2)",
-    "kernel:python": "kernel backend dispatch resolving to the python kernels",
-    "kernel:numpy": "kernel backend dispatch resolving to the numpy kernels",
+    "kernel:numpy": "one kernel dispatch (get_backend) or serving-engine kernel call",
     "serve:match": "one single-query lookup in MatchEngine.match",
     "serve:batch": "one batch lookup in MatchEngine.match_batch",
     "io:read_requests": "parsing one JSONL request line",

@@ -11,9 +11,8 @@ rules**.
   (``beta``) candidates -- :meth:`MatchEngine._single_values` and
   :meth:`MatchEngine._batch_values` -- and the only thing the shard
   routers override.  Here they read the engine's own index: the fused
-  single-row kernel (``row_evidence``, breaker-guarded, consuming
-  mapped posting slices zero-copy) and the interned ``value_topk``
-  batch kernel.
+  single-row kernel (``row_evidence``, consuming mapped posting slices
+  zero-copy) and the interned ``value_topk`` batch kernel.
 * *Merge* (:mod:`repro.serving.merge`): per-source evidence re-ranked
   under ``(-score, id)``; the unsharded engine is its one-source case.
 * *Rules* R1-R4 run here and only here, whatever produced the
@@ -43,12 +42,11 @@ Resilience (see ``docs/resilience.md``): when
 :class:`~repro.resilience.policy.Deadline`; a query that exhausts its
 budget mid-pipeline receives a *degraded* name-evidence-only answer
 (rule R1 or unmatched, ``MatchDecision.degraded = True``, never cached)
-instead of blocking the stream.  The numpy kernel backend is guarded by
-a :class:`~repro.resilience.breaker.CircuitBreaker`: repeated kernel
-failures trip queries down to the bit-identical pure-python kernels
-until a timed half-open probe shows numpy recovered.  Lookups are
-injection sites (``serve:match``, ``serve:batch``, ``kernel:numpy``)
-for the chaos plans of :mod:`repro.resilience.faults`.
+instead of blocking the stream.  A kernel that raises fails its lookup
+like any other error: nothing is cached, and the serve loop turns it
+into one error record.  Lookups and kernel calls are injection sites
+(``serve:match``, ``serve:batch``, ``kernel:numpy``) for the chaos
+plans of :mod:`repro.resilience.faults`.
 """
 
 from __future__ import annotations
@@ -68,17 +66,10 @@ from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM
 from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
-from repro.kernels import (
-    BatchEvidence,
-    InternedBlocks,
-    block_weight,
-    get_backend,
-    resolve_backend_name,
-)
+from repro.kernels import BatchEvidence, InternedBlocks, block_weight, numpy_backend
 from repro.obs import NULL_RECORDER, Recorder, current_recorder
 from repro.obs.provenance import RULE_EVIDENCE, ProvenanceRecord, ProvenanceSampler
 from repro.resilience.admission import AdmissionController
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import inject
 from repro.resilience.policy import Deadline, DeadlineExpired
 from repro.serving.cache import LRUCache, entity_fingerprint
@@ -265,9 +256,6 @@ class MatchEngine:
         #: carry it, so no answer computed against an older index state
         #: can ever be served after the state changes.
         self.generation = 0
-        backend = resolve_backend_name(self.config.kernel_backend)
-        self._backend_name = backend
-        self._impl = get_backend(backend)
         self._cut = (
             (self.config.pruning_gap_ratio, DEFAULT_ADAPTIVE_MINIMUM)
             if self.config.dynamic_pruning
@@ -280,18 +268,6 @@ class MatchEngine:
         else:
             ambient = current_recorder()
             self.recorder = ambient if ambient is not NULL_RECORDER else Recorder()
-        if backend == "numpy":
-            # The breaker guards the only backend with a cheaper
-            # bit-identical stand-in; python has nothing to fall back
-            # to, so its kernel errors propagate as usual.
-            self._fallback = get_backend("python")
-            self.breaker = CircuitBreaker(
-                failure_threshold=self.config.breaker_threshold,
-                recorder=self.recorder,
-            )
-        else:
-            self._fallback = None
-            self.breaker = None
         # Admission control (docs/resilience.md): a bounded pending-work
         # gauge plus per-source token-bucket quotas.  Both knobs default
         # off, so the engine only pays the context-manager when the
@@ -611,28 +587,11 @@ class MatchEngine:
         return decisions
 
     def _run_kernel(self, method: str, *args):
-        """One kernel call, routed through the circuit breaker when the
-        numpy backend is guarded.
-
-        Closed/half-open: attempt numpy (itself a ``kernel:numpy``
-        injection site) and record the outcome; a failure is answered by
-        the pure-python fallback (bit-identical, slower) and counted
-        ``serving.kernel_fallback``.  Open: skip numpy entirely.
-        """
-        breaker = self.breaker
-        if breaker is None:
-            return getattr(self._impl, method)(*args)
-        if breaker.allow():
-            try:
-                inject(f"kernel:{self._backend_name}")
-                result = getattr(self._impl, method)(*args)
-            except Exception:
-                breaker.record_failure()
-            else:
-                breaker.record_success()
-                return result
-        self.recorder.count("serving.kernel_fallback")
-        return getattr(self._fallback, method)(*args)
+        """One kernel call: a ``kernel:numpy`` injection site, then the
+        kernel, looked up on :mod:`repro.kernels.numpy_backend` at call
+        time.  Its exceptions propagate to the caller."""
+        inject("kernel:numpy")
+        return getattr(numpy_backend, method)(*args)
 
     def _batch_values(
         self,
@@ -861,9 +820,8 @@ class MatchEngine:
         self, weighted: list[tuple[float, Sequence[int]]], probe: int | None
     ) -> dict[str, object]:
         """One fused kernel call over ``(block weight, posting ids)``
-        chunks, shaped as a merge-ready payload.  The chunks are a list,
-        not a generator: the breaker may replay them against the python
-        fallback (numpy consumes mapped id slices zero-copy)."""
+        chunks (mapped id slices are consumed zero-copy), shaped as a
+        merge-ready payload."""
         cap = self.config.serving_candidate_cap
         keep = cap if cap is not None else self.config.candidates_k
         row, mins, count, touched = self._run_kernel(
@@ -963,15 +921,9 @@ class MatchEngine:
             "latency_p95_ms": latency.p95,
             "degraded": int(recorder.counter_value("serving.degraded")),
             "deadline_expired": int(recorder.counter_value("deadline.expired")),
-            "kernel_fallback": int(recorder.counter_value("serving.kernel_fallback")),
             "request_errors": int(recorder.counter_value("serving.request_errors")),
             "query_errors": int(recorder.counter_value("serving.query_errors")),
         }
-        if self.breaker is not None:
-            snapshot["breaker"] = {
-                "state": self.breaker.state,
-                "trips": self.breaker.trips,
-            }
         if self.admission is not None:
             snapshot["admission"] = self.admission.stats()
         snapshot["cache"] = self.cache.stats()

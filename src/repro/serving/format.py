@@ -51,9 +51,9 @@ Tokens and names are sorted by their UTF-8 byte sequences (identical to
 Python's code-point string order), so a lookup is one binary search over
 the offset table -- no hash map is ever materialised.  Because sections
 are plain little-endian buffers, ``load`` maps the file once and hands
-out zero-copy views (numpy arrays when numpy imports, ``memoryview``
-casts otherwise): load time is O(1) in index size and all processes
-mapping one file share its read-only pages through the page cache.  The format contains no executable payload -- decoding touches
+out zero-copy numpy views: load time is O(1) in index size and all
+processes mapping one file share its read-only pages through the page
+cache.  The format contains no executable payload -- decoding touches
 only ``json.loads``, integer arrays and UTF-8 -- unlike the legacy
 pickle, which could execute arbitrary code on load.
 
@@ -70,9 +70,11 @@ import sys
 from array import array
 from typing import Any, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.config import MinoanERConfig, config_from_dict, config_to_dict
 from repro.kb.tokenizer import Tokenizer
-from repro.kernels import CSRAdjacency, numpy_available
+from repro.kernels import CSRAdjacency
 
 MAGIC = b"MINOANER-INDEX\x00"
 FORMAT_VERSION = 2
@@ -83,7 +85,6 @@ _PREFIX_LEN = len(MAGIC) + 1 + _HEADER_LEN_STRUCT.size
 _INT32_MAX = 2**31 - 1
 
 _DTYPE_ITEMSIZE = {"u1": 1, "i4": 4, "f8": 8}
-_DTYPE_TYPECODE = {"i4": "i", "f8": "d"}
 
 _SECTION_NAMES = (
     "token_blob",
@@ -564,28 +565,15 @@ class MappedURIs(Sequence):
 
 
 def _section(data, base: int, section: dict):
-    """Zero-copy view of one section of ``data``.
-
-    Byte blobs are ``memoryview`` slices; ``i4``/``f8`` sections are
-    ``numpy.frombuffer`` arrays when numpy imports, and ``memoryview``
-    casts otherwise (copied and byteswapped on big-endian hosts, the
-    only case where the file's little-endian bytes cannot be viewed).
-    """
+    """Zero-copy view of one section of ``data``: a ``memoryview``
+    slice for byte blobs, a little-endian ``numpy.frombuffer`` array for
+    ``i4``/``f8`` sections."""
     start = base + section["offset"]
     count = section["count"]
     dtype = section["dtype"]
     if dtype == "u1":
         return memoryview(data)[start : start + count]
-    if numpy_available():
-        import numpy as np
-
-        return np.frombuffer(data, "<" + dtype, count, start)
-    raw = memoryview(data)[start : start + count * _DTYPE_ITEMSIZE[dtype]]
-    if sys.byteorder == "big":
-        arr = array(_DTYPE_TYPECODE[dtype], raw.tobytes())
-        arr.byteswap()
-        return arr
-    return raw.cast(_DTYPE_TYPECODE[dtype])
+    return np.frombuffer(data, "<" + dtype, count, start)
 
 
 def open_sections(data) -> dict[str, Any]:

@@ -242,7 +242,7 @@ def decision_to_json(decision: MatchDecision) -> dict[str, Any]:
     has no Infinity); any other non-finite score (``-inf`` sentinels,
     NaN) indicates an engine bug and raises ``ValueError`` instead of
     being silently masked.  Ids are coerced to built-in ``int`` (the
-    numpy backend may hand back ``numpy.int64``).
+    kernels may hand back ``numpy.int64``).
     """
     score = decision.score
     if score is not None and not math.isfinite(score):

@@ -54,9 +54,11 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.blocking.name_blocking import normalize_name
 from repro.kb.entity import EntityDescription
-from repro.kernels import CSRAdjacency, block_weight, numpy_available
+from repro.kernels import CSRAdjacency, block_weight
 from repro.obs import current_recorder
 from repro.resilience.faults import inject
 from repro.serving.engine import MatchEngine
@@ -548,9 +550,9 @@ class LiveIndex:
     ``base n2 + allocated delta slots`` (drives array and graph
     extents; tombstoned columns stay empty and are harmless).
 
-    Dead base ids are also one byte each in ``_dead`` (a zero-copy bool
-    array with numpy), so a posting's dead count or survivors are one
-    gather ``mask[ids]`` per call and posting reads write no state.
+    Dead base ids are also one byte each in ``_dead`` (read as a
+    zero-copy bool array), so a posting's dead count or survivors are
+    one gather ``mask[ids]`` per call and posting reads write no state.
 
     Not thread-safe on its own: callers serialise mutations against
     queries through :class:`IndexHandle` (as :class:`LiveServingMixin`
@@ -568,11 +570,7 @@ class LiveIndex:
         self._epoch = 0
         self._base_uri_ids: dict[str, int] | None = None
         self._dead = bytearray(base.n2)
-        self._np = self._dead_view = None
-        if numpy_available():
-            import numpy as np
-
-            self._np, self._dead_view = np, np.frombuffer(self._dead, dtype=np.bool_)
+        self._dead_view = np.frombuffer(self._dead, dtype=np.bool_)
         self._csr: tuple[int, CSRAdjacency] | None = None
         self.postings = _LivePostings(self)
         self.singleton_weights = _LiveWeights(self)
@@ -655,21 +653,21 @@ class LiveIndex:
         """How many of ``ids`` (a base posting) are dead: one gather."""
         if not self.delta.dead_base or not len(ids):
             return 0
-        dead = self._dead
-        if self._np is None or len(ids) <= _PYTHON_MASK_MAX:
+        if len(ids) <= _PYTHON_MASK_MAX:
+            dead = self._dead
             return sum([dead[eid] for eid in ids.tolist()])
-        return int(self._np.count_nonzero(self._dead_view[ids]))
+        return int(np.count_nonzero(self._dead_view[ids]))
 
     def _survivors(self, ids: Sequence[int]) -> Sequence[int]:
         """``ids`` (a base posting) without its dead ids -- the posting
         object itself when none died, so the zero-copy slice survives."""
         if not self.delta.dead_base or not len(ids):
             return ids
-        dead = self._dead
-        if self._np is None or len(ids) <= _PYTHON_MASK_MAX:
+        if len(ids) <= _PYTHON_MASK_MAX:
+            dead = self._dead
             kept = [eid for eid in ids.tolist() if not dead[eid]]
             return kept if len(kept) < len(ids) else ids
-        array_ids = self._np.asarray(ids)
+        array_ids = np.asarray(ids)
         died = self._dead_view[array_ids]
         return array_ids[~died] if died.any() else ids
 
@@ -679,15 +677,14 @@ class LiveIndex:
         delta slots' global ids -- the base's own sequence (a zero-copy
         slice of the mapped file) when no edit touched the token.
 
-        An affected token's posting is an ``array('i')``: numpy reads it
-        zero-copy and the batch interner extends by it as one buffer
-        copy, where an ndarray would be extended id by id."""
+        An affected token's posting is an ``array('i')``: the kernels
+        read it zero-copy and the batch interner extends by it as one
+        buffer copy, where an ndarray would be extended id by id."""
         base_ids = self.base.postings.get(token, ())
         ids = self._survivors(base_ids)
         slots = self.delta.postings.get(token)
         if slots or ids is not base_ids:
-            np = self._np
-            ids = array("i", ids if np is None else np.asarray(ids, np.intc).tobytes())
+            ids = array("i", np.asarray(ids, np.intc).tobytes())
             ids.extend(self.base.n2 + slot for slot in slots or ())
         return ids if len(ids) else None
 
@@ -721,9 +718,9 @@ class LiveIndex:
         CSR itself only serves while no slot was ever allocated and no
         base id died -- a tombstoned delta slot still occupies an id
         (``delta_active`` is False then, yet ``id_space > base.n2``).
-        Memoised per epoch; with numpy one vectorised pass: an entry
-        survives when neither its row nor its id is dead, and the new
-        offsets are the running survivor count at the old ones."""
+        Memoised per epoch; one vectorised pass: an entry survives when
+        neither its row nor its id is dead, and the new offsets are the
+        running survivor count at the old ones."""
         if not self.delta.allocated and not self.delta.dead_base:
             return self.base.in_neighbors
         cached = self._csr
@@ -731,23 +728,15 @@ class LiveIndex:
             return cached[1]
         base_csr = self.base.in_neighbors
         pad = self.delta.allocated
-        np, dead = self._np, self._dead
-        if np is None:
-            rows = [
-                () if dead[eid] else [j for j in base_csr.neighbors(eid) if not dead[j]]
-                for eid in range(self.base.n2)
-            ]
-            csr = CSRAdjacency.from_lists(rows + [()] * pad)
-        else:
-            mask = self._dead_view
-            offsets = np.asarray(base_csr.offsets)
-            ids = np.asarray(base_csr.ids)
-            keep = ~(mask[ids] | np.repeat(mask, np.diff(offsets)))
-            kept = np.concatenate(([0], np.cumsum(keep)))[offsets]
-            csr = CSRAdjacency(
-                np.concatenate((kept, np.full(pad, kept[-1]))).astype(np.int32),
-                ids[keep].astype(np.int32, copy=False),
-            )
+        mask = self._dead_view
+        offsets = np.asarray(base_csr.offsets)
+        ids = np.asarray(base_csr.ids)
+        keep = ~(mask[ids] | np.repeat(mask, np.diff(offsets)))
+        kept = np.concatenate(([0], np.cumsum(keep)))[offsets]
+        csr = CSRAdjacency(
+            np.concatenate((kept, np.full(pad, kept[-1]))).astype(np.int32),
+            ids[keep].astype(np.int32, copy=False),
+        )
         self._csr = (self._epoch, csr)
         return csr
 

@@ -7,10 +7,11 @@ source ships was accumulated wholly inside it (posting lists partition
 disjointly; weights and purging thresholds use global Entity
 Frequencies), so merging is pure *re-ranking* under the engine's total
 order ``(-score, id)`` -- implemented by the same
-:func:`repro.kernels.select_row` the kernels use, which is insensitive
-to input permutation.  The engine then runs rules R1-R4 over the merged
-candidates, whichever sources they came from: the unsharded engine is
-the one-source case of the merge the sharded tier runs.
+:func:`repro.kernels.numpy_backend.select_row` the kernels use, which
+is insensitive to input permutation.  The engine then runs rules R1-R4
+over the merged candidates, whichever sources they came from: the
+unsharded engine is the one-source case of the merge the sharded tier
+runs.
 
 Why the merged candidates are bit-identical to one source holding
 everything (see ``docs/sharding.md`` for the long form):
@@ -34,7 +35,7 @@ everything (see ``docs/sharding.md`` for the long form):
 
 A batch's evidence travels as flat arrays
 (:class:`~repro.kernels.BatchEvidence`) and merges in one call of the
-``merge_batch_evidence`` kernel, vectorised on the numpy backend.
+vectorised ``merge_batch_evidence`` kernel.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Any, Callable, Sequence
 from repro.core.config import MinoanERConfig
 from repro.graph.blocking_graph import CandidateList
 from repro.graph.pruning import adaptive_cut
-from repro.kernels import BatchEvidence, RankedLists, select_row
+from repro.kernels import BatchEvidence, RankedLists, numpy_backend
 
 __all__ = ["merge_batch_evidence", "merge_single_evidence"]
 
@@ -79,7 +80,7 @@ def _capped(
     """The candidate-cap truncation, applied to a merged row."""
     if cap is None or len(ids) <= cap:
         return ids, sums
-    capped = select_row(ids, sums, cap)
+    capped = numpy_backend.select_row(ids, sums, cap)
     return [candidate for candidate, _ in capped], [score for _, score in capped]
 
 
@@ -106,7 +107,7 @@ def merge_single_evidence(
         ids = [int(candidate) for row in rows for candidate, _ in row]
         sums = [float(score) for row in rows for _, score in row]
         ids, sums = _capped(ids, sums, cap)
-        return select_row(ids, sums, k, cut), sorted(ids)
+        return numpy_backend.select_row(ids, sums, k, cut), sorted(ids)
     value_list = _merge_ranked([evidence["row"] for evidence in evidences], k, cut)
     sweep_set = {
         int(candidate)
@@ -139,7 +140,7 @@ def merge_batch_evidence(
     spans the index's whole ``id_space`` as a :class:`RankedLists` built
     from the touched columns alone; the engine feeds both to
     ``MatchEngine._assemble_graph``.  ``run_kernel`` is the engine's
-    breaker-guarded kernel call (``MatchEngine._run_kernel``).
+    kernel call (``MatchEngine._run_kernel``).
     """
     return run_kernel(
         "merge_batch_evidence",

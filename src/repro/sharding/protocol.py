@@ -55,19 +55,12 @@ from __future__ import annotations
 
 import base64
 import json
-import operator
-import sys
-from array import array
-from itertools import islice
 from typing import Any, BinaryIO
+
+import numpy as np
 
 from repro.kernels.interning import BatchEvidence
 from repro.obs.recorder import RecorderSnapshot, Span
-
-try:
-    import numpy
-except ImportError:  # the batch reply checks fall back to python loops
-    numpy = None
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -84,11 +77,10 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 """Upper bound on one frame's payload; a corrupt length prefix must
 not make the reader allocate unbounded memory."""
 
-BATCH_TYPECODES = dict(zip(BatchEvidence._fields, "iidiiid"))
-"""``array`` typecode per packed field: ``i`` is int32, ``d`` float64."""
-
-_NUMPY_DTYPES = {"i": "<i4", "d": "<f8"}
-_SWAP = sys.byteorder == "big"
+BATCH_DTYPES = dict(
+    zip(BatchEvidence._fields, ("<i4", "<i4", "<f8", "<i4", "<i4", "<i4", "<f8"))
+)
+"""Wire dtype per packed field: little-endian int32 or float64."""
 
 
 class ProtocolError(RuntimeError):
@@ -134,81 +126,44 @@ def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
     return message
 
 
-def _packed(values: Any, typecode: str) -> str:
-    """``values`` as the base64 of their little-endian ``typecode`` bytes."""
-    if hasattr(values, "astype"):  # an ndarray from the numpy kernels
-        raw = values.astype(_NUMPY_DTYPES[typecode], copy=False).tobytes()
-    else:
-        packed = array(typecode, values)
-        if _SWAP:
-            packed.byteswap()
-        raw = packed.tobytes()
-    return base64.b64encode(raw).decode("ascii")
-
-
 def pack_batch_evidence(evidence: BatchEvidence) -> dict[str, str]:
     """One shard's batch evidence as the JSON-safe ``batch`` reply fields."""
     return {
-        field: _packed(values, BATCH_TYPECODES[field])
+        field: base64.b64encode(np.asarray(values, BATCH_DTYPES[field]).tobytes()).decode("ascii")
         for field, values in zip(BatchEvidence._fields, evidence)
     }
 
 
-def _unpacked(message: dict[str, Any], field: str) -> array:
-    """One packed field of a ``batch`` reply as a native-order array."""
-    values = array(BATCH_TYPECODES[field])
+def _unpacked(message: dict[str, Any], field: str) -> np.ndarray:
+    """One packed field of a ``batch`` reply as a read-only ndarray."""
+    dtype = np.dtype(BATCH_DTYPES[field])
     try:
         raw = base64.b64decode(message[field], validate=True)
     except KeyError:
         raise ProtocolError(f"batch reply lacks {field!r}") from None
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"batch reply {field!r} is not base64: {error}") from None
-    if len(raw) % values.itemsize:
+    if len(raw) % dtype.itemsize:
         raise ProtocolError(
             f"batch reply {field!r} has {len(raw)} bytes, "
-            f"not a multiple of {values.itemsize}"
+            f"not a multiple of {dtype.itemsize}"
         )
-    values.frombytes(raw)
-    if _SWAP:
-        values.byteswap()
-    return values
+    return np.frombuffer(raw, dtype)
 
 
-def _span(values: array) -> tuple[int, int]:
-    """``(min, max)`` of a non-empty int array (vectorised with numpy)."""
-    if numpy is not None:
-        view = numpy.frombuffer(values, dtype=values.typecode)
-        return int(view.min()), int(view.max())
-    return min(values), max(values)
+def _check_ids(what: str, ids: np.ndarray, bound: int) -> None:
+    if len(ids) and (ids.min() < 0 or ids.max() >= bound):
+        raise ProtocolError(f"batch reply {what} outside [0, {bound})")
 
 
-def _total(values: array) -> int:
-    if numpy is not None:
-        return int(numpy.frombuffer(values, dtype=values.typecode).sum(dtype=numpy.int64))
-    return sum(values)
-
-
-def _ascending(values: array) -> bool:
-    """True iff the ints ascend strictly."""
-    if numpy is not None:
-        view = numpy.frombuffer(values, dtype=values.typecode)
-        return bool((view[1:] > view[:-1]).all())
-    return all(map(operator.lt, values, islice(values, 1, None)))
-
-
-def _check_ids(what: str, ids: array, bound: int) -> None:
-    if ids:
-        low, high = _span(ids)
-        if low < 0 or high >= bound:
-            raise ProtocolError(f"batch reply {what} outside [0, {bound})")
-
-
-def _check_lists(what: str, lengths: array, ids: array, scores: array, bound: int) -> None:
+def _check_lists(
+    what: str, lengths: np.ndarray, ids: np.ndarray, scores: np.ndarray, bound: int
+) -> None:
     """Lists laid back to back: lengths that cover the ids and scores
     exactly, and ids within ``[0, bound)``."""
-    if lengths and _span(lengths)[0] < 0:
+    if len(lengths) and lengths.min() < 0:
         raise ProtocolError(f"batch reply has a negative {what} length")
-    total = _total(lengths)
+    total = int(lengths.sum(dtype=np.int64))
     if total != len(ids) or len(ids) != len(scores):
         raise ProtocolError(
             f"batch reply {what} lengths sum to {total} "
@@ -244,7 +199,8 @@ def unpack_batch_evidence(
         "column", evidence.col_lengths, evidence.col_ids, evidence.col_scores, n_entities
     )
     _check_ids("column node", evidence.col_nodes, id_space)
-    if not _ascending(evidence.col_nodes):
+    nodes = evidence.col_nodes
+    if not (nodes[1:] > nodes[:-1]).all():
         raise ProtocolError("batch reply column nodes are not strictly ascending")
     return evidence
 

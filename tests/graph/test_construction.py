@@ -174,11 +174,8 @@ class TestBuildBlockingGraph:
         # Their neighbors are value-similar: gamma edge.
         assert graph.gamma(1, r1, r2) > 0
 
-    @pytest.mark.parametrize("backend", ["python", "numpy", "auto"])
     @pytest.mark.parametrize("dynamic", [False, True])
-    def test_kernel_backends_bit_identical(self, restaurant_kbs, backend, dynamic):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
+    def test_kernels_bit_identical(self, restaurant_kbs, dynamic):
         kb1, kb2 = restaurant_kbs
         stats1 = KBStatistics(kb1)
         stats2 = KBStatistics(kb2)
@@ -189,19 +186,9 @@ class TestBuildBlockingGraph:
         )
         kernel = build_blocking_graph(
             stats1, stats2, names, tokens, k=5, dynamic_pruning=dynamic,
-            backend=backend,
+            kernels=True,
         )
         assert kernel.identical(reference)
-
-    def test_unknown_backend_rejected(self, restaurant_kbs):
-        kb1, kb2 = restaurant_kbs
-        stats1 = KBStatistics(kb1)
-        stats2 = KBStatistics(kb2)
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            build_blocking_graph(
-                stats1, stats2, name_blocks(stats1, stats2),
-                token_blocks(kb1, kb2), backend="bogus",
-            )
 
     def test_k_bounds_candidate_lists(self, mini_pair):
         pair = mini_pair

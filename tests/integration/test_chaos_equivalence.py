@@ -3,8 +3,8 @@
 Transient faults recovered by the retry policy recompute the same work
 from the same immutable inputs, so a chaotic run must be *bit-identical*
 to a clean one -- same match pairs, same producing rules, same float
-scores -- on every profile and kernel backend.  Anything less means the
-retry path has hidden state.
+scores -- on every profile.  Anything less means the retry path has
+hidden state.
 """
 
 import pytest
@@ -16,8 +16,6 @@ from repro.parallel.context import ParallelContext
 from repro.parallel.pipeline import ParallelMinoanER
 from repro.resilience import RetryPolicy, parse_chaos, use_faults
 
-BACKENDS = ["python", "numpy"]
-
 CHAOS_SPECS = [
     "stage:*=error*2",
     "stage:statistics=error*1,stage:token_blocking=error*1",
@@ -25,12 +23,8 @@ CHAOS_SPECS = [
 ]
 
 
-def retry_config(kernel_backend: str) -> MinoanERConfig:
-    return MinoanERConfig(
-        kernel_backend=kernel_backend,
-        failure_mode="retry",
-        retry_base_delay_s=0.0,
-    )
+def retry_config() -> MinoanERConfig:
+    return MinoanERConfig(failure_mode="retry", retry_base_delay_s=0.0)
 
 
 def assert_identical(chaotic, clean) -> None:
@@ -46,21 +40,12 @@ def pair(request, mini_pair, hard_pair):
 
 
 class TestSerialPipeline:
-    @pytest.mark.parametrize("kernel_backend", BACKENDS)
-    def test_transient_faults_plus_retry_is_bit_identical(
-        self, pair, kernel_backend
-    ):
-        if kernel_backend == "numpy":
-            pytest.importorskip("numpy")
-        clean = MinoanER(MinoanERConfig(kernel_backend=kernel_backend)).resolve(
-            pair.kb1, pair.kb2
-        )
+    def test_transient_faults_plus_retry_is_bit_identical(self, pair):
+        clean = MinoanER().resolve(pair.kb1, pair.kb2)
         plan = parse_chaos("stage:*=error*2")
         recorder = Recorder()
         with use_recorder(recorder), use_faults(plan):
-            chaotic = MinoanER(retry_config(kernel_backend)).resolve(
-                pair.kb1, pair.kb2
-            )
+            chaotic = MinoanER(retry_config()).resolve(pair.kb1, pair.kb2)
         assert plan.total_fired() == 2  # the chaos really happened
         assert recorder.counter_value("retry.attempts") == 2
         assert_identical(chaotic, clean)
@@ -70,7 +55,7 @@ class TestSerialPipeline:
         clean = MinoanER().resolve(mini_pair.kb1, mini_pair.kb2)
         plan = parse_chaos(spec)
         with use_faults(plan):
-            chaotic = MinoanER(retry_config("auto")).resolve(
+            chaotic = MinoanER(retry_config()).resolve(
                 mini_pair.kb1, mini_pair.kb2
             )
         assert plan.total_fired() >= 1
@@ -82,7 +67,7 @@ class TestSerialPipeline:
         clean = MinoanER().resolve(mini_pair.kb1, mini_pair.kb2)
         plan = parse_chaos("stage:*=error*2@0.5", seed=3)
         with use_faults(plan):
-            chaotic = MinoanER(retry_config("auto")).resolve(
+            chaotic = MinoanER(retry_config()).resolve(
                 mini_pair.kb1, mini_pair.kb2
             )
         assert_identical(chaotic, clean)

@@ -1,6 +1,12 @@
-"""Dependency-free array kernels: dense scratch row + touched list.
+"""The python conformance oracle of :mod:`repro.kernels.numpy_backend`.
 
-The accumulator pattern shared by both kernels: one dense ``float``
+The same kernel surface written as plain loops over a dense scratch row
++ touched list, so the property tests can check the vectorised kernels
+element for element and by float bits against an independent second
+implementation (the dict reference in :mod:`repro.graph.construction`
+covers the whole graph; this one covers every kernel entry point).
+
+The accumulator pattern shared by the kernels: one dense ``float``
 scratch row (length = the other KB's entity count) plus a *touched*
 list of the slots written this round.  Accumulating into a list slot is
 a plain index store -- no per-pair hashing -- and resetting only the
@@ -41,14 +47,8 @@ from repro.kernels.interning import (
     RankedLists,
 )
 
-name = "python"
-
 AdaptiveCut = tuple[float, int] | None
 """``(gap_ratio, minimum)`` for dynamic pruning, or None for plain top-K."""
-
-
-def is_available() -> bool:
-    return True
 
 
 def _select_row(
@@ -92,7 +92,7 @@ def select_row(
     k: int,
     cut: AdaptiveCut = None,
 ) -> CandidateList:
-    """Public single-row top-K entry point (used by the serving engine).
+    """Public single-row top-K entry point.
 
     Ranks one sparse row under the exact total order of the batch
     kernels -- ``(-score, id)`` with the same bounded-heap selection --
@@ -111,8 +111,9 @@ def accumulate_row(
     block, in ascending block order.  Sums are added in visit order, so
     feeding the blocks of one KB1 entity (sorted as the interner sorts
     them) reproduces that entity's :func:`beta_sparse` row bit for bit
-    -- this is the single-query hot path of :mod:`repro.serving`, which
-    never materialises an :class:`~repro.kernels.interning.InternedBlocks`.
+    -- the single-query hot path of :mod:`repro.serving` runs the numpy
+    form, which never materialises an
+    :class:`~repro.kernels.interning.InternedBlocks`.
     """
     row: dict[int, float] = {}
     get = row.get

@@ -1,10 +1,11 @@
-"""Property tests: array kernel backends vs the dict reference.
+"""Property tests: the array kernels vs the dict reference.
 
 The kernel layer's contract is *bit-identity*, not approximate
 equality: identical float sums, identical candidate order, identical
 retained-edge order.  Hypothesis drives random KB pairs (as random
-block collections and in-neighbor maps) through every backend and the
-reference implementation of :mod:`repro.graph.construction`.
+block collections and in-neighbor maps) through the numpy kernels, the
+python conformance oracle next to this file, and the reference
+implementation of :mod:`repro.graph.construction`.
 """
 
 import pickle
@@ -16,18 +17,11 @@ from hypothesis import strategies as st
 
 from repro.blocking.base import Block, BlockCollection
 from repro.graph import construction as reference
-from repro.kernels import (
-    CSRAdjacency,
-    InternedBlocks,
-    RankedLists,
-    available_backends,
-    block_weight,
-    get_backend,
-    numpy_available,
-)
-from repro.kernels.python_backend import retained_edges
+from repro.kernels import CSRAdjacency, InternedBlocks, RankedLists, block_weight, numpy_backend
+from tests.kernels import python_backend
+from tests.kernels.python_backend import retained_edges
 
-BACKENDS = [name for name in available_backends() if name != "dict"]
+BACKENDS = {"python": python_backend, "numpy": numpy_backend}
 
 
 class _FakeStats:
@@ -89,7 +83,7 @@ class TestBetaEquivalence:
         n1, n2, blocks = data
         expected = reference.accumulate_beta(blocks, n1)
         interned = InternedBlocks.from_blocks(blocks, n1, n2)
-        assert get_backend(backend).accumulate_beta(interned) == expected
+        assert BACKENDS[backend].accumulate_beta(interned) == expected
 
     @given(data=kb_pair_blocks(), k=st.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
@@ -97,7 +91,7 @@ class TestBetaEquivalence:
         n1, n2, blocks = data
         expected = reference.value_evidence(blocks, n1, n2, k)
         interned = InternedBlocks.from_blocks(blocks, n1, n2)
-        side1, side2 = get_backend(backend).value_topk(interned, k)
+        side1, side2 = BACKENDS[backend].value_topk(interned, k)
         assert tuple(side1) == tuple(expected[0])
         assert tuple(side2) == tuple(expected[1])
 
@@ -127,7 +121,7 @@ class TestGammaEquivalence:
         beta_edges = reference.retained_beta_edges(value_1, value_2)
         expected = reference.neighbor_evidence(beta_edges, stats1, stats2, k)
         edges = retained_edges(value_1, value_2)
-        side1, side2 = get_backend(backend).gamma_topk(
+        side1, side2 = BACKENDS[backend].gamma_topk(
             edges, stats1.in_neighbor_csr(), stats2.in_neighbor_csr(), k
         )
         assert tuple(side1) == tuple(expected[0])
@@ -143,15 +137,14 @@ class TestGammaEquivalence:
         edges = retained_edges(value_1, value_2)
         adjacency1 = stats1.in_neighbor_csr()
         adjacency2 = stats2.in_neighbor_csr()
-        rows = get_backend(backend).accumulate_gamma(edges, adjacency1, adjacency2)
-        expected = get_backend("python").accumulate_gamma(edges, adjacency1, adjacency2)
+        rows = BACKENDS[backend].accumulate_gamma(edges, adjacency1, adjacency2)
+        expected = BACKENDS["python"].accumulate_gamma(edges, adjacency1, adjacency2)
         assert rows == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestFullGraphEquivalence:
     @pytest.mark.parametrize("profile", ["restaurant", "rexa_dblp"])
-    def test_scaled_profile_graphs_identical(self, backend, profile):
+    def test_scaled_profile_graphs_identical(self, profile):
         """End-to-end ``build_blocking_graph`` bit-identity on scaled-down
         dataset profiles (``benchmarks/perf/run.py --workload offline``
         runs the four full profiles and checks their match-set digests)."""
@@ -171,12 +164,10 @@ class TestFullGraphEquivalence:
         )
         dict_graph = reference.build_blocking_graph(stats1, stats2, names, tokens, k=15)
         kernel_graph = reference.build_blocking_graph(
-            stats1, stats2, names, tokens, k=15, backend=backend
+            stats1, stats2, names, tokens, k=15, kernels=True
         )
         assert kernel_graph.identical(dict_graph)
 
-
-numpy_only = pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
 
 CUTS = [None, (0.2, 3), (0.5, 1)]
 """Adaptive cut off, at the config default, and aggressive."""
@@ -190,12 +181,11 @@ def _bits(lists):
 def _topk_both(interned, k, cut):
     """``value_topk`` of the python and the numpy backend."""
     return (
-        get_backend("python").value_topk(interned, k, cut),
-        get_backend("numpy").value_topk(interned, k, cut),
+        BACKENDS["python"].value_topk(interned, k, cut),
+        BACKENDS["numpy"].value_topk(interned, k, cut),
     )
 
 
-@numpy_only
 class TestRankedLists:
     """The numpy top-K kernels return :class:`RankedLists`: element for
     element, bit for bit the python backend's tuples."""
@@ -223,8 +213,8 @@ class TestRankedLists:
         adjacency2 = CSRAdjacency.from_lists(data.draw(in_neighbor_map(size=n2)))
         value_1, value_2 = reference.value_evidence(blocks, n1, n2, 4)
         edges = retained_edges(value_1, value_2)
-        expected = get_backend("python").gamma_topk(edges, adjacency1, adjacency2, k, cut)
-        actual = get_backend("numpy").gamma_topk(edges, adjacency1, adjacency2, k, cut)
+        expected = BACKENDS["python"].gamma_topk(edges, adjacency1, adjacency2, k, cut)
+        actual = BACKENDS["numpy"].gamma_topk(edges, adjacency1, adjacency2, k, cut)
         for mine, theirs in zip(actual, expected):
             assert isinstance(mine, RankedLists)
             assert _bits(mine) == _bits(theirs)
@@ -271,7 +261,6 @@ class TestRankedLists:
             side2[6]
 
 
-@numpy_only
 class TestRetainedEdgeKernels:
     @given(
         data=kb_pair_blocks(),
@@ -284,9 +273,9 @@ class TestRetainedEdgeKernels:
         lists arrive as ``RankedLists`` or as plain tuples."""
         n1, n2, blocks = data
         interned = InternedBlocks.from_blocks(blocks, n1, n2)
-        value_1, value_2 = get_backend(ranked).value_topk(interned, k)
-        expected = get_backend("python").retained_edges(value_1, value_2)
-        actual = get_backend("numpy").retained_edges(value_1, value_2)
+        value_1, value_2 = BACKENDS[ranked].value_topk(interned, k)
+        expected = BACKENDS["python"].retained_edges(value_1, value_2)
+        actual = BACKENDS["numpy"].retained_edges(value_1, value_2)
         assert actual[0].tolist() == expected[0].tolist()
         assert actual[1].tolist() == expected[1].tolist()
         assert [w.hex() for w in actual[2].tolist()] == [w.hex() for w in expected[2].tolist()]
@@ -298,8 +287,8 @@ class TestRetainedEdgeKernels:
         value_2 = RankedLists(
             array("i", [0, 2, 2, 3]), array("i", [0, 1, 1]), array("d", [0.5, 0.25, 0.75])
         )
-        expected = get_backend("python").retained_edges(value_1, list(value_2))
-        actual = get_backend("numpy").retained_edges(value_1, value_2)
+        expected = BACKENDS["python"].retained_edges(value_1, list(value_2))
+        actual = BACKENDS["numpy"].retained_edges(value_1, value_2)
         assert [a.tolist() for a in actual] == [e.tolist() for e in expected]
         assert actual[0].tolist() == [0, 0, 1, 1]
 
@@ -341,7 +330,6 @@ def sharded_batches(draw):
     return n1, n2, blocks, _shard_blocks(blocks, n1, n2, owner, sources)
 
 
-@numpy_only
 class TestBatchEvidenceKernels:
     """``batch_evidence`` and ``merge_batch_evidence``: the numpy kernels
     equal the python ones element for element and bit for bit, and the
@@ -360,7 +348,7 @@ class TestBatchEvidenceKernels:
         keep = cap if cap is not None else k
         merged = []
         for backend in ("python", "numpy"):
-            kernels = get_backend(backend)
+            kernels = BACKENDS[backend]
             evidences = [kernels.batch_evidence(shard, keep, cut, cap is None) for shard in shards]
             if absent is not None and absent < len(evidences):
                 del evidences[absent]  # a degraded shard: the survivors merge
@@ -374,13 +362,13 @@ class TestBatchEvidenceKernels:
             assert _bits(mine) == _bits(theirs)
         if cap is None and absent is None:
             whole = InternedBlocks.from_blocks(blocks, n1, n2)
-            for mine, theirs in zip(actual, get_backend("python").value_topk(whole, k, cut)):
+            for mine, theirs in zip(actual, BACKENDS["python"].value_topk(whole, k, cut)):
                 assert _bits(mine) == _bits(theirs)
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("cap", [None, 2])
     def test_no_sources_and_empty_sources(self, backend, cap):
-        kernels = get_backend(backend)
+        kernels = BACKENDS[backend]
         empty = kernels.batch_evidence(
             InternedBlocks.from_blocks(BlockCollection([]), 3, 5), 4, None, cap is None
         )
@@ -393,6 +381,6 @@ class TestBatchEvidenceKernels:
         blocks = BlockCollection([Block("a", [0, 1], [0, 2]), Block("b", [1], [2])])
         interned = InternedBlocks.from_blocks(blocks, 2, 3)
         for backend in ("python", "numpy"):
-            evidence = get_backend(backend).batch_evidence(interned, 1, None, False)
+            evidence = BACKENDS[backend].batch_evidence(interned, 1, None, False)
             assert evidence.row_lengths.tolist() == [1, 1]
             assert [field.tolist() for field in evidence[3:]] == [[], [], [], []]

@@ -1,8 +1,8 @@
-"""Single-row kernel entry points: python vs numpy bit-identity.
+"""Single-row kernel entry points: numpy kernels vs the python oracle.
 
 ``accumulate_row``/``select_row`` are the serving hot path (and, for a
 batch of one, the fast path inside ``value_topk``/``gamma_topk``).  The
-numpy pair must reproduce the python pair's float sums and ranked
+numpy pair must reproduce the python oracle's float sums and ranked
 output exactly -- including ties, which rank by ascending candidate id
 under the ``(-score, id)`` total order.
 """
@@ -11,20 +11,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import (
-    KERNEL_API,
-    available_backends,
-    get_backend,
-    missing_api,
-    numpy_available,
-)
-from repro.kernels import python_backend
+from repro.kernels import numpy_backend
+from tests.kernels import python_backend
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend not importable"
-)
+BACKENDS = {"python": python_backend, "numpy": numpy_backend}
 
-BACKENDS = [name for name in available_backends() if name != "dict"]
+KERNEL_API = (
+    "accumulate_beta",
+    "accumulate_gamma",
+    "accumulate_row",
+    "batch_evidence",
+    "beta_sparse",
+    "gamma_topk",
+    "merge_batch_evidence",
+    "retained_edges",
+    "row_evidence",
+    "select_row",
+    "value_topk",
+)
+"""Entry points the kernel module exposes and the oracle mirrors, so
+every conformance test can run both under one signature."""
+
+
+def missing_api(module):
+    """:data:`KERNEL_API` names ``module`` lacks (empty = conformant)."""
+    return tuple(name for name in KERNEL_API if not callable(getattr(module, name, None)))
 
 
 @st.composite
@@ -51,18 +62,15 @@ def weighted_postings(draw):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_api_complete(backend):
-    module = get_backend(backend)
+    module = BACKENDS[backend]
     assert missing_api(module) == ()
     assert set(KERNEL_API) <= set(dir(module))
 
 
 class TestAccumulateRow:
-    @needs_numpy
     @settings(max_examples=150, deadline=None)
     @given(blocks=weighted_postings())
     def test_numpy_matches_python(self, blocks):
-        import repro.kernels.numpy_backend as numpy_backend
-
         py_ids, py_sums = python_backend.accumulate_row(blocks)
         np_ids, np_sums = numpy_backend.accumulate_row(blocks)
         # python returns first-touch order, numpy ascending-id order;
@@ -71,13 +79,10 @@ class TestAccumulateRow:
         assert np_ids == sorted(np_ids)
         assert all(isinstance(c, int) for c in np_ids)
 
-    @needs_numpy
     def test_consumes_array_and_list_postings(self):
         from array import array
 
         import numpy as np
-
-        import repro.kernels.numpy_backend as numpy_backend
 
         blocks = [
             (0.5, array("i", [0, 2, 5])),
@@ -92,18 +97,15 @@ class TestAccumulateRow:
         assert python_backend.accumulate_row([]) == ([], [])
 
 
-@needs_numpy
 class TestSelectRow:
     @settings(max_examples=200, deadline=None)
     @given(blocks=weighted_postings(), k=st.integers(min_value=1, max_value=8))
     def test_numpy_matches_python(self, blocks, k):
-        import repro.kernels.numpy_backend as numpy_backend
-
         ids, sums = python_backend.accumulate_row(blocks)
         expected = python_backend.select_row(ids, sums, k)
         assert numpy_backend.select_row(ids, sums, k) == expected
-        # Row order must not matter: serving feeds the numpy-accumulated
-        # (ascending) row into whichever backend the breaker picks.
+        # Row order must not matter: both rank the numpy-accumulated
+        # (ascending) row like the first-touch one.
         np_ids, np_sums = numpy_backend.accumulate_row(blocks)
         assert numpy_backend.select_row(np_ids, np_sums, k) == expected
         assert python_backend.select_row(np_ids, np_sums, k) == expected
@@ -111,8 +113,6 @@ class TestSelectRow:
     @settings(max_examples=100, deadline=None)
     @given(blocks=weighted_postings(), k=st.integers(min_value=1, max_value=8))
     def test_adaptive_cut_matches_python(self, blocks, k):
-        import repro.kernels.numpy_backend as numpy_backend
-
         ids, sums = python_backend.accumulate_row(blocks)
         cut = (0.2, 1)
         assert numpy_backend.select_row(ids, sums, k, cut) == (
@@ -120,8 +120,6 @@ class TestSelectRow:
         )
 
     def test_tie_break_prefers_smaller_ids(self):
-        import repro.kernels.numpy_backend as numpy_backend
-
         ids = [9, 3, 7, 1, 5]
         sums = [1.0, 1.0, 2.0, 1.0, 1.0]
         # k=3: 7 wins outright, then the 1.0 ties rank by ascending id.
@@ -130,21 +128,16 @@ class TestSelectRow:
         assert python_backend.select_row(ids, sums, 3) == expected
 
     def test_degenerate_inputs(self):
-        import repro.kernels.numpy_backend as numpy_backend
-
         assert numpy_backend.select_row([], [], 5) == ()
         assert numpy_backend.select_row([1], [0.5], 0) == ()
         assert numpy_backend.select_row([1], [0.5], 5) == ((1, 0.5),)
 
 
-@needs_numpy
 class TestTopkGrouped:
     def test_single_group_equals_select_row(self):
         """A batch of one runs the grouped path too; its one list is the
         serving row kernel's selection of the same row."""
         import numpy as np
-
-        import repro.kernels.numpy_backend as numpy_backend
 
         # The precondition's layout: ascending candidate within equal scores.
         candidates = np.array([0, 2, 4, 7], dtype=np.int64)
@@ -160,7 +153,8 @@ class TestTopkGrouped:
 
 
 class TestRowEvidence:
-    """The fused serving op equals its composed parts on both backends."""
+    """The fused serving op equals its composed parts, in the kernels
+    and in the oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -182,7 +176,6 @@ class TestRowEvidence:
             assert count == len(ids)
             assert touched == (candidate is not None and candidate in ids)
 
-    @needs_numpy
     @settings(max_examples=150, deadline=None)
     @given(
         blocks=weighted_postings(),
@@ -190,8 +183,6 @@ class TestRowEvidence:
         margin=st.integers(min_value=0, max_value=5),
     )
     def test_numpy_matches_python(self, blocks, k, margin):
-        import repro.kernels.numpy_backend as numpy_backend
-
         ids, _ = python_backend.accumulate_row(blocks)
         probe = min(ids) if ids else 0
         for candidate in (None, probe, -1):
@@ -202,10 +193,7 @@ class TestRowEvidence:
             assert actual[2:] == expected[2:]
             assert all(isinstance(c, int) for c in actual[1])
 
-    @needs_numpy
     def test_empty_blocks(self):
-        import repro.kernels.numpy_backend as numpy_backend
-
         for backend in (python_backend, numpy_backend):
             row, mins, count, touched = backend.row_evidence([], 5, 3, 1)
             assert (tuple(row), list(mins), count, touched) == ((), [], 0, False)

@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import MinoanERConfig
 from repro.core.pipeline import MinoanER
 from repro.datasets.profiles import load_profile, scaled_profile
-from repro.kernels import available_backends
 from repro.parallel.context import ParallelContext
 from repro.parallel.pipeline import ParallelMinoanER
 
@@ -39,14 +38,9 @@ class TestSerialOracle:
     float is re-associated: the graph equals ``MinoanER``'s at every
     partition count, with fixed and with dynamic pruning."""
 
-    @pytest.mark.parametrize("kernel_backend", available_backends())
     @pytest.mark.parametrize("dynamic_pruning", [False, True], ids=["topk", "dynamic"])
-    def test_graph_and_matching_identical_to_serial(
-        self, oracle_pair, dynamic_pruning, kernel_backend
-    ):
-        config = MinoanERConfig(
-            kernel_backend=kernel_backend, dynamic_pruning=dynamic_pruning
-        )
+    def test_graph_and_matching_identical_to_serial(self, oracle_pair, dynamic_pruning):
+        config = MinoanERConfig(dynamic_pruning=dynamic_pruning)
         serial = MinoanER(config).resolve(oracle_pair.kb1, oracle_pair.kb2)
         for workers in (1, 2, 5):
             with ParallelContext(num_workers=workers) as context:

@@ -11,7 +11,6 @@ import pytest
 from repro.core.config import MinoanERConfig
 from repro.core.pipeline import MinoanER
 from repro.datasets.profiles import scaled_profile
-from repro.kernels import available_backends
 from repro.serving import MatchEngine, ResolutionIndex
 
 
@@ -57,16 +56,6 @@ class TestBatchServeEquivalence:
     def test_equivalence_without_purging(self, mini_pair):
         assert_serving_reproduces_batch(
             mini_pair, MinoanERConfig(purge_blocks=False)
-        )
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_equivalence_per_backend(self, mini_pair, backend):
-        from repro.kernels import numpy_available
-
-        if backend == "numpy" and not numpy_available():
-            pytest.skip("numpy not importable")
-        assert_serving_reproduces_batch(
-            mini_pair, MinoanERConfig(kernel_backend=backend)
         )
 
 
@@ -142,22 +131,6 @@ class TestMemmappedIndexEquivalence:
         assert fresh.match_batch(queries) == mapped.match_batch(queries)
         for entity in queries[:25]:
             assert fresh.match(entity) == mapped.match(entity)
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_mmap_per_backend(self, mini_pair, tmp_path, backend):
-        if backend not in available_backends():
-            pytest.skip(f"{backend} backend not importable")
-        config = MinoanERConfig(kernel_backend=backend)
-        built = ResolutionIndex.build(mini_pair.kb2, config)
-        path = tmp_path / "kb2.idx"
-        built.save(path)
-        fresh = MatchEngine(built)
-        mapped = MatchEngine(ResolutionIndex.load(path))
-        for entity in list(mini_pair.kb1)[:25]:
-            assert fresh.match(entity) == mapped.match(entity)
-        assert fresh.match_batch(list(mini_pair.kb1)) == mapped.match_batch(
-            list(mini_pair.kb1)
-        )
 
     def test_mmap_resave_serves_identically(self, mini_pair, tmp_path):
         built = ResolutionIndex.build(mini_pair.kb2)

@@ -2,9 +2,8 @@
 
 Corruption guards (truncation, foreign magic, future versions), edge
 shapes (empty KB2, tokens with zero postings), byte-determinism of the
-encoder, the refusal of retired version-1 (pickle) files, the
-zero-copy view classes ``load`` returns, and the stdlib memoryview
-sections it falls back to without numpy.
+encoder, the refusal of retired version-1 (pickle) files, and the
+zero-copy view classes ``load`` returns.
 """
 
 import json
@@ -13,29 +12,9 @@ from array import array
 import pytest
 
 from repro.core.config import MinoanERConfig, config_from_dict, config_to_dict
-from repro.datasets.profiles import scaled_profile
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kernels import numpy_available
 from repro.serving import format as index_format
 from repro.serving.index import FORMAT_VERSION, MAGIC, ResolutionIndex
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not importable"
-)
-
-
-def hide_numpy(monkeypatch) -> None:
-    """Make the loader view sections as stdlib memoryview casts."""
-    monkeypatch.setattr(index_format, "numpy_available", lambda: False)
-
-
-@pytest.fixture(params=[False, pytest.param(True, marks=needs_numpy)])
-def numpy_sections(request, monkeypatch) -> bool:
-    """Run a test over numpy-array sections (True) and over the
-    memoryview sections of a numpy-less host (False)."""
-    if not request.param:
-        hide_numpy(monkeypatch)
-    return request.param
 
 
 @pytest.fixture
@@ -75,7 +54,7 @@ class TestCorruptionGuards:
         with pytest.raises(ValueError, match="truncated index file"):
             ResolutionIndex.load(stub)
 
-    def test_truncated_section(self, saved_index, tmp_path, numpy_sections):
+    def test_truncated_section(self, saved_index, tmp_path):
         _, path = saved_index
         stub = tmp_path / "cut.idx"
         stub.write_bytes(path.read_bytes()[:-64])
@@ -93,7 +72,7 @@ class TestCorruptionGuards:
 
 
 class TestEdgeShapes:
-    def test_empty_kb2_roundtrip(self, tmp_path, numpy_sections):
+    def test_empty_kb2_roundtrip(self, tmp_path):
         index = ResolutionIndex.build(KnowledgeBase([], name="empty"))
         path = tmp_path / "empty.idx"
         index.save(path)
@@ -104,7 +83,7 @@ class TestEdgeShapes:
         assert list(loaded.uris2) == []
         assert len(loaded.in_neighbors) == 0
 
-    def test_zero_posting_token_roundtrip(self, restaurant_kbs, tmp_path, numpy_sections):
+    def test_zero_posting_token_roundtrip(self, restaurant_kbs, tmp_path):
         _, kb2 = restaurant_kbs
         index = ResolutionIndex.build(kb2)
         # A token indexed with no postings cannot arise from build()
@@ -180,6 +159,7 @@ class TestByteDeterminism:
             retry_budget_ratio=None,
             breaker_reset_s=5.0,
             observability=False,
+            kernel_backend="python",
         )
         parent_era = dict(config_to_dict(config), **removed)
         assert config_from_dict(json.loads(json.dumps(parent_era))) == config
@@ -222,7 +202,7 @@ class TestMigration:
 
 
 class TestLoadInfoAndGauges:
-    def test_load_info_and_span(self, saved_index, numpy_sections):
+    def test_load_info_and_span(self, saved_index):
         from repro.obs import Recorder, use_recorder
 
         _, path = saved_index
@@ -298,31 +278,3 @@ class TestMappedViews:
         assert list(loaded.in_neighbors.ids) == list(index.in_neighbors.ids)
         assert loaded.in_neighbors.to_lists() == index.in_neighbors.to_lists()
 
-
-class TestMemoryviewSections:
-    """Without numpy the loader views each section as a stdlib
-    ``memoryview`` cast instead of an ndarray; the two must agree."""
-
-    @needs_numpy
-    def test_fields_equal_numpy_backed_load(self, tmp_path, monkeypatch):
-        # The serving benchmark's shape (yago_imdb), scaled down.
-        pair = scaled_profile("yago_imdb", 0.15)
-        path = tmp_path / "kb2.idx"
-        ResolutionIndex.build(pair.kb2).save(path)
-        arrays = ResolutionIndex.load(path)
-        hide_numpy(monkeypatch)
-        views = ResolutionIndex.load(path)
-        assert isinstance(views.in_neighbors.ids, memoryview)
-
-        assert list(views.postings) == list(arrays.postings)
-        for token in arrays.postings:
-            assert views.postings[token].tolist() == arrays.postings[token].tolist()
-            assert views.singleton_weights[token] == arrays.singleton_weights[token]
-        assert dict(views.names) == dict(arrays.names)
-        assert list(views.uris2) == list(arrays.uris2)
-        for field in ("offsets", "ids"):
-            assert (
-                getattr(views.in_neighbors, field).tolist()
-                == getattr(arrays.in_neighbors, field).tolist()
-            )
-        assert views.in_neighbors.to_lists() == arrays.in_neighbors.to_lists()

@@ -19,7 +19,6 @@ import pytest
 from repro.core.config import MinoanERConfig
 from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kernels import numpy_available
 from repro.serving import (
     IndexHandle,
     LedgerError,
@@ -67,10 +66,6 @@ def decision_fields(decision):
 
 BASE = [entity(i) for i in range(8)]
 CONFIG = MinoanERConfig()
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not importable"
-)
 
 
 # ----------------------------------------------------------------------
@@ -129,8 +124,9 @@ class TestUpsertLedger:
 # ----------------------------------------------------------------------
 class TestLiveIndex:
     """Overlay views over a built base.  The subclasses below re-run
-    every case over a loaded (memory-mapped) base and over the
-    pure-python mask path (numpy hidden from the overlay)."""
+    every case over a loaded (memory-mapped) base, and with every
+    posting's dead ids masked from python whatever its size (by default
+    only short postings are; long ones take a numpy gather)."""
 
     @pytest.fixture(autouse=True)
     def _workdir(self, tmp_path):
@@ -343,7 +339,6 @@ def assert_views_equal_compaction(live, tokens):
         assert row == expected, eid
 
 
-@needs_numpy
 class TestLiveIndexMapped(TestLiveIndex):
     def base(self, entities=BASE):
         path = self.tmp_path / "base.idx"
@@ -362,8 +357,8 @@ class TestLiveIndexMapped(TestLiveIndex):
 
 class TestLiveIndexPythonMask(TestLiveIndex):
     @pytest.fixture(autouse=True)
-    def _hide_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.serving.live.numpy_available", lambda: False)
+    def _python_mask_only(self, monkeypatch):
+        monkeypatch.setattr("repro.serving.live._PYTHON_MASK_MAX", 1 << 30)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Serving-side degradation: deadlines, the circuit breaker, error stats."""
+"""Serving-side degradation: deadlines, kernel faults, error stats."""
 
 import io
 import json
@@ -114,46 +114,68 @@ class TestDeadlines:
             assert deadlined.match(entity) == plain.match(entity)
 
 
-class TestCircuitBreaker:
-    @pytest.fixture()
-    def numpy_engine(self, mini_pair):
-        pytest.importorskip("numpy")
-        index = ResolutionIndex.build(mini_pair.kb2)
-        return MatchEngine(
-            index, MinoanERConfig(kernel_backend="numpy", breaker_threshold=1)
-        )
+class TestKernelFaults:
+    """A kernel that raises fails its lookup like any other error: the
+    caller sees the exception, nothing is cached, and the engine answers
+    the next query as a clean engine would."""
 
-    def test_kernel_faults_trip_to_the_python_fallback(self, mini_pair, numpy_engine):
-        batch = list(mini_pair.kb1)[:10]
+    def test_kernel_fault_fails_match_and_caches_nothing(self, mini_pair):
         index = ResolutionIndex.build(mini_pair.kb2)
-        expected = MatchEngine(
-            index, MinoanERConfig(kernel_backend="python")
-        ).match_batch(batch)
-        plan = parse_chaos("kernel:numpy=error*10")
-        with use_faults(plan):
-            decisions = numpy_engine.match_batch(batch)
-        assert plan.total_fired() >= 1
-        assert numpy_engine.breaker.trips >= 1
-        assert numpy_engine.breaker.state == "open"
-        stats = numpy_engine.stats()
-        assert stats["kernel_fallback"] >= 1
-        assert stats["breaker"]["trips"] == numpy_engine.breaker.trips
-        # The python fallback is bit-identical: same decisions.
+        entity = list(mini_pair.kb1)[0]
+        expected = MatchEngine(index).match(entity)
+        engine = MatchEngine(index)
+        with use_faults(parse_chaos("kernel:numpy=error*1")) as plan:
+            with pytest.raises(FaultInjected):
+                engine.match(entity)
+            decision = engine.match(entity)  # budget spent: recovers
+        assert plan.total_fired() == 1
+        assert not decision.cached  # the failed lookup cached nothing
+        assert decision == expected
+
+    def test_kernel_fault_fails_match_batch(self, mini_pair):
+        index = ResolutionIndex.build(mini_pair.kb2)
+        batch = list(mini_pair.kb1)[:10]
+        expected = MatchEngine(index).match_batch(batch)
+        engine = MatchEngine(index)
+        with use_faults(parse_chaos("kernel:numpy=error*1")) as plan:
+            with pytest.raises(FaultInjected):
+                engine.match_batch(batch)
+            decisions = engine.match_batch(batch)
+        assert plan.total_fired() == 1
         assert decisions == expected
 
-    def test_breaker_absent_on_python_backend(self, mini_pair):
-        index = ResolutionIndex.build(mini_pair.kb2)
-        engine = MatchEngine(index, MinoanERConfig(kernel_backend="python"))
-        assert engine.breaker is None
-        assert "breaker" not in engine.stats()
+    def test_serve_writes_one_error_record_per_kernel_fault(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.datasets.profiles import scaled_profile
+        from repro.kb.rdf import save_ntriples
 
-    def test_kernel_fault_on_python_backend_propagates(self, mini_pair):
-        # No fallback below python: its kernel site fires at backend
-        # dispatch (engine construction) and surfaces unchanged.
-        index = ResolutionIndex.build(mini_pair.kb2)
-        with use_faults(parse_chaos("kernel:python=error*1")):
-            with pytest.raises(FaultInjected):
-                MatchEngine(index, MinoanERConfig(kernel_backend="python"))
+        pair = scaled_profile("restaurant", 0.2)
+        kb2_path = tmp_path / "kb2.nt"
+        save_ntriples(pair.kb2, kb2_path)
+        index_path = tmp_path / "kb2.idx"
+        assert main(["index", str(kb2_path), "-o", str(index_path)]) == 0
+        queries = list(pair.kb1)[:8]
+        requests = tmp_path / "queries.jsonl"
+        requests.write_text(
+            "".join(
+                json.dumps({"uri": e.uri, "pairs": [list(p) for p in e.pairs]}) + "\n"
+                for e in queries
+            ),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+
+        assert main(
+            ["serve", str(index_path), "-i", str(requests), "--chaos", "kernel:numpy=error*2"]
+        ) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        errors = [row for row in rows if "error" in row]
+        answers = [row for row in rows if "error" not in row]
+        assert len(rows) == len(queries)
+        assert len(errors) == 2
+        assert all(set(row) == {"error", "query"} for row in errors)
+        assert all("match" in row and "latency_ms" in row for row in answers)
+        assert [row["query"] for row in rows] == [e.uri for e in queries]
 
 
 class TestServeFaults:

@@ -4,26 +4,23 @@ import base64
 import io
 import math
 import struct
-import sys
-from array import array
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import BatchEvidence, available_backends, get_backend, numpy_available
+from repro.kernels import BatchEvidence, numpy_backend
 from repro.obs import Recorder
 from repro.sharding import (
     ProtocolError,
-    protocol,
     read_frame,
     snapshot_from_json,
     snapshot_to_json,
     write_frame,
 )
 from repro.sharding.protocol import (
-    BATCH_TYPECODES,
+    BATCH_DTYPES,
     MAX_FRAME_BYTES,
     pack_batch_evidence,
     unpack_batch_evidence,
@@ -92,22 +89,19 @@ def sample_evidence():
     """Entity 0 -> KB2 4 and 7, entity 1 -> nothing, entity 2 -> KB2 9;
     the three columns hold those pairs back."""
     return BatchEvidence(
-        array("i", [2, 0, 1]),
-        array("i", [4, 7, 9]),
-        array("d", [0.5, 0.25, 1 / 3]),
-        array("i", [4, 7, 9]),
-        array("i", [1, 1, 1]),
-        array("i", [0, 0, 2]),
-        array("d", [0.5, 0.25, 1 / 3]),
+        np.array([2, 0, 1], np.int32),
+        np.array([4, 7, 9], np.int32),
+        np.array([0.5, 0.25, 1 / 3]),
+        np.array([4, 7, 9], np.int32),
+        np.array([1, 1, 1], np.int32),
+        np.array([0, 0, 2], np.int32),
+        np.array([0.5, 0.25, 1 / 3]),
     )
 
 
 def packed(field, values):
     """``values`` packed as ``field`` would be, little-endian."""
-    items = array(BATCH_TYPECODES[field], values)
-    if sys.byteorder == "big":
-        items.byteswap()
-    return base64.b64encode(items.tobytes()).decode("ascii")
+    return base64.b64encode(np.asarray(values, BATCH_DTYPES[field]).tobytes()).decode("ascii")
 
 
 def reply(**fields):
@@ -125,14 +119,6 @@ def fields_of(evidence):
     ]
 
 
-CHECKS = ["numpy", "python"] if numpy_available() else ["python"]
-"""The reply checks run vectorised when numpy imports, else as loops."""
-
-
-def checks(kind):
-    return mock.patch.object(protocol, "numpy", protocol.numpy if kind == "numpy" else None)
-
-
 class TestPackedBatchEvidence:
     def test_roundtrip_through_a_frame(self):
         buffer = io.BytesIO()
@@ -146,17 +132,13 @@ class TestPackedBatchEvidence:
         assert base64.b64decode(message["row_ids"]) == struct.pack("<3i", 4, 7, 9)
         assert base64.b64decode(message["row_scores"]) == struct.pack("<3d", 0.5, 0.25, 1 / 3)
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
     def test_ndarrays_pack_like_arrays(self):
-        import numpy as np
-
         native = BatchEvidence(
-            *(np.asarray(field.tolist(), dtype=np.int64 if field.typecode == "i" else np.float64)
+            *(field.astype(np.int64 if field.dtype == np.int32 else np.float64)
               for field in sample_evidence())
         )
         assert pack_batch_evidence(native) == pack_batch_evidence(sample_evidence())
 
-    @pytest.mark.parametrize("kind", CHECKS)
     @pytest.mark.parametrize(
         "fields,message",
         [
@@ -179,8 +161,8 @@ class TestPackedBatchEvidence:
             ({"col_nodes": [7, 4, 9]}, "not strictly ascending"),
         ],
     )
-    def test_malformed_reply_rejected(self, fields, message, kind):
-        with checks(kind), pytest.raises(ProtocolError, match=message):
+    def test_malformed_reply_rejected(self, fields, message):
+        with pytest.raises(ProtocolError, match=message):
             unpack_batch_evidence(reply(**fields), N_ENTITIES, ID_SPACE)
 
     def test_missing_field_rejected(self):
@@ -193,32 +175,29 @@ class TestPackedBatchEvidence:
         data=st.data(),
         field=st.sampled_from(BatchEvidence._fields),
         cap=st.sampled_from([None, 1]),
-        kind=st.sampled_from(CHECKS),
     )
     @settings(max_examples=300, deadline=None)
-    def test_fuzzed_field_is_rejected_or_merges(self, data, field, cap, kind):
+    def test_fuzzed_field_is_rejected_or_merges(self, data, field, cap):
         """Whatever one field holds, the reply is a :class:`ProtocolError`
-        or evidence every backend merges without an error."""
+        or evidence the merge kernel takes without an error."""
         value = data.draw(
             st.one_of(
                 st.binary(max_size=40).map(lambda raw: base64.b64encode(raw).decode()),
                 st.text(max_size=12),
                 st.lists(st.integers(-2, 11), max_size=8)
-                if BATCH_TYPECODES[field] == "i"
+                if BATCH_DTYPES[field] == "<i4"
                 else st.lists(st.floats(allow_nan=False), max_size=8),
             )
         )
         try:
-            with checks(kind):
-                evidence = unpack_batch_evidence(reply(**{field: value}), N_ENTITIES, ID_SPACE)
+            evidence = unpack_batch_evidence(reply(**{field: value}), N_ENTITIES, ID_SPACE)
         except ProtocolError:
             return
-        for backend in available_backends():
-            value_1, value_2 = get_backend(backend).merge_batch_evidence(
-                [evidence, sample_evidence()], N_ENTITIES, ID_SPACE, 4, (0.2, 3), cap
-            )
-            assert len(list(value_1)) == N_ENTITIES
-            assert len(list(value_2)) == ID_SPACE
+        value_1, value_2 = numpy_backend.merge_batch_evidence(
+            [evidence, sample_evidence()], N_ENTITIES, ID_SPACE, 4, (0.2, 3), cap
+        )
+        assert len(list(value_1)) == N_ENTITIES
+        assert len(list(value_2)) == ID_SPACE
 
 
 class TestSnapshotCodec:
