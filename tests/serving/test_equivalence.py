@@ -11,6 +11,7 @@ import pytest
 from repro.core.config import MinoanERConfig
 from repro.core.pipeline import MinoanER
 from repro.datasets.profiles import scaled_profile
+from repro.kernels import get_backend
 from repro.serving import MatchEngine, ResolutionIndex
 
 
@@ -57,6 +58,13 @@ class TestBatchServeEquivalence:
         assert_serving_reproduces_batch(
             mini_pair, MinoanERConfig(purge_blocks=False)
         )
+
+    @pytest.mark.parametrize("backend", ["numpy"])
+    def test_equivalence_per_backend(self, mini_pair, backend):
+        # numpy is the one kernel runtime; the case pins that the
+        # engine's kernels come from it and still reproduce the batch.
+        assert get_backend().__name__ == f"repro.kernels.{backend}_backend"
+        assert_serving_reproduces_batch(mini_pair, MinoanERConfig())
 
 
 class TestLoadedIndexEquivalence:
@@ -131,6 +139,20 @@ class TestMemmappedIndexEquivalence:
         assert fresh.match_batch(queries) == mapped.match_batch(queries)
         for entity in queries[:25]:
             assert fresh.match(entity) == mapped.match(entity)
+
+    @pytest.mark.parametrize("backend", ["numpy"])
+    def test_mmap_per_backend(self, mini_pair, tmp_path, backend):
+        assert get_backend().__name__ == f"repro.kernels.{backend}_backend"
+        built = ResolutionIndex.build(mini_pair.kb2, MinoanERConfig())
+        path = tmp_path / "kb2.idx"
+        built.save(path)
+        fresh = MatchEngine(built)
+        mapped = MatchEngine(ResolutionIndex.load(path))
+        for entity in list(mini_pair.kb1)[:25]:
+            assert fresh.match(entity) == mapped.match(entity)
+        assert fresh.match_batch(list(mini_pair.kb1)) == mapped.match_batch(
+            list(mini_pair.kb1)
+        )
 
     def test_mmap_resave_serves_identically(self, mini_pair, tmp_path):
         built = ResolutionIndex.build(mini_pair.kb2)
