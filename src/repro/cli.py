@@ -334,6 +334,18 @@ def command_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_index(path: str):
+    """``ResolutionIndex.load(path)``; a missing or unreadable file is
+    one ``error:`` line and exit status 2, like a bad flag."""
+    from repro.serving import ResolutionIndex
+
+    try:
+        return ResolutionIndex.load(path)
+    except (OSError, ValueError) as error:
+        print(f"repro: error: cannot load index {path}: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def command_index(args: argparse.Namespace) -> int:
     from repro.serving import ResolutionIndex
     from repro.serving.format import MAGIC
@@ -342,7 +354,7 @@ def command_index(args: argparse.Namespace) -> int:
     if args.migrate:
         source = args.kb
         destination = args.output or source
-        index = ResolutionIndex.load(source)
+        index = _load_index(source)
         loaded_version = index.load_info["format_version"]
         index.save(destination)
         print(
@@ -356,7 +368,7 @@ def command_index(args: argparse.Namespace) -> int:
 
         source = args.kb
         destination = Path(args.output or source)
-        live = LiveIndex(ResolutionIndex.load(source))
+        live = LiveIndex(_load_index(source))
         events = 0
         if args.ledger:
             for op, value in UpsertLedger(args.ledger).replay():
@@ -385,7 +397,7 @@ def command_index(args: argparse.Namespace) -> int:
         with open(args.kb, "rb") as handle:
             is_index = handle.read(len(MAGIC)) == MAGIC
         if is_index:
-            index = ResolutionIndex.load(args.kb)
+            index = _load_index(args.kb)
             if args.kb != args.output:
                 index.save(args.output)
         else:
@@ -415,11 +427,11 @@ def command_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.resilience.admission import LoadShedError
-    from repro.serving import MatchEngine, RequestError, ResolutionIndex
+    from repro.serving import MatchEngine, RequestError
     from repro.serving.io import ControlRequest, iter_requests, write_decisions
     from repro.serving.live import LedgerError, LiveEngine, UpsertLedger
 
-    index = ResolutionIndex.load(args.index)
+    index = _load_index(args.index)
     load_info = index.load_info or {}
     config = index.config.with_options(**args.config_options)
 

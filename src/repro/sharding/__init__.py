@@ -16,7 +16,7 @@ decision stream **bit-identical** to the single-process engine:
   ``repro index --migrate`` rewrites it like any other v2 file.
 * :class:`~repro.sharding.worker.ShardWorker` runs a ``MatchEngine``
   over one shard and answers *evidence* requests over length-prefixed
-  JSONL frames (:mod:`repro.sharding.protocol`) on stdin/stdout.
+  frames (:mod:`repro.sharding.protocol`) on stdin/stdout.
 * :class:`~repro.sharding.router.ShardRouter` fans queries and batches
   out to R replicas per shard (hedged after a p95-based delay, first
   answer wins, loser cancelled), merges per-shard top-K evidence under

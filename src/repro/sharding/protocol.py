@@ -1,14 +1,15 @@
-"""Length-prefixed JSONL framing for the shard wire protocol.
+"""Length-prefixed framing for the shard wire protocol.
 
-A frame is the ASCII decimal byte length of a canonical-JSON message,
-a newline, the message, a newline::
+A frame is the ASCII decimal byte length of its payload, a newline,
+the payload, a newline.  Most payloads are one compact-JSON message::
 
     47\\n{"id":3,"op":"match","entity":{...}}\\n
 
 The explicit length makes framing independent of message content (no
 embedded-newline hazards) while staying trivially debuggable -- a
-captured stream is readable JSONL with interleaved lengths.  Messages
-are plain JSON objects; request/response correlation is by ``id``.
+captured stream of JSON frames is readable JSONL with interleaved
+lengths.  Messages are JSON objects; request/response correlation is
+by ``id``.
 
 Requests (router -> worker): ``op`` of ``hello`` (handshake +
 shard descriptor), ``match`` (single-query evidence; carries the
@@ -28,23 +29,30 @@ the router can distinguish budget expiry (degrade like the engine
 would) from worker faults (count against the replica's breaker).
 
 A ``batch`` response carries the shard's
-:class:`~repro.kernels.BatchEvidence` as seven packed arrays, one JSON
-string each (:func:`pack_batch_evidence`)::
+:class:`~repro.kernels.BatchEvidence` as seven arrays.  Any message
+with ndarray (or ``bytes``) values travels as a *sectioned* frame: its
+payload is the columnar container of :mod:`repro.serving.format` --
+the index file's layout, read by the same reader -- under its own
+magic::
 
-    {"id":7,"ok":true,"service_ms":...,
-     "row_lengths":"<b64>","row_ids":"<b64>","row_scores":"<b64>",
-     "col_nodes":"<b64>","col_lengths":"<b64>","col_ids":"<b64>",
-     "col_scores":"<b64>"}
+    3395129\\n                    payload length, newline
+    MINOANER-FRAME\\x00 \\x02       15-byte magic + version byte
+    header length                uint32, little-endian
+    header                       {"id":7,"ok":true,"sections":[...],...}
+    padding                      zero bytes up to a 64-byte boundary
+    row_lengths .. col_scores    raw little-endian int32 / float64
+                                 arrays, each 64-byte aligned
+    \\n
 
-Each string is the base64 of the array's raw little-endian bytes:
-``int32`` for lengths, KB2 ids and batch positions, ``float64`` for
-scores.  A 500-query batch against the 100k-entity ``yago_imdb``
-benchmark index ships ~242k column pairs per shard (two shards): a
-4.5 MB reply, against 6.9 MB as nested JSON lists of ``[id, score]``
-pairs, and neither side builds a python object per pair.  The router
-validates a packed reply before merging it
-(:func:`unpack_batch_evidence`); a malformed one is the replica's
-fault, like any worker error.
+The header is the message's JSON fields plus the section table; each
+array is one section (``int32`` for lengths, KB2 ids and batch
+positions, ``float64`` for scores), and :func:`read_frame` hands them
+back as zero-copy views under their field names.  A 500-query batch
+against the 100k-entity ``yago_imdb`` benchmark index ships ~242k
+column pairs per shard (two shards): 3,395,129 bytes for 3,394,384
+bytes of arrays, and neither side builds a python object per pair.
+The router checks a reply with :func:`evidence_of` before merging it;
+a malformed one is the replica's fault, like any worker error.
 
 Scores survive the trip bit-exactly: batch scores are the doubles' own
 bytes, and single-query scores are ``repr``-round-trippable JSON
@@ -53,7 +61,6 @@ floats.
 
 from __future__ import annotations
 
-import base64
 import json
 from typing import Any, BinaryIO
 
@@ -61,15 +68,15 @@ import numpy as np
 
 from repro.kernels.interning import BatchEvidence
 from repro.obs.recorder import RecorderSnapshot, Span
+from repro.serving.format import FORMAT_VERSION, check_lists, read_sections, write_sections
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "ProtocolError",
-    "pack_batch_evidence",
+    "evidence_of",
     "read_frame",
     "snapshot_from_json",
     "snapshot_to_json",
-    "unpack_batch_evidence",
     "write_frame",
 ]
 
@@ -77,22 +84,30 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 """Upper bound on one frame's payload; a corrupt length prefix must
 not make the reader allocate unbounded memory."""
 
-BATCH_DTYPES = dict(
-    zip(BatchEvidence._fields, ("<i4", "<i4", "<f8", "<i4", "<i4", "<i4", "<f8"))
-)
-"""Wire dtype per packed field: little-endian int32 or float64."""
+FRAME_MAGIC = b"MINOANER-FRAME\x00" + bytes([FORMAT_VERSION])
+"""First bytes of a sectioned frame's payload (a JSON one starts ``{``)."""
 
 
 class ProtocolError(RuntimeError):
-    """A malformed frame: bad length prefix, truncation, or non-JSON;
-    or a packed batch reply that does not decode to valid evidence."""
+    """A malformed frame: bad length prefix, truncation, non-JSON or a
+    bad section container; or a ``batch`` reply whose sections are not
+    valid evidence."""
 
 
 def write_frame(stream: BinaryIO, message: dict[str, Any]) -> None:
-    """Serialise one message onto ``stream`` and flush it."""
-    data = json.dumps(message, separators=(",", ":"), ensure_ascii=False).encode(
-        "utf-8"
-    )
+    """Serialise one message onto ``stream`` and flush it.
+
+    A message without ndarray or bytes values is one JSON frame; one
+    with them is a sectioned frame carrying each as a section.
+    """
+    arrays = {
+        key: value for key, value in message.items() if isinstance(value, (np.ndarray, bytes))
+    }
+    if arrays:
+        fields = {key: value for key, value in message.items() if key not in arrays}
+        data = write_sections(FRAME_MAGIC, fields, arrays)
+    else:
+        data = json.dumps(message, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
     stream.write(b"%d\n%s\n" % (len(data), data))
     stream.flush()
 
@@ -100,8 +115,11 @@ def write_frame(stream: BinaryIO, message: dict[str, Any]) -> None:
 def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
     """Read one message from ``stream``; None on clean end-of-stream.
 
-    Raises :class:`ProtocolError` on a malformed length line, a frame
-    truncated mid-payload, an oversized length, or non-JSON payload.
+    A sectioned frame comes back as its JSON fields plus one read-only
+    view per section (an ndarray, or a memoryview for bytes).  Raises
+    :class:`ProtocolError` on a malformed length line, a frame truncated
+    mid-payload, an oversized length, a non-JSON payload or a malformed
+    section container.
     """
     line = stream.readline()
     if not line:
@@ -118,90 +136,54 @@ def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
             f"truncated frame: expected {length + 1} bytes, got {len(data)}"
         )
     try:
-        message = json.loads(data[:length])
+        if data.startswith(FRAME_MAGIC):
+            message, arrays = read_sections(memoryview(data)[:length], FRAME_MAGIC, "frame")
+            message.update(arrays)
+        else:
+            message = json.loads(data[:length])
     except ValueError as error:
-        raise ProtocolError(f"frame payload is not JSON: {error}") from None
+        raise ProtocolError(f"frame payload is not JSON or sections: {error}") from None
     if not isinstance(message, dict):
         raise ProtocolError(f"frame must be a JSON object, got {type(message).__name__}")
     return message
 
 
-def pack_batch_evidence(evidence: BatchEvidence) -> dict[str, str]:
-    """One shard's batch evidence as the JSON-safe ``batch`` reply fields."""
-    return {
-        field: base64.b64encode(np.asarray(values, BATCH_DTYPES[field]).tobytes()).decode("ascii")
-        for field, values in zip(BatchEvidence._fields, evidence)
-    }
+def evidence_of(reply: dict[str, Any], n_entities: int, id_space: int) -> BatchEvidence:
+    """The :class:`BatchEvidence` of a ``batch`` reply, checked.
 
-
-def _unpacked(message: dict[str, Any], field: str) -> np.ndarray:
-    """One packed field of a ``batch`` reply as a read-only ndarray."""
-    dtype = np.dtype(BATCH_DTYPES[field])
-    try:
-        raw = base64.b64decode(message[field], validate=True)
-    except KeyError:
-        raise ProtocolError(f"batch reply lacks {field!r}") from None
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(f"batch reply {field!r} is not base64: {error}") from None
-    if len(raw) % dtype.itemsize:
-        raise ProtocolError(
-            f"batch reply {field!r} has {len(raw)} bytes, "
-            f"not a multiple of {dtype.itemsize}"
-        )
-    return np.frombuffer(raw, dtype)
-
-
-def _check_ids(what: str, ids: np.ndarray, bound: int) -> None:
-    if len(ids) and (ids.min() < 0 or ids.max() >= bound):
-        raise ProtocolError(f"batch reply {what} outside [0, {bound})")
-
-
-def _check_lists(
-    what: str, lengths: np.ndarray, ids: np.ndarray, scores: np.ndarray, bound: int
-) -> None:
-    """Lists laid back to back: lengths that cover the ids and scores
-    exactly, and ids within ``[0, bound)``."""
-    if len(lengths) and lengths.min() < 0:
-        raise ProtocolError(f"batch reply has a negative {what} length")
-    total = int(lengths.sum(dtype=np.int64))
-    if total != len(ids) or len(ids) != len(scores):
-        raise ProtocolError(
-            f"batch reply {what} lengths sum to {total} "
-            f"for {len(ids)} ids and {len(scores)} scores"
-        )
-    _check_ids(f"{what} id", ids, bound)
-
-
-def unpack_batch_evidence(
-    message: dict[str, Any], n_entities: int, id_space: int
-) -> BatchEvidence:
-    """The validated :class:`BatchEvidence` of a ``batch`` reply.
-
-    Raises :class:`ProtocolError` unless every field is base64 of whole
-    items, there is one row per batch entity and one length per column,
-    lengths sum to their id and score counts, KB2 ids lie in
-    ``[0, id_space)``, batch positions in ``[0, n_entities)``, and the
-    column ids ascend strictly -- so a corrupt reply can never reach the
+    Raises :class:`ProtocolError` unless every field is a section, the
+    scores are ``float64`` and as many as their ids, there is one row
+    per batch entity and one column per column node, and the lists pass
+    :func:`~repro.serving.format.check_lists`: KB2 ids in
+    ``[0, id_space)``, batch positions in ``[0, n_entities)`` and column
+    nodes strictly ascending -- so a corrupt reply never reaches the
     merge as an ``IndexError`` or a wrong decision.
     """
-    evidence = BatchEvidence(*(_unpacked(message, field) for field in BatchEvidence._fields))
-    if len(evidence.row_lengths) != n_entities:
-        raise ProtocolError(
-            f"batch reply has {len(evidence.row_lengths)} rows for {n_entities} entities"
+    for field in BatchEvidence._fields:
+        if not isinstance(reply.get(field), np.ndarray):
+            raise ProtocolError(
+                f"batch reply {field!r} is not an array section: {str(reply.get(field))[:64]!r}"
+            )
+    evidence = BatchEvidence(*(reply[field] for field in BatchEvidence._fields))
+    try:
+        for what, ids, scores in (
+            ("row", evidence.row_ids, evidence.row_scores),
+            ("col", evidence.col_ids, evidence.col_scores),
+        ):
+            if scores.dtype != np.float64 or len(scores) != len(ids):
+                raise ValueError(
+                    f"{len(ids)} {what}_ids and {len(scores)} {scores.dtype} {what}_scores"
+                )
+        check_lists(
+            "row_ids", evidence.row_ids, id_space, lengths=evidence.row_lengths, rows=n_entities
         )
-    if len(evidence.col_lengths) != len(evidence.col_nodes):
-        raise ProtocolError(
-            f"batch reply has {len(evidence.col_lengths)} lengths "
-            f"for {len(evidence.col_nodes)} columns"
+        check_lists(
+            "col_ids", evidence.col_ids, n_entities, lengths=evidence.col_lengths,
+            rows=len(evidence.col_nodes),
         )
-    _check_lists("row", evidence.row_lengths, evidence.row_ids, evidence.row_scores, id_space)
-    _check_lists(
-        "column", evidence.col_lengths, evidence.col_ids, evidence.col_scores, n_entities
-    )
-    _check_ids("column node", evidence.col_nodes, id_space)
-    nodes = evidence.col_nodes
-    if not (nodes[1:] > nodes[:-1]).all():
-        raise ProtocolError("batch reply column nodes are not strictly ascending")
+        check_lists("col_nodes", evidence.col_nodes, id_space, ascending=True)
+    except ValueError as error:
+        raise ProtocolError(f"batch reply {error}") from None
     return evidence
 
 

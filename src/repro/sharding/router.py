@@ -1,8 +1,8 @@
 """Scatter/gather serving over shard workers, bit-identical to one engine.
 
 :class:`ShardRouter` *is a* :class:`~repro.serving.engine.MatchEngine`
-over the full (unsharded) index -- memory-mapped, so loading it is O(1)
-and its pages are shared with any local worker mapping the same file.
+over the full (unsharded) index -- memory-mapped, so its pages are
+shared with any local worker mapping the same file.
 Everything query-side and cheap runs in the router exactly as in the
 single-process engine: name evidence (alpha), batch statistics,
 neighbor evidence (gamma), the matching rules, caching, deadlines and
@@ -37,6 +37,7 @@ cannot spend time a later pipeline stage no longer has.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import queue
@@ -70,9 +71,9 @@ from repro.serving.merge import merge_batch_evidence, merge_single_evidence
 from repro.sharding.planner import ShardPlanner, shard_paths
 from repro.sharding.protocol import (
     ProtocolError,
+    evidence_of,
     read_frame,
     snapshot_from_json,
-    unpack_batch_evidence,
     write_frame,
 )
 from repro.sharding.worker import ShardWorker
@@ -244,12 +245,20 @@ class ProcessReplica:
         return f"ProcessReplica(shard={self.shard}, pid={self.proc.pid}, {state})"
 
 
+def _over_the_wire(message: dict[str, Any]) -> dict[str, Any]:
+    """``message`` as the far end of a pipe reads it."""
+    buffer = io.BytesIO()
+    write_frame(buffer, message)
+    buffer.seek(0)
+    return read_frame(buffer)
+
+
 class InlineReplica:
     """An in-process replica over a :class:`ShardWorker`, for tests.
 
-    Requests and responses still round-trip through JSON so the inline
-    path exercises exact wire fidelity (float repr round-trips, packed
-    batch arrays) without subprocess overhead -- the property tests run
+    Requests and responses still round-trip through the frame codec, so
+    the inline path decodes the very bytes a :class:`ProcessReplica`
+    reads without subprocess overhead -- the property tests run
     hundreds of sharded queries through it.
     """
 
@@ -268,9 +277,8 @@ class InlineReplica:
         with self._lock:
             self._next_rid += 1
             rid = self._next_rid
-        request = json.loads(json.dumps({"id": rid, "op": op, **payload}))
-        response = json.loads(json.dumps(self.worker.handle(request)))
-        sink.put(("ok", self, response))
+        response = self.worker.handle(_over_the_wire({"id": rid, "op": op, **payload}))
+        sink.put(("ok", self, _over_the_wire(response)))
         return rid
 
     def cancel(self, rid: int) -> None:
@@ -303,7 +311,7 @@ class ShardRouter(MatchEngine):
     ----------
     index:
         The *full* (unsharded) index; name/neighbor evidence and the
-        rules run on it locally.  Loading maps it -- O(1) and
+        rules run on it locally.  Loading maps it -- no decode, and
         page-shared with co-located workers.
     replica_sets:
         One list of replicas per shard, shard order.  Replicas need
@@ -498,7 +506,7 @@ class ShardRouter(MatchEngine):
     ) -> tuple[list[CandidateList], list[CandidateList], bool]:
         """Scattered batch evidence, merged into ``(value_1, value_2)``.
 
-        Each reply arrives unpacked and validated by the shard call
+        Each reply arrives checked by the shard call
         (:meth:`_request_shard`), so a malformed one failed over like
         any other replica error."""
         payload = {"entities": [entity_to_json(entity) for entity in batch]}
@@ -621,9 +629,9 @@ class ShardRouter(MatchEngine):
         Round-robin picks the primary; a backup fires after the hedge
         delay and the first good answer wins (losers cancelled).  A
         replica error rolls over to the next usable replica
-        immediately; so does a ``batch`` reply whose packed evidence
-        fails :func:`unpack_batch_evidence` (a good one is returned
-        with the unpacked evidence under ``"evidence"``).  Raises
+        immediately; so does a ``batch`` reply whose sections fail
+        :func:`~repro.sharding.protocol.evidence_of` (a good one is
+        returned with its checked evidence under ``"evidence"``).  Raises
         :class:`ShardFailure` when the group is exhausted and
         :class:`DeadlineExpired` when the budget runs out (locally or
         reported by the worker).  The hedge delay is learnt per
@@ -724,7 +732,7 @@ class ShardRouter(MatchEngine):
                 continue
             if op == "batch":
                 try:
-                    body["evidence"] = unpack_batch_evidence(
+                    body["evidence"] = evidence_of(
                         body, len(payload["entities"]), self.index.id_space
                     )
                 except ProtocolError as error:

@@ -33,13 +33,7 @@ from repro.resilience.policy import Deadline, DeadlineExpired
 from repro.serving.engine import MatchEngine
 from repro.serving.index import ResolutionIndex
 from repro.serving.io import entity_from_json
-from repro.sharding.protocol import (
-    ProtocolError,
-    pack_batch_evidence,
-    read_frame,
-    snapshot_to_json,
-    write_frame,
-)
+from repro.sharding.protocol import ProtocolError, read_frame, snapshot_to_json, write_frame
 
 __all__ = ["ShardWorker", "main"]
 
@@ -49,7 +43,7 @@ class ShardWorker:
 
     Usable in-process (the router's :class:`InlineReplica` and the
     property tests call :meth:`handle` directly, round-tripping
-    messages through JSON for wire fidelity) or as a subprocess via
+    messages through the frame codec) or as a subprocess via
     :meth:`serve` / :func:`main`.
     """
 
@@ -101,15 +95,14 @@ class ShardWorker:
                     weights=request.get("weights"),
                 )
             elif op == "batch":
-                result = pack_batch_evidence(
-                    self.engine.batch_evidence(
-                        [
-                            entity_from_json(entity, f"query-{i}")
-                            for i, entity in enumerate(request["entities"])
-                        ],
-                        deadline=self._deadline(request),
-                    )
-                )
+                # The evidence arrays ride as sections of the reply frame.
+                result = self.engine.batch_evidence(
+                    [
+                        entity_from_json(entity, f"query-{i}")
+                        for i, entity in enumerate(request["entities"])
+                    ],
+                    deadline=self._deadline(request),
+                )._asdict()
             elif op == "reload":
                 # Zero-drop swap: adopt a freshly compacted shard file.
                 # The router holds its drain gate while broadcasting, so

@@ -193,6 +193,30 @@ class TestFlagRanges:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
+class TestUnreadableIndex:
+    @pytest.mark.parametrize("damage", ["missing", "foreign", "truncated", "bad ids"])
+    @pytest.mark.parametrize(
+        "argv", [["serve"], ["index", "--compact"], ["index", "--migrate"]], ids=" ".join
+    )
+    def test_one_error_line_and_exit_2(self, index_path, capsys, argv, damage):
+        raw = index_path.read_bytes()
+        broken = index_path.with_name("broken.idx")
+        if damage == "foreign":
+            broken.write_text("<rdf:RDF/>\n", encoding="utf-8")
+        elif damage == "truncated":
+            broken.write_bytes(raw[: len(raw) // 2])
+        elif damage == "bad ids":
+            # The file's last int32 (of the neighbour CSR), far out of range.
+            broken.write_bytes(raw[:-4] + (2**31 - 1).to_bytes(4, "little"))
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, str(broken)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("repro: error: cannot load index")
+
+
 class TestAutoCompactFlags:
     @pytest.fixture
     def schedulers(self, monkeypatch):

@@ -71,6 +71,30 @@ class TestCorruptionGuards:
             ResolutionIndex.load(path)
 
 
+    @pytest.mark.parametrize(
+        "section,values",
+        [
+            ("posting_ids", lambda ids, n2: [n2] + ids[1:]),
+            ("posting_offsets", lambda offsets, n2: [offsets[0], offsets[2], offsets[1], *offsets[3:]]),
+            ("posting_offsets", lambda offsets, n2: offsets[:-1] + [offsets[-1] - 1]),
+        ],
+        ids=["out-of-range id", "decreasing offsets", "last offset short of the ids"],
+    )
+    def test_corrupt_posting_lists(self, saved_index, section, values):
+        _, path = saved_index
+        raw = bytearray(path.read_bytes())
+        header, base = index_format.parse_header(raw, len(raw))
+        (entry,) = [s for s in header["sections"] if s["name"] == section]
+        start, end = base + entry["offset"], base + entry["offset"] + 4 * entry["count"]
+        old = array("i", raw[start:end]).tolist()
+        new = values(old, header["n2"])
+        assert new != old
+        raw[start:end] = array("i", new).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="posting_ids"):
+            ResolutionIndex.load(path)
+
+
 class TestEdgeShapes:
     def test_empty_kb2_roundtrip(self, tmp_path):
         index = ResolutionIndex.build(KnowledgeBase([], name="empty"))

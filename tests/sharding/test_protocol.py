@@ -1,7 +1,7 @@
-"""Wire framing, packed batch evidence and snapshot serialisation."""
+"""Wire framing, sectioned batch replies and snapshot serialisation."""
 
-import base64
 import io
+import json
 import math
 import struct
 
@@ -19,12 +19,8 @@ from repro.sharding import (
     snapshot_to_json,
     write_frame,
 )
-from repro.sharding.protocol import (
-    BATCH_DTYPES,
-    MAX_FRAME_BYTES,
-    pack_batch_evidence,
-    unpack_batch_evidence,
-)
+from repro.serving.format import parse_header
+from repro.sharding.protocol import FRAME_MAGIC, MAX_FRAME_BYTES, evidence_of
 
 
 class TestFraming:
@@ -99,17 +95,24 @@ def sample_evidence():
     )
 
 
-def packed(field, values):
-    """``values`` packed as ``field`` would be, little-endian."""
-    return base64.b64encode(np.asarray(values, BATCH_DTYPES[field]).tobytes()).decode("ascii")
+def frame_bytes(message):
+    buffer = io.BytesIO()
+    write_frame(buffer, message)
+    return buffer.getvalue()
+
+
+def over_the_wire(message):
+    """``message`` as :func:`read_frame` hands it to the router."""
+    return read_frame(io.BytesIO(frame_bytes(message)))
 
 
 def reply(**fields):
-    """A packed ``batch`` reply of :func:`sample_evidence`, some fields
-    replaced by raw ``values`` lists (packed) or strings (as they are)."""
-    message = {"id": 1, "ok": True, "service_ms": 0.5, **pack_batch_evidence(sample_evidence())}
+    """A ``batch`` reply of :func:`sample_evidence`, some fields replaced:
+    lists become arrays of the field's dtype, anything else goes as it is
+    (bytes as a ``u1`` section, strings and numbers as JSON fields)."""
+    message = {"id": 1, "ok": True, "service_ms": 0.5, **sample_evidence()._asdict()}
     for field, value in fields.items():
-        message[field] = value if isinstance(value, (str, int)) else packed(field, value)
+        message[field] = np.asarray(value, message[field].dtype) if isinstance(value, list) else value
     return message
 
 
@@ -119,57 +122,162 @@ def fields_of(evidence):
     ]
 
 
+def sectioned(table, body=b"", header=None):
+    """A sectioned reply frame laid out by hand: magic, header length,
+    ``header`` (JSON of the reply fields and ``table``), padding, ``body``."""
+    if header is None:
+        header = json.dumps({"id": 1, "ok": True, "sections": table}).encode()
+    payload = FRAME_MAGIC + struct.pack("<I", len(header)) + header
+    payload += bytes(-len(payload) % 64) + body
+    return b"%d\n%s\n" % (len(payload), payload)
+
+
 class TestPackedBatchEvidence:
     def test_roundtrip_through_a_frame(self):
-        buffer = io.BytesIO()
-        write_frame(buffer, reply())
-        buffer.seek(0)
-        decoded = unpack_batch_evidence(read_frame(buffer), N_ENTITIES, ID_SPACE)
+        decoded = evidence_of(over_the_wire(reply()), N_ENTITIES, ID_SPACE)
         assert fields_of(decoded) == fields_of(sample_evidence())
+        assert not decoded.row_ids.flags.writeable
 
     def test_little_endian_int32_and_float64(self):
-        message = reply()
-        assert base64.b64decode(message["row_ids"]) == struct.pack("<3i", 4, 7, 9)
-        assert base64.b64decode(message["row_scores"]) == struct.pack("<3d", 0.5, 0.25, 1 / 3)
+        payload = frame_bytes(reply()).split(b"\n", 1)[1][:-1]
+        header, base = parse_header(payload, len(payload), FRAME_MAGIC, "frame")
+        table = {section["name"]: section for section in header["sections"]}
+
+        def raw(name, size):
+            start = base + table[name]["offset"]
+            return payload[start : start + size]
+
+        assert raw("row_ids", 12) == struct.pack("<3i", 4, 7, 9)
+        assert raw("row_scores", 24) == struct.pack("<3d", 0.5, 0.25, 1 / 3)
+        assert all(table[name]["offset"] % 64 == 0 for name in table)
 
     def test_ndarrays_pack_like_arrays(self):
         native = BatchEvidence(
             *(field.astype(np.int64 if field.dtype == np.int32 else np.float64)
               for field in sample_evidence())
         )
-        assert pack_batch_evidence(native) == pack_batch_evidence(sample_evidence())
+        assert frame_bytes(native._asdict()) == frame_bytes(sample_evidence()._asdict())
+
+    def test_reply_bytes_are_the_arrays(self):
+        """A sectioned frame is its arrays plus a bounded overhead: the
+        header, the length line and at most 63 padding bytes a section."""
+        evidence = sample_evidence()
+        arrays = sum(field.nbytes for field in evidence)
+        header = len(json.dumps({"id": 1, "ok": True, "service_ms": 0.5}))
+        overhead = len(frame_bytes(reply())) - arrays
+        assert overhead < 64 + header + 7 * (64 + 64)
+
+    def test_json_frames_are_unchanged(self):
+        assert frame_bytes({"id": 3, "op": "match", "tokens": ["a"]}) == (
+            b'36\n{"id":3,"op":"match","tokens":["a"]}\n'
+        )
 
     @pytest.mark.parametrize(
         "fields,message",
         [
-            ({"row_ids": "!!not base64!!"}, "not base64"),
-            ({"row_scores": 12}, "not base64"),
-            ({"col_scores": "ünïcode"}, "not base64"),
-            ({"row_ids": base64.b64encode(b"12345").decode()}, "not a multiple of 4"),
-            ({"col_scores": base64.b64encode(bytes(20)).decode()}, "not a multiple of 8"),
-            ({"row_lengths": [2, 0, 2]}, "row lengths sum to 4"),
-            ({"row_lengths": [3, 0]}, "2 rows for 3 entities"),
-            ({"row_lengths": [3, -1, 1]}, "negative row length"),
-            ({"row_scores": [0.5, 0.25]}, "for 3 ids and 2 scores"),
-            ({"row_ids": [4, 7, 10]}, "row id outside"),
-            ({"row_ids": [4, -1, 9]}, "row id outside"),
-            ({"col_ids": [0, 0, 3]}, "column id outside"),
-            ({"col_lengths": [1, 2]}, "2 lengths for 3 columns"),
-            ({"col_lengths": [1, 1, 2]}, "column lengths sum to 4"),
-            ({"col_nodes": [4, 7, 10]}, "column node outside"),
-            ({"col_nodes": [4, 4, 9]}, "not strictly ascending"),
-            ({"col_nodes": [7, 4, 9]}, "not strictly ascending"),
+            # The first ids are those the cases had when replies were base64.
+            pytest.param(
+                {"row_ids": b"12345"}, "'row_ids' is not an array section",
+                id="fields3-not a multiple of 4",
+            ),
+            pytest.param(
+                {"col_scores": bytes(20)}, "'col_scores' is not an array section",
+                id="fields4-not a multiple of 8",
+            ),
+            pytest.param(
+                {"row_lengths": [2, 0, 2]}, "row_ids: list bounds do not cover the 3 ids",
+                id="fields5-row lengths sum to 4",
+            ),
+            pytest.param(
+                {"row_lengths": [3, 0]}, "row_ids: 2 lists for 3 rows",
+                id="fields6-2 rows for 3 entities",
+            ),
+            pytest.param(
+                {"row_lengths": [3, -1, 1]}, "row_ids: a list has negative length",
+                id="fields7-negative row length",
+            ),
+            pytest.param(
+                {"row_scores": [0.5, 0.25]}, "3 row_ids and 2 float64 row_scores",
+                id="fields8-for 3 ids and 2 scores",
+            ),
+            pytest.param({"row_ids": [4, 7, 10]}, "row_ids: id outside", id="fields9-row id outside"),
+            pytest.param({"row_ids": [4, -1, 9]}, "row_ids: id outside", id="fields10-row id outside"),
+            pytest.param(
+                {"col_ids": [0, 0, 3]}, "col_ids: id outside", id="fields11-column id outside"
+            ),
+            pytest.param(
+                {"col_lengths": [1, 2]}, "col_ids: 2 lists for 3 rows",
+                id="fields12-2 lengths for 3 columns",
+            ),
+            pytest.param(
+                {"col_lengths": [1, 1, 2]}, "col_ids: list bounds do not cover",
+                id="fields13-column lengths sum to 4",
+            ),
+            pytest.param(
+                {"col_nodes": [4, 7, 10]}, "col_nodes: id outside",
+                id="fields14-column node outside",
+            ),
+            pytest.param(
+                {"col_nodes": [4, 4, 9]}, "col_nodes: ids do not ascend strictly",
+                id="fields15-not strictly ascending",
+            ),
+            pytest.param(
+                {"col_nodes": [7, 4, 9]}, "col_nodes: ids do not ascend strictly",
+                id="fields16-not strictly ascending",
+            ),
+            pytest.param(
+                {"row_scores": np.array([1, 2, 3], np.int32)}, "3 row_ids and 3 int32 row_scores",
+                id="integer scores",
+            ),
+            pytest.param(
+                {"col_ids": "@@ 0 0 2 @@"}, "'col_ids' is not an array section: '@@ 0 0 2 @@'",
+                id="a JSON field",
+            ),
         ],
     )
     def test_malformed_reply_rejected(self, fields, message):
         with pytest.raises(ProtocolError, match=message):
-            unpack_batch_evidence(reply(**fields), N_ENTITIES, ID_SPACE)
+            evidence_of(over_the_wire(reply(**fields)), N_ENTITIES, ID_SPACE)
 
     def test_missing_field_rejected(self):
         message = reply()
         del message["col_nodes"]
-        with pytest.raises(ProtocolError, match="lacks 'col_nodes'"):
-            unpack_batch_evidence(message, N_ENTITIES, ID_SPACE)
+        with pytest.raises(ProtocolError, match="'col_nodes' is not an array section"):
+            evidence_of(over_the_wire(message), N_ENTITIES, ID_SPACE)
+
+    @pytest.mark.parametrize(
+        "frame,message",
+        [
+            pytest.param(
+                sectioned([{"name": "row_ids", "dtype": "i4", "offset": 0, "count": 3}], bytes(8)),
+                "truncated frame file: section 'row_ids' ends at byte",
+                id="section past the frame",
+            ),
+            pytest.param(
+                sectioned([{"name": "row_ids", "dtype": "i8", "offset": 0, "count": 1}], bytes(8)),
+                "section 'row_ids' has unknown dtype 'i8'",
+                id="unknown dtype",
+            ),
+            pytest.param(
+                sectioned([{"name": "row_ids", "dtype": "i4", "offset": 0, "count": 1.25}], bytes(8)),
+                "section 'row_ids' is not a whole number of aligned items",
+                id="bytes not whole items",
+            ),
+            pytest.param(
+                sectioned([{"name": "row_ids", "dtype": "i4", "offset": 3, "count": 1}], bytes(8)),
+                "section 'row_ids' is not a whole number of aligned items",
+                id="unaligned section",
+            ),
+            pytest.param(sectioned([], header=b'{"id": 1, '), "corrupt frame header", id="header not JSON"),
+            pytest.param(sectioned([], header=b'{"id": 1}'), "corrupt frame header: KeyError", id="no section table"),
+            pytest.param(FRAME_MAGIC[:-1] + b"\x03", "not JSON", id="foreign magic"),
+        ],
+    )
+    def test_malformed_container_rejected(self, frame, message):
+        if not frame[:1].isdigit():
+            frame = b"%d\n%s\n" % (len(frame), frame)
+        with pytest.raises(ProtocolError, match=message):
+            read_frame(io.BytesIO(frame))
 
     @given(
         data=st.data(),
@@ -178,19 +286,38 @@ class TestPackedBatchEvidence:
     )
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_field_is_rejected_or_merges(self, data, field, cap):
-        """Whatever one field holds, the reply is a :class:`ProtocolError`
-        or evidence the merge kernel takes without an error."""
+        """Whatever one section holds, the reply is a
+        :class:`ProtocolError` or evidence the merge kernel takes
+        without an error."""
+        dtype = sample_evidence()._asdict()[field].dtype
         value = data.draw(
             st.one_of(
-                st.binary(max_size=40).map(lambda raw: base64.b64encode(raw).decode()),
+                st.binary(max_size=40),
+                st.binary(max_size=40).map(
+                    lambda raw: np.frombuffer(raw[: len(raw) // dtype.itemsize * dtype.itemsize], dtype)
+                ),
                 st.text(max_size=12),
                 st.lists(st.integers(-2, 11), max_size=8)
-                if BATCH_DTYPES[field] == "<i4"
+                if dtype == np.int32
                 else st.lists(st.floats(allow_nan=False), max_size=8),
             )
         )
+        self._rejected_or_merges(lambda: over_the_wire(reply(**{field: value})), cap)
+
+    @given(position=st.integers(0, 10**6), byte=st.integers(0, 255), cap=st.sampled_from([None, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_flipped_byte_is_rejected_or_merges(self, position, byte, cap):
+        """One byte of the frame's payload (header, padding or a section)
+        overwritten: a :class:`ProtocolError` or a mergeable reply."""
+        frame = bytearray(frame_bytes(reply()))
+        start = frame.index(b"\n") + 1
+        frame[start + position % (len(frame) - start - 1)] = byte
+        self._rejected_or_merges(lambda: read_frame(io.BytesIO(bytes(frame))), cap)
+
+    @staticmethod
+    def _rejected_or_merges(receive, cap):
         try:
-            evidence = unpack_batch_evidence(reply(**{field: value}), N_ENTITIES, ID_SPACE)
+            evidence = evidence_of(receive(), N_ENTITIES, ID_SPACE)
         except ProtocolError:
             return
         value_1, value_2 = numpy_backend.merge_batch_evidence(

@@ -281,10 +281,10 @@ class TestMalformedBatchReplies:
 
     CORRUPT = 1
 
-    def _router(self, index, config, replicas=1):
+    def _router(self, index, config, replicas=1, corrupt=_CorruptBatchWorker):
         sets = []
         for number, shard in enumerate(ShardPlanner(3).plan(index)):
-            worker = _CorruptBatchWorker if number == self.CORRUPT else ShardWorker
+            worker = corrupt if number == self.CORRUPT else ShardWorker
             group = [InlineReplica(worker(MatchEngine(shard, config)))]
             group += [
                 InlineReplica(ShardWorker(MatchEngine(shard, config)))
@@ -299,6 +299,37 @@ class TestMalformedBatchReplies:
         router = self._router(index, config)
         try:
             with pytest.raises(ShardFailure, match="not base64"):
+                router.match_batch(list(mini_pair.kb1)[:4])
+            assert router.stats()["sharding"]["failures"] == 1
+        finally:
+            router.close()
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda reply: reply.pop("col_nodes"), "'col_nodes' is not an array section"),
+            (lambda reply: reply["row_ids"].__setitem__(0, 10**6), "row_ids: id outside"),
+            (lambda reply: reply["row_lengths"].__setitem__(0, -1), "row_ids"),
+            (lambda reply: reply["col_nodes"].__setitem__(0, 10**6), "col_nodes: id outside"),
+            (lambda reply: reply.update(row_scores=reply["row_scores"][:-1]), "row_scores"),
+            (lambda reply: reply.update(col_ids=reply["col_ids"].astype(float)), "col_ids"),
+        ],
+        ids=["missing section", "id out of range", "negative length", "node out of range",
+             "short scores", "float ids"],
+    )
+    def test_every_malformed_reply_fails_that_replica(self, mini_pair, corrupt, message):
+        class Corrupt(ShardWorker):
+            def handle(self, request):
+                response = super().handle(request)
+                if request.get("op") == "batch" and response.get("ok"):
+                    corrupt(response)
+                return response
+
+        config = MinoanERConfig(breaker_threshold=1000)
+        index = ResolutionIndex.build(mini_pair.kb2, config)
+        router = self._router(index, config, corrupt=Corrupt)
+        try:
+            with pytest.raises(ShardFailure, match=f"shard {self.CORRUPT}: .*{message}"):
                 router.match_batch(list(mini_pair.kb1)[:4])
             assert router.stats()["sharding"]["failures"] == 1
         finally:
