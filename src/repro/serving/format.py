@@ -2,14 +2,17 @@
 
 One container has one writer (:func:`write_sections`), one reader
 (:func:`read_sections`) and one list validator (:func:`check_lists`),
-and two users: the :class:`ResolutionIndex` file (:func:`encode_index`
-/ :func:`open_sections`) and the shard wire's ``batch`` reply, a
-container under the frame magic (:mod:`repro.sharding.protocol`).
+and two users: the :class:`ResolutionIndex` file and the shard wire's
+``batch`` reply, a container under the frame magic
+(:mod:`repro.sharding.protocol`).
 
-Version 1 persisted the index as one pickle: load time and resident
-memory scaled linearly with index size, and nothing could be shared
-between processes serving the same index.  Version 2 is a versioned
-columnar container designed to be memory-mapped:
+A frozen index *is* its container, in one form whether built or loaded.
+Its producers -- ``ResolutionIndex.build``, the shard planner and the
+live fold -- compute the section arrays and encode them
+(:func:`encode_index`); :func:`open_sections` wraps the bytes, or the
+file ``load`` maps, in zero-copy views: postings are int32 views of
+``posting_ids``, not per-token lists.  Version 1 was one pickle, loaded
+whole and shared by no process; version 2 is designed to be mapped:
 
 ::
 
@@ -49,9 +52,7 @@ in per-shard files written by :class:`repro.sharding.ShardPlanner`: a
 shard keeps the full (global) token table but only its own entities'
 posting slices, so the global Entity Frequency of every token -- which
 drives block weights and purging thresholds -- must travel with the
-file.  Readers that predate sharding ignore both (the header parser
-tolerates unknown sections), and files without them encode byte-for-byte
-exactly as before.
+file.  Ordinary index files carry neither.
 
 Tokens and names are sorted by their UTF-8 byte sequences (identical to
 Python's code-point string order), so a lookup is one binary search over
@@ -65,9 +66,8 @@ from ~0.08 ms to ~1.4 ms.  The format contains no executable payload --
 decoding touches only ``json.loads``, integer arrays and UTF-8 --
 unlike the legacy pickle, which could execute arbitrary code on load.
 
-:func:`encode_index` is deterministic (sorted keys, zero padding,
-canonical JSON), so ``save -> load -> save`` reproduces a file byte for
-byte; the round-trip test gates on it.
+Encoding is deterministic (sorted tables, canonical JSON, zero padding),
+so equal contents are equal bytes, whichever producer encoded them.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ import numpy as np
 
 from repro.core.config import config_from_dict, config_to_dict
 from repro.kb.tokenizer import Tokenizer
-from repro.kernels import CSRAdjacency
+from repro.kernels import CSRAdjacency, block_weight
 
 MAGIC = b"MINOANER-INDEX\x00"
 FORMAT_VERSION = 2
@@ -92,6 +92,12 @@ _HEADER_LEN_STRUCT = struct.Struct("<I")
 _INT32_MAX = 2**31 - 1
 
 _DTYPE_ITEMSIZE = {"u1": 1, "i4": 4, "f8": 8}
+
+#: The index file's section names, in the order of the table above.
+SECTIONS = (
+    "token_blob token_offsets posting_offsets posting_ids token_weights name_blob name_offsets "
+    "name_id_offsets name_ids uri_blob uri_offsets neighbor_offsets neighbor_ids token_global_ef"
+).split()
 
 # ----------------------------------------------------------------------
 # The container: one writer, one reader, one list validator
@@ -235,6 +241,18 @@ def check_lists(
 # ----------------------------------------------------------------------
 
 
+def string_table(strings: Sequence[str]) -> tuple[bytes, Any]:
+    """UTF-8 blob + (len + 1) slice offsets of ``strings``, in order."""
+    encoded = [text.encode("utf-8") for text in strings]
+    return b"".join(encoded), _offsets(map(len, encoded), len(encoded))
+
+
+def csr_lists(groups: Sequence[Sequence[int]]) -> tuple[Any, Any]:
+    """(len + 1) offsets + flattened ids of id groups."""
+    ids = np.fromiter(chain.from_iterable(groups), np.int64)
+    return _offsets(map(len, groups), len(groups)), ids
+
+
 def _offsets(lengths: Iterable[int], count: int):
     """``count + 1`` slice bounds of lists with these lengths."""
     offsets = np.zeros(count + 1, np.int64)
@@ -242,67 +260,47 @@ def _offsets(lengths: Iterable[int], count: int):
     return offsets
 
 
-def _blob_and_offsets(strings: Sequence[str]) -> tuple[bytes, Any]:
-    """Concatenated UTF-8 blob + (len + 1) slice offsets."""
-    encoded = [text.encode("utf-8") for text in strings]
-    return b"".join(encoded), _offsets(map(len, encoded), len(encoded))
+def take_rows(values, offsets, rows) -> tuple[Any, Any]:
+    """Rows ``rows`` of the CSR ``(values, offsets)``, in that order, as
+    a new ``(values, offsets)`` pair: one gather, no per-row loop."""
+    offsets = np.asarray(offsets, np.int64)
+    rows = np.asarray(rows, np.int64)
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    taken = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(lengths, out=taken[1:])
+    gather = np.arange(taken[-1]) + np.repeat(starts - taken[:-1], lengths)
+    return np.asarray(values)[gather], taken
 
 
-def _csr_ids(groups: Sequence[Sequence[int]]) -> tuple[Any, Any]:
-    """(len + 1) offsets + flattened ids of id groups."""
-    ids = np.fromiter(chain.from_iterable(groups), np.int64)
-    return _offsets(map(len, groups), len(groups)), ids
+def token_weights(lengths):
+    """The ``token_weights`` section: :func:`block_weight` of each
+    posting length, computed once per distinct length."""
+    distinct, inverse = np.unique(np.asarray(lengths, np.int64), return_inverse=True)
+    return np.array([block_weight(int(n)) for n in distinct], np.float64)[inverse]
 
 
-def encode_index(fields: Mapping[str, Any]) -> bytes:
-    """Serialise the persisted fields of a :class:`ResolutionIndex`.
-
-    ``fields`` holds the same keys the legacy pickle persisted
-    (``repro.serving.index._PERSISTED_FIELDS``); mapping values may be
-    plain dicts or the mapped read-only views, so a built and a loaded
-    index save identically.  Sections are written in the order of the
-    module docstring's table.
-    """
-    postings = fields["postings"]
-    weights = fields["singleton_weights"]
-    names = fields["names"]
-    adjacency: CSRAdjacency = fields["in_neighbors"]
-    tokenizer: Tokenizer = fields["tokenizer"]
-
-    tokens = sorted(postings)
-    sorted_names = sorted(names)
-    arrays: dict[str, Any] = {}
-    arrays["token_blob"], arrays["token_offsets"] = _blob_and_offsets(tokens)
-    arrays["posting_offsets"], arrays["posting_ids"] = _csr_ids([postings[t] for t in tokens])
-    arrays["token_weights"] = np.fromiter((weights[t] for t in tokens), np.float64, len(tokens))
-    arrays["name_blob"], arrays["name_offsets"] = _blob_and_offsets(sorted_names)
-    arrays["name_id_offsets"], arrays["name_ids"] = _csr_ids([names[n] for n in sorted_names])
-    arrays["uri_blob"], arrays["uri_offsets"] = _blob_and_offsets(fields["uris2"])
-    arrays["neighbor_offsets"] = np.asarray(adjacency.offsets, np.int64)
-    arrays["neighbor_ids"] = np.asarray(adjacency.ids, np.int64)
-    global_ef = fields.get("token_global_ef")
-    if global_ef is not None:
-        ef = np.fromiter((global_ef[t] for t in tokens), np.int64, len(tokens))
-        arrays["token_global_ef"] = ef
-
+def encode_index(
+    arrays: Mapping[str, Any], *, kb_name: str, n2: int, name_attributes: Sequence[str],
+    config, tokenizer: Tokenizer, shard_info: Mapping[str, Any] | None = None,
+) -> bytes:
+    """The index container of ``arrays`` -- the sections of the module
+    docstring's table, in its order -- under a header of the index's
+    metadata and the counts read off the arrays."""
     header = {
-        "kb_name": fields["kb_name"],
-        "n2": int(fields["n2"]),
-        "name_attributes": list(fields["name_attributes"]),
-        "config": config_to_dict(fields["config"]),
-        "tokenizer": {
-            "min_length": tokenizer.min_length,
-            "stopwords": sorted(tokenizer.stopwords),
-        },
+        "kb_name": kb_name,
+        "n2": int(n2),
+        "name_attributes": list(name_attributes),
+        "config": config_to_dict(config),
+        "tokenizer": {"min_length": tokenizer.min_length, "stopwords": sorted(tokenizer.stopwords)},
         "counts": {
-            "tokens": len(tokens),
-            "names": len(sorted_names),
+            "tokens": len(arrays["token_offsets"]) - 1,
+            "names": len(arrays["name_offsets"]) - 1,
             "posting_entries": len(arrays["posting_ids"]),
             "name_entries": len(arrays["name_ids"]),
             "neighbor_edges": len(arrays["neighbor_ids"]),
         },
     }
-    shard_info = fields.get("shard_info")
     if shard_info is not None:
         header["shards"] = dict(shard_info)
     return write_sections(_PREFIX, header, arrays)
@@ -556,13 +554,16 @@ class MappedURIs(Sequence):
 
 
 def open_sections(data) -> dict[str, Any]:
-    """The persisted fields of a v2 container as zero-copy views.
+    """The fields of a :class:`~repro.serving.ResolutionIndex` over the
+    v2 container ``data``, as zero-copy views.
 
     ``data`` is the whole container: an ``mmap.mmap`` of the file (what
-    :meth:`repro.serving.ResolutionIndex.load` passes) or its bytes.
-    Every O(index) field is a view over ``data``; nothing is decoded up
-    front.  The CSR sections pass :func:`check_lists` first, so a corrupt
-    file is a ``ValueError`` naming the section, never a wrong answer.
+    :meth:`repro.serving.ResolutionIndex.load` passes) or the bytes a
+    producer encoded.  Every O(index) field is a view over ``data``;
+    nothing is decoded up front, and ``sections`` holds the raw section
+    arrays the planner and the live fold cut from.  The CSR sections
+    pass :func:`check_lists` first, so a corrupt container is a
+    ``ValueError`` naming the section, never a wrong answer.
     """
     header, views = read_sections(data)
     try:
@@ -581,7 +582,9 @@ def open_sections(data) -> dict[str, Any]:
         )
         token_table = StringTable(views["token_blob"], views["token_offsets"])
         name_table = StringTable(views["name_blob"], views["name_offsets"])
-        fields = {
+        global_ef = views.get("token_global_ef")
+        return {
+            "sections": views,
             "kb_name": header["kb_name"],
             "n2": n2,
             "name_attributes": tuple(header["name_attributes"]),
@@ -592,11 +595,10 @@ def open_sections(data) -> dict[str, Any]:
             "names": MappedNames(name_table, views["name_id_offsets"], views["name_ids"]),
             "uris2": MappedURIs(views["uri_blob"], views["uri_offsets"]),
             "in_neighbors": CSRAdjacency(views["neighbor_offsets"], views["neighbor_ids"]),
+            "token_global_ef": (
+                None if global_ef is None else MappedEntityFrequencies(token_table, global_ef)
+            ),
+            "shard_info": header.get("shards"),
         }
     except (KeyError, TypeError) as error:
         raise ValueError(f"corrupt index header: missing or malformed {error!r}") from None
-    if "token_global_ef" in views:
-        fields["token_global_ef"] = MappedEntityFrequencies(token_table, views["token_global_ef"])
-    if "shards" in header:
-        fields["shard_info"] = header["shards"]
-    return fields

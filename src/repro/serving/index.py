@@ -26,47 +26,57 @@ without the source KB.
 from __future__ import annotations
 
 import os
-from array import array
 from mmap import ACCESS_READ
 from mmap import mmap as map_file
 from pathlib import Path
+from typing import Mapping
+
+import numpy as np
 
 from repro.blocking.name_blocking import normalize_name
 from repro.core.config import MinoanERConfig
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
-from repro.kb.tokenizer import Tokenizer
-from repro.kernels import CSRAdjacency, block_weight
 from repro.obs import current_recorder
 from repro.serving import format as index_format
 from repro.serving.format import FORMAT_VERSION, MAGIC
 
-__all__ = ["FORMAT_VERSION", "MAGIC", "ResolutionIndex"]
+__all__ = ["FORMAT_VERSION", "MAGIC", "ResolutionIndex", "write_files"]
 
-_PERSISTED_FIELDS = (
-    "kb_name",
-    "n2",
-    "uris2",
-    "config",
-    "tokenizer",
-    "name_attributes",
-    "names",
-    "postings",
-    "singleton_weights",
-    "in_neighbors",
-)
+
+def write_files(contents: Mapping[Path, object]) -> None:
+    """Write every file of ``contents`` (path -> bytes) or none of them.
+
+    Each file's bytes go to ``<name>.tmp`` first, and only once every
+    temp file is written are they renamed over their paths.  A failed
+    write removes the temp files and leaves every path untouched; a
+    process mapping an old file keeps reading its pages.
+    """
+    temps = [(path, Path(f"{path}.tmp"), data) for path, data in contents.items()]
+    try:
+        for _, tmp, data in temps:
+            tmp.write_bytes(data)
+        for path, tmp, _ in temps:
+            os.replace(tmp, path)
+    finally:
+        for _, tmp, _ in temps:
+            tmp.unlink(missing_ok=True)
 
 
 class ResolutionIndex:
     """Everything Algorithm 1 needs about the target KB, precomputed.
 
-    Instances are produced by :meth:`build` (from a
-    :class:`~repro.kb.knowledge_base.KnowledgeBase`) or :meth:`load`
-    (from a file written by :meth:`save`); the constructor wires
-    already-frozen fields and is not meant to be called directly.
+    An index *is* one columnar container (:mod:`repro.serving.format`):
+    the bytes :meth:`build`, :class:`repro.sharding.ShardPlanner` and
+    :meth:`repro.serving.live.LiveIndex.compact` encode, or the file
+    :meth:`load` maps.  The constructor opens one (producers call it);
+    a built, planned, folded and loaded index expose the same views.
 
     Attributes
     ----------
+    data / sections:
+        The container (``bytes`` or an ``mmap``) and its raw section
+        arrays by name.
     kb_name / n2 / uris2:
         Label, entity count and id -> URI table of the indexed KB.
     config / tokenizer:
@@ -78,9 +88,8 @@ class ResolutionIndex:
         Normalised name -> tuple of KB2 entity ids using it.
     postings:
         Token -> ascending KB2 entity ids (the KB2 side of the token
-        block keyed by that token): ``array('i')`` when built, a
-        zero-copy ``repro.serving.format.MappedPostings`` view over the
-        file's int32 pages when loaded.
+        block keyed by that token): a zero-copy int32 view of the
+        ``posting_ids`` section.
     singleton_weights:
         Token -> ``1 / log2(EF2(t) + 1)``: the block weight of the
         token's query-time block when the query side holds one entity
@@ -98,36 +107,10 @@ class ResolutionIndex:
         on ordinary indexes.
     """
 
-    def __init__(
-        self,
-        kb_name: str,
-        n2: int,
-        uris2: list[str],
-        config: MinoanERConfig,
-        tokenizer: Tokenizer,
-        name_attributes: tuple[str, ...],
-        names: dict[str, tuple[int, ...]],
-        postings: dict[str, array],
-        singleton_weights: dict[str, float],
-        in_neighbors: CSRAdjacency,
-        *,
-        token_global_ef: dict[str, int] | None = None,
-        shard_info: dict[str, object] | None = None,
-    ):
-        self.kb_name = kb_name
-        self.n2 = n2
-        self.uris2 = uris2
-        self.config = config
-        self.tokenizer = tokenizer
-        self.name_attributes = name_attributes
-        self.names = names
-        self.postings = postings
-        self.singleton_weights = singleton_weights
-        self.in_neighbors = in_neighbors
-        self.token_global_ef = token_global_ef
-        self.shard_info = shard_info
-        #: ``{"format_version", "file_bytes"}`` of the file after
-        #: :meth:`load`, None for built indexes.
+    def __init__(self, data):
+        self.data = data
+        vars(self).update(index_format.open_sections(data))
+        #: ``{"format_version", "file_bytes"}`` after :meth:`load`, else None.
         self.load_info: dict[str, int] | None = None
 
     # ------------------------------------------------------------------
@@ -148,7 +131,8 @@ class ResolutionIndex:
         """
         config = config or MinoanERConfig()
         recorder = current_recorder()
-        with recorder.span("index.build", n2=len(kb2)):
+        n2 = len(kb2)
+        with recorder.span("index.build", n2=n2):
             with recorder.span("index.statistics"):
                 stats2 = KBStatistics(
                     kb2,
@@ -160,34 +144,43 @@ class ResolutionIndex:
             # appended ascending, per-entity duplicates collapsed.
             with recorder.span("index.names"):
                 names: dict[str, list[int]] = {}
-                for eid in range(len(kb2)):
+                for eid in range(n2):
                     seen: set[str] = set()
                     for raw in stats2.names(eid):
                         name = normalize_name(raw)
                         if name and name not in seen:
                             seen.add(name)
                             names.setdefault(name, []).append(eid)
+                sorted_names = sorted(names)
 
             with recorder.span("index.postings"):
-                postings = {
-                    token: array("i", ids) for token, ids in kb2.token_index.items()
-                }
-                singleton_weights = {
-                    token: block_weight(len(ids)) for token, ids in postings.items()
-                }
+                token_index = kb2.token_index
+                tokens = sorted(token_index)
+                postings = index_format.csr_lists([token_index[token] for token in tokens])
 
-        return cls(
-            kb_name=kb2.name,
-            n2=len(kb2),
-            uris2=[kb2.uri_of(eid) for eid in range(len(kb2))],
-            config=config,
-            tokenizer=kb2.tokenizer,
-            name_attributes=stats2.name_attributes,
-            names={name: tuple(ids) for name, ids in names.items()},
-            postings=postings,
-            singleton_weights=singleton_weights,
-            in_neighbors=stats2.in_neighbor_csr(),
-        )
+            csr = stats2.in_neighbor_csr()
+            sections = (
+                *index_format.string_table(tokens),
+                *postings,
+                index_format.token_weights(np.diff(postings[0])),
+                *index_format.string_table(sorted_names),
+                *index_format.csr_lists([names[name] for name in sorted_names]),
+                *index_format.string_table([kb2.uri_of(eid) for eid in range(n2)]),
+                csr.offsets,
+                csr.ids,
+            )
+            data = index_format.encode_index(
+                dict(zip(index_format.SECTIONS, sections)), kb_name=kb2.name, n2=n2,
+                name_attributes=stats2.name_attributes, config=config, tokenizer=kb2.tokenizer,
+            )
+        return cls(data)
+
+    def derive(self, arrays, **changes) -> "ResolutionIndex":
+        """A new index over the section ``arrays`` with this index's
+        metadata, ``changes`` (``n2``, ``shard_info``) applied."""
+        meta = ("kb_name", "n2", "name_attributes", "config", "tokenizer", "shard_info")
+        changes = {**{name: getattr(self, name) for name in meta}, **changes}
+        return type(self)(index_format.encode_index(arrays, **changes))
 
     # ------------------------------------------------------------------
     # Lookups
@@ -228,18 +221,11 @@ class ResolutionIndex:
 
     def describe(self) -> dict[str, object]:
         """Summary of the frozen structures (for logs and ``stats()``)."""
-        postings = self.postings
-        if hasattr(postings, "total_entries"):
-            # Mapped postings know their CSR length in O(1); iterating
-            # every token would decode the whole table.
-            entries = postings.total_entries()
-        else:
-            entries = sum(len(ids) for ids in postings.values())
         summary: dict[str, object] = {
             "kb": self.kb_name,
             "entities": self.n2,
             "tokens": len(self.postings),
-            "posting_entries": entries,
+            "posting_entries": self.postings.total_entries(),
             "names": len(self.names),
             "name_attributes": list(self.name_attributes),
             "in_neighbor_edges": len(self.in_neighbors.ids),
@@ -255,32 +241,21 @@ class ResolutionIndex:
     def save(self, path: str | Path) -> None:
         """Write the index to ``path`` in the columnar format (version 2).
 
-        The encoding is deterministic (sorted tables, canonical JSON
-        header, zero padding), so saving the same logical index -- built
-        or loaded -- produces identical bytes.  Unlike the retired pickle
-        payload, the file carries no executable content; see
-        ``docs/serving.md`` for the format and threat model.
+        The index already is its container, so this writes those bytes:
+        a built, planned or folded index and one loaded from its file
+        save identically.  Unlike the retired pickle payload, the file
+        carries no executable content; see ``docs/serving.md`` for the
+        format and threat model.
 
-        The bytes go to ``<name>.tmp`` and are renamed over ``path``, so
-        every process that has the old file mapped -- this index
-        included, when it is re-saved to the path it was loaded from --
-        keeps reading the old pages.  A failed write removes the temp
-        file and leaves ``path`` untouched.
+        The write goes through :func:`write_files`: the bytes go to
+        ``<name>.tmp`` and are renamed over ``path``, so every process
+        that has the old file mapped -- this index included, when it is
+        re-saved to the path it was loaded from -- keeps reading the old
+        pages.  A failed write removes the temp file and leaves ``path``
+        untouched.
         """
-        fields = {field: getattr(self, field) for field in _PERSISTED_FIELDS}
-        if self.token_global_ef is not None:
-            fields["token_global_ef"] = self.token_global_ef
-        if self.shard_info is not None:
-            fields["shard_info"] = self.shard_info
-        data = index_format.encode_index(fields)
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with current_recorder().span("index.save", file_bytes=len(data)):
-            try:
-                tmp.write_bytes(data)
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
+        with current_recorder().span("index.save", file_bytes=len(self.data)):
+            write_files({Path(path): self.data})
 
     @classmethod
     def load(cls, path: str | Path, mmap: bool = True) -> "ResolutionIndex":
@@ -318,12 +293,11 @@ class ResolutionIndex:
                 else:
                     handle.seek(0)
                     data = handle.read()
-            fields = index_format.open_sections(data)
+            index = cls(data)
             load_info = {"format_version": int(version), "file_bytes": len(data)}
             span.attributes.update(load_info)
             recorder.gauge("index.format_version", load_info["format_version"])
             recorder.gauge("index.file_bytes", load_info["file_bytes"])
-        index = cls(**fields)
         index.load_info = load_info
         return index
 

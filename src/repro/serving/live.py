@@ -49,7 +49,7 @@ import json
 import os
 import threading
 import zlib
-from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -62,7 +62,8 @@ from repro.kernels import CSRAdjacency, block_weight
 from repro.obs import current_recorder
 from repro.resilience.faults import inject
 from repro.serving.engine import MatchEngine
-from repro.serving.index import ResolutionIndex
+from repro.serving.format import SECTIONS, string_table, take_rows, token_weights
+from repro.serving.index import ResolutionIndex, write_files
 
 __all__ = [
     "DeltaSegment",
@@ -538,6 +539,50 @@ class _LiveURIs:
             yield self[eid]
 
 
+def _fold_table(blob, offsets, id_offsets, ids, added: dict[str, Any]):
+    """Merge ``added`` into a sorted string table with per-row ids.
+
+    ``(blob, offsets)`` is the table and ``(id_offsets, ids)`` its rows'
+    ids; ``added`` maps a key to ids greater than every id in ``ids``.
+    An added key already in the table has its ids appended to its row,
+    a new key takes its sorted place, and rows left empty go.  Only the
+    added keys are looked at one by one (a binary search each); the
+    table is cut by gathers.  Returns the merged ``(blob, offsets,
+    id_offsets, ids)``.
+    """
+    raw, bounds = bytes(blob), np.asarray(offsets).tolist()
+    rows = len(bounds) - 1
+    keys = sorted(added)
+    place, found = np.zeros(len(keys), np.int64), np.zeros(len(keys), bool)
+
+    def key_of(row):
+        return raw[bounds[row] : bounds[row + 1]]
+
+    for i, key in enumerate(keys):
+        code = key.encode("utf-8")
+        at = place[i] = bisect_left(range(rows), code, key=key_of)
+        found[i] = at < rows and key_of(at) == code
+    # Pieces: the table's non-empty (or found) rows, then the added keys.
+    # A found key's piece sorts right after its table row and joins it;
+    # a new key's sorts ahead of the table row at its place.
+    table_rows = np.union1d(np.flatnonzero(np.diff(id_offsets)), place[found])
+    order = np.argsort(np.concatenate((2 * table_rows + 1, 2 * place + found)), kind="stable")
+    pieces = np.concatenate((table_rows, rows + np.arange(len(keys))))[order]
+    starts = np.concatenate((np.ones(len(table_rows), bool), ~found))[order]
+    sizes = np.cumsum([len(added[key]) for key in keys], dtype=np.int64)
+    all_ids = np.concatenate((ids, *(added[key] for key in keys)))
+    all_offsets = np.concatenate((id_offsets, id_offsets[-1] + sizes))
+    ids, piece_offsets = take_rows(all_ids, all_offsets, pieces)
+    added_blob, added_bounds = string_table(keys)
+    blob, offsets = take_rows(
+        np.frombuffer(raw + added_blob, np.uint8),
+        np.concatenate((bounds, len(raw) + added_bounds[1:])),
+        pieces[starts],
+    )
+    id_offsets = piece_offsets[np.append(np.flatnonzero(starts), len(pieces))]
+    return blob.tobytes(), offsets, id_offsets, ids
+
+
 class LiveIndex:
     """Frozen base + mutable delta presented as one engine-ready index.
 
@@ -677,15 +722,13 @@ class LiveIndex:
         delta slots' global ids -- the base's own sequence (a zero-copy
         slice of the mapped file) when no edit touched the token.
 
-        An affected token's posting is an ``array('i')``: the kernels
-        read it zero-copy and the batch interner extends by it as one
-        buffer copy, where an ndarray would be extended id by id."""
+        An affected token's posting is a fresh int32 array."""
         base_ids = self.base.postings.get(token, ())
         ids = self._survivors(base_ids)
         slots = self.delta.postings.get(token)
         if slots or ids is not base_ids:
-            ids = array("i", np.asarray(ids, np.intc).tobytes())
-            ids.extend(self.base.n2 + slot for slot in slots or ())
+            delta_ids = np.array(slots or (), np.int32) + self.base.n2
+            ids = np.concatenate((np.asarray(ids, np.int32), delta_ids))
         return ids if len(ids) else None
 
     def entity_frequency(self, token: str) -> int:
@@ -848,68 +891,47 @@ class LiveIndex:
         compacted index answers queries identically to the live overlay
         it folded (same postings, weights, names and neighbor rows
         under the monotone renumbering).
+
+        The renumbering is one cumsum over the dead mask, applied to the
+        base's CSR sections by gathers; only the delta's own tokens and
+        names are touched one by one (:func:`_fold_table`).
         """
-        base = self.base
-        delta = self.delta
-        base_n2 = base.n2
-        dead = delta.dead_base
-        survivors = [eid for eid in range(base_n2) if eid not in dead]
-        mapping: dict[int, int] = {old: new for new, old in enumerate(survivors)}
-        uris: list[str] = [base.uris2[eid] for eid in survivors]
+        base, delta = self.base, self.delta
+        sections = base.sections
+        keep = ~self._dead_view
+        remap = np.cumsum(keep) - 1
+        survivors = int(np.count_nonzero(keep))
         live_slots = delta.live_slots()
-        for slot in live_slots:
-            mapping[base_n2 + slot] = len(uris)
-            uris.append(delta.uris[slot])
+        slot_ids = np.full(delta.allocated, -1)
+        slot_ids[live_slots] = np.arange(survivors, survivors + len(live_slots))
 
-        postings: dict[str, array] = {}
-        base_postings = base.postings
-        for token in base_postings:
-            ids = [mapping[eid] for eid in base_postings[token] if eid not in dead]
-            slots = delta.postings.get(token)
-            if slots:
-                ids.extend(mapping[base_n2 + slot] for slot in slots)
-            if ids:
-                postings[token] = array("i", ids)
-        for token, slots in delta.postings.items():
-            if slots and token not in base_postings:
-                postings[token] = array(
-                    "i", [mapping[base_n2 + slot] for slot in slots]
-                )
-        weights = {token: block_weight(len(ids)) for token, ids in postings.items()}
-
-        names: dict[str, tuple[int, ...]] = {}
-        base_names = base.names
-        for name in base_names:
-            ids = [mapping[eid] for eid in base_names[name] if eid not in dead]
-            slots = delta.names.get(name)
-            if slots:
-                ids.extend(mapping[base_n2 + slot] for slot in slots)
-            if ids:
-                names[name] = tuple(ids)
-        for name, slots in delta.names.items():
-            if slots and name not in base_names:
-                names[name] = tuple(mapping[base_n2 + slot] for slot in slots)
-
-        base_csr = base.in_neighbors
-        rows: list[list[int]] = []
-        for eid in survivors:
-            rows.append(
-                [mapping[j] for j in base_csr.neighbors(eid) if j not in dead]
+        def fold(table, offsets, ids, added):
+            ids = sections[ids]
+            alive = keep[ids]
+            return _fold_table(
+                sections[f"{table}_blob"], sections[f"{table}_offsets"],
+                np.concatenate(([0], np.cumsum(alive)))[sections[offsets]], remap[ids[alive]],
+                {key: slot_ids[slots] for key, slots in added.items()},
             )
-        rows.extend([] for _ in live_slots)
 
-        return ResolutionIndex(
-            kb_name=base.kb_name,
-            n2=len(uris),
-            uris2=uris,
-            config=base.config,
-            tokenizer=base.tokenizer,
-            name_attributes=base.name_attributes,
-            names=names,
-            postings=postings,
-            singleton_weights=weights,
-            in_neighbors=CSRAdjacency.from_lists(rows),
+        tokens = fold("token", "posting_offsets", "posting_ids", delta.postings)
+        uri_blob = np.frombuffer(sections["uri_blob"], np.uint8)
+        uri_blob, uri_offsets = take_rows(uri_blob, sections["uri_offsets"], np.flatnonzero(keep))
+        added_blob, added_offsets = string_table([delta.uris[slot] for slot in live_slots])
+        # The overlay's neighbor view already dropped dead ids and emptied
+        # dead rows: keep the rows of live ids and renumber.
+        csr = self.in_neighbors
+        rows = np.concatenate((keep, slot_ids >= 0))
+        folded = (
+            *tokens,
+            token_weights(np.diff(tokens[2])),
+            *fold("name", "name_id_offsets", "name_ids", delta.names),
+            uri_blob.tobytes() + added_blob,
+            np.concatenate((uri_offsets, uri_offsets[-1] + added_offsets[1:])),
+            np.concatenate(([0], np.asarray(csr.offsets)[1:][rows])),
+            remap[np.asarray(csr.ids)],
         )
+        return base.derive(dict(zip(SECTIONS, folded)), n2=survivors + len(live_slots))
 
     def describe(self) -> dict[str, object]:
         """Base summary overlaid with live counts and a delta section."""
@@ -1110,18 +1132,23 @@ class LiveServingMixin:
         """Flip the engine onto a fresh frozen base (exclusive held)."""
         self.index = LiveIndex(fresh)
 
-    def _swap_workers(
-        self, fresh: ResolutionIndex, path: Path | None, reshard: bool
-    ) -> None:
-        """Propagate a swap to downstream workers (no-op unsharded)."""
+    def _swap_files(self, fresh: ResolutionIndex, path: Path) -> dict[Path, Any]:
+        """The files a swap onto ``fresh`` at ``path`` writes (path ->
+        bytes): the base alone here, the sharded tier adds its shards."""
+        return {path: fresh.data}
+
+    def _swap_workers(self, fresh: ResolutionIndex, path: Path | None) -> None:
+        """Point downstream workers at the swapped files (no-op unsharded)."""
 
     def compact(self, path: str | Path | None = None) -> ResolutionIndex:
         """Fold the delta into a fresh base and swap onto it in place.
 
-        With a ``path`` (default: :attr:`index_path`) the fresh base is
-        written there byte-deterministically -- :meth:`ResolutionIndex.save`
-        renames over the file, so concurrent maps of the old one keep
-        their pages -- and mapped back in; without one the fold stays in
+        With a ``path`` (default: :attr:`index_path`) the fresh base --
+        and on the sharded tier every shard of it, planned first -- is
+        written there byte-deterministically in one
+        :func:`~repro.serving.index.write_files` (all temp files, then
+        the renames, so concurrent maps of the old files keep their
+        pages) and mapped back in; without one the fold stays in
         memory.  The ledger (if attached) is
         truncated: its events now live in the base.  Queries drain
         before the flip and resume against the new base; returns the
@@ -1130,9 +1157,9 @@ class LiveServingMixin:
         **Failure isolation**: a compaction that fails partway (the
         ``live:compact`` chaos site, a full disk, a kernel error)
         raises out of the drain gate *without* bumping the generation
-        -- the live delta, ledger, and served decisions are exactly as
-        if the compaction was never attempted, and the temp file is
-        removed.  The background scheduler
+        -- the live delta, ledger, served decisions and every file on
+        disk are exactly as if the compaction was never attempted, and
+        the temp files are removed.  The background scheduler
         (:class:`repro.serving.compaction.CompactionScheduler`) relies
         on this to retry failed compactions safely.
         """
@@ -1142,9 +1169,9 @@ class LiveServingMixin:
             inject("live:compact")
             fresh = self.index.compact()
             if target is not None:
-                fresh.save(target)
+                write_files(self._swap_files(fresh, target))
                 fresh = ResolutionIndex.load(target)
-            self._swap_workers(fresh, target, reshard=True)
+            self._swap_workers(fresh, target)
             self._install_base(fresh)
             if self.ledger is not None:
                 self.ledger.clear()
@@ -1170,7 +1197,7 @@ class LiveServingMixin:
         fresh = ResolutionIndex.load(target)
 
         def operation():
-            self._swap_workers(fresh, target, reshard=False)
+            self._swap_workers(fresh, target)
             self._install_base(fresh)
             self.swap_count += 1
             self.recorder.count("serving.swaps")

@@ -24,6 +24,12 @@ owner shard and equals the unsharded score exactly; the router's merge
 (:mod:`repro.serving.merge`) then only has to re-rank under the same
 ``(-score, id)`` order.
 
+The planner never materialises a posting list: it cuts each shard's
+sections from the parent's arrays.  An owner mask over ``posting_ids``
+keeps a shard's ids, the running count of kept ids at the parent's
+``posting_offsets`` gives its offsets, and the singleton-name rows are
+gathered in one pass (:func:`repro.serving.format.take_rows`).
+
 Each shard file is a normal columnar v2 container (see
 :mod:`repro.serving.format`): the stock engine loads it and
 ``repro index --migrate`` rewrites it byte-identically.
@@ -32,11 +38,13 @@ Each shard file is a normal columnar v2 container (see
 from __future__ import annotations
 
 import zlib
-from array import array
 from pathlib import Path
 
+import numpy as np
+
 from repro.obs import current_recorder
-from repro.serving.index import ResolutionIndex
+from repro.serving.format import take_rows
+from repro.serving.index import ResolutionIndex, write_files
 
 __all__ = ["ShardPlanner", "partition_of", "shard_paths"]
 
@@ -69,10 +77,10 @@ class ShardPlanner:
             raise ValueError(f"shard count must be >= 1, got {count}")
         self.count = count
 
-    def owners(self, index: ResolutionIndex) -> list[int]:
-        """Owning shard of every KB2 entity, by dense id."""
+    def owners(self, index: ResolutionIndex):
+        """Owning shard of every KB2 entity, by dense id (an ndarray)."""
         count = self.count
-        return [partition_of(uri, count) for uri in index.uris2]
+        return np.fromiter((partition_of(uri, count) for uri in index.uris2), np.int64, index.n2)
 
     def plan(self, index: ResolutionIndex) -> list[ResolutionIndex]:
         """The ``count`` shard indexes of ``index``, in shard order."""
@@ -82,57 +90,44 @@ class ShardPlanner:
                 f"({index.shard_info.get('index')}/{index.shard_info.get('count')} "
                 f"of a {index.shard_info.get('count')}-way split)"
             )
-        recorder = current_recorder()
-        with recorder.span("shard.plan", shards=self.count, n2=index.n2):
+        with current_recorder().span("shard.plan", shards=self.count, n2=index.n2):
+            sections = index.sections
             owners = self.owners(index)
-            postings = index.postings
-            global_ef = {token: len(postings[token]) for token in postings}
-            local_postings: list[dict[str, array]] = [
-                {} for _ in range(self.count)
-            ]
-            for token in postings:
-                split: list[array] = [array("i") for _ in range(self.count)]
-                for eid in postings[token]:
-                    split[owners[eid]].append(eid)
-                for shard, ids in enumerate(split):
-                    local_postings[shard][token] = ids
-
+            ids, offsets = sections["posting_ids"], sections["posting_offsets"]
+            id_owners = owners[ids]
             # Names: globally-singleton only, kept by the owner shard.
-            local_names: list[dict[str, tuple[int, ...]]] = [
-                {} for _ in range(self.count)
-            ]
-            for name, ids in index.names.items():
-                if len(ids) == 1:
-                    local_names[owners[ids[0]]][name] = tuple(ids)
-
-            weights = dict(index.singleton_weights)
+            name_id_offsets = sections["name_id_offsets"]
+            singletons = np.flatnonzero(np.diff(name_id_offsets) == 1)
+            singleton_ids = sections["name_ids"][name_id_offsets[singletons]]
+            name_table = np.frombuffer(sections["name_blob"], np.uint8), sections["name_offsets"]
             shards = []
             for shard in range(self.count):
-                shards.append(
-                    ResolutionIndex(
-                        kb_name=index.kb_name,
-                        n2=index.n2,
-                        uris2=list(index.uris2),
-                        config=index.config,
-                        tokenizer=index.tokenizer,
-                        name_attributes=index.name_attributes,
-                        names=local_names[shard],
-                        postings=local_postings[shard],
-                        singleton_weights=weights,
-                        in_neighbors=index.in_neighbors,
-                        token_global_ef=global_ef,
-                        shard_info={
-                            "count": self.count,
-                            "index": shard,
-                            "partition": PARTITION_SCHEME,
-                        },
-                    )
-                )
+                own, mine = id_owners == shard, owners[singleton_ids] == shard
+                blob, name_offsets = take_rows(*name_table, singletons[mine])
+                arrays = {
+                    **sections,
+                    "posting_offsets": np.concatenate(([0], np.cumsum(own)))[offsets],
+                    "posting_ids": ids[own],
+                    "name_blob": blob.tobytes(),
+                    "name_offsets": name_offsets,
+                    "name_id_offsets": np.arange(len(name_offsets)),
+                    "name_ids": singleton_ids[mine],
+                    "token_global_ef": np.diff(offsets),
+                }
+                info = {"count": self.count, "index": shard, "partition": PARTITION_SCHEME}
+                shards.append(index.derive(arrays, shard_info=info))
             return shards
 
+    def files(self, index: ResolutionIndex, base: str | Path) -> dict[Path, object]:
+        """Shard file path -> bytes of every shard of ``index``."""
+        return {
+            path: shard.data
+            for path, shard in zip(shard_paths(base, self.count), self.plan(index))
+        }
+
     def write(self, index: ResolutionIndex, base: str | Path) -> list[Path]:
-        """Plan + save: the shard files of ``index`` next to ``base``."""
-        paths = shard_paths(base, self.count)
-        for shard, path in zip(self.plan(index), paths):
-            shard.save(path)
-        return paths
+        """Plan + save: the shard files of ``index`` next to ``base``,
+        all written or none (:func:`repro.serving.index.write_files`)."""
+        files = self.files(index, base)
+        write_files(files)
+        return list(files)

@@ -957,10 +957,11 @@ class LiveShardRouter(LiveServingMixin, ShardRouter):
       encoding of the overlay is exactly the kind of divergence this
       tier exists to avoid.  Compaction restores the scattered path.
 
-    :meth:`compact` re-shards the fresh base and broadcasts ``reload``
-    to every replica while the drain gate is held (no worker request
-    can be in flight), writing each file via temp + atomic rename so
-    replicas mapping the old inode keep their pages until they flip.  A
+    :meth:`compact` plans the fresh base's shards, writes the base and
+    every shard file all-or-nothing (temp files, then renames, so
+    replicas mapping an old inode keep its pages until they flip) and
+    broadcasts ``reload`` to every replica while the drain gate is held
+    (no worker request can be in flight).  A
     replica that fails its reload is killed on the spot -- a dead
     replica degrades per ``failure_mode``, which is strictly better
     than a live one answering from a stale generation.
@@ -1000,19 +1001,17 @@ class LiveShardRouter(LiveServingMixin, ShardRouter):
         with self.handle.exclusive():
             yield
 
-    def _swap_workers(
-        self, fresh: ResolutionIndex, path: Path | None, reshard: bool
-    ) -> None:
+    def _swap_files(self, fresh: ResolutionIndex, path: Path) -> dict[Path, Any]:
+        # Planned before anything is written: a failed write changes no file.
+        return {path: fresh.data, **ShardPlanner(self.shards).files(fresh, path)}
+
+    def _swap_workers(self, fresh: ResolutionIndex, path: Path | None) -> None:
         if path is None:
             raise ValueError(
                 "a sharded live tier swaps through shard files on disk; "
                 "set index_path (the CLI does) or pass compact(path=...)"
             )
         paths = shard_paths(path, self.shards)
-        if reshard:
-            # save() renames over each file: replicas still mapping the
-            # old one keep its (old-inode) pages until they reload.
-            ShardPlanner(self.shards).write(fresh, path)
         for shard, group in enumerate(self._replicas):
             for replica in list(group):
                 try:

@@ -5,7 +5,9 @@ Hypothesis drives random sequences of ``upsert`` / ``delete`` /
 :class:`LiveShardRouter` (1-4 shards), then replays the *net* effect of
 the sequence as a plain entity list and rebuilds a frozen index from
 scratch.  Every probe -- one per entity ever mentioned, plus a
-guaranteed miss -- must decide identically on both sides.
+guaranteed miss -- must decide identically on both sides, and every
+compaction must write exactly the bytes a cold build of the state at
+that point saves.
 
 The KB family is relation-neutral by construction (two literal
 attributes, globally distinct unique tokens plus a controlled shared
@@ -131,20 +133,51 @@ def assert_equals_cold_rebuild(target, ops, context=()):
     assert ours == theirs, (ops, *context)
 
 
+# Pinned folds: an edit that empties a base token's posting and a name
+# (e3 deleted, e2's version-0 tokens and name replaced), and delta
+# tokens and names new to the base (e2 version 2, new entity e9).
+FOLD_EDGES = [
+    ("delete", 3, 0),
+    ("upsert", 9, 1),
+    ("upsert", 2, 2),
+    ("compact", 0, 0),
+    ("delete", 9, 0),
+    ("compact", 0, 0),
+]
+
+# Every entity deleted: the emptied KB's cold build discovers no name
+# attributes, so only the next compaction's bytes are compared.
+EMPTIED = [("delete", i, 0) for i in range(8)] + [
+    ("compact", 0, 0),
+    ("upsert", 3, 1),
+    ("compact", 0, 0),
+]
+
+
 def drive(target, ops, tmp_path):
-    for op, i, version in ops:
+    """Apply ``ops``; after each compaction the file on disk must be a
+    cold build's bytes of the state so far -- within the documented
+    scope, where the edits keep the KB's discovered name attributes (an
+    emptied KB discovers none; its decisions are still checked)."""
+    for step, (op, i, version) in enumerate(ops):
         if op == "upsert":
             target.upsert(make_entity(i, version))
         elif op == "delete":
             target.delete(f"http://kb2/e{i}")
         else:
             target.compact(tmp_path / "kb2.idx")
+            cold = build_index(net_state(ops[: step + 1]))
+            if cold.name_attributes == target.index.name_attributes:
+                cold.save(tmp_path / "cold.idx")
+                assert (tmp_path / "kb2.idx").read_bytes() == (tmp_path / "cold.idx").read_bytes(), ops
 
 
 class TestLiveEngineProperty:
     @pytest.mark.parametrize("loaded", [False, True])
     @given(ops=operations)
     @example(ops=TOMBSTONE_ONLY)
+    @example(ops=FOLD_EDGES)
+    @example(ops=EMPTIED)
     @settings(max_examples=25, deadline=None)
     def test_any_interleaving_equals_cold_rebuild(self, loaded, ops, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("live")
@@ -160,6 +193,7 @@ class TestLiveEngineProperty:
 class TestLiveShardRouterProperty:
     @given(ops=operations, shards=st.integers(min_value=1, max_value=4))
     @example(ops=TOMBSTONE_ONLY, shards=2)
+    @example(ops=FOLD_EDGES, shards=3)
     @settings(max_examples=15, deadline=None)
     def test_any_interleaving_any_shard_count(self, ops, shards, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("live")

@@ -6,6 +6,8 @@ producing rules, same scores -- on multiple synthetic profiles, and the
 contract must survive an index save/load round-trip.
 """
 
+from functools import lru_cache
+
 import pytest
 
 from repro.core.config import MinoanERConfig
@@ -15,10 +17,15 @@ from repro.kernels import get_backend
 from repro.serving import MatchEngine, ResolutionIndex
 
 
-def assert_serving_reproduces_batch(pair, config=None):
+def assert_serving_reproduces_batch(pair, config=None, index_dir=None):
+    """``index_dir``: serve off the index saved there and loaded back."""
     config = config or MinoanERConfig()
     batch_result = MinoanER(config).resolve(pair.kb1, pair.kb2)
-    engine = MatchEngine(ResolutionIndex.build(pair.kb2, config))
+    index = ResolutionIndex.build(pair.kb2, config)
+    if index_dir is not None:
+        index.save(index_dir / "kb2.idx")
+        index = ResolutionIndex.load(index_dir / "kb2.idx")
+    engine = MatchEngine(index)
     decisions = engine.match_batch(list(pair.kb1))
 
     served = {
@@ -36,7 +43,26 @@ def assert_serving_reproduces_batch(pair, config=None):
     return engine, batch_result
 
 
+#: The four paper regimes, scaled down to a few hundred entities a side.
+GRID_SCALES = {"restaurant": 0.3, "rexa_dblp": 0.1, "yago_imdb": 0.1, "bbc_dbpedia": 0.2}
+
+
+@lru_cache(maxsize=None)
+def grid_pair(profile):
+    return scaled_profile(profile, GRID_SCALES[profile])
+
+
 class TestBatchServeEquivalence:
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    @pytest.mark.parametrize("candidates_k", [15, 5], ids=["k15", "k5"])
+    @pytest.mark.parametrize("dynamic_pruning", [False, True], ids=["static", "dynamic"])
+    @pytest.mark.parametrize("profile", sorted(GRID_SCALES))
+    def test_grid(self, profile, dynamic_pruning, candidates_k, loaded, tmp_path):
+        config = MinoanERConfig(dynamic_pruning=dynamic_pruning, candidates_k=candidates_k)
+        assert_serving_reproduces_batch(
+            grid_pair(profile), config, index_dir=tmp_path if loaded else None
+        )
+
     def test_mini_profile(self, mini_pair):
         assert_serving_reproduces_batch(mini_pair)
 

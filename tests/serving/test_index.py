@@ -1,8 +1,8 @@
 """ResolutionIndex: frozen contents, persistence, format guards."""
 
 import pickle
-from array import array
 
+import numpy as np
 import pytest
 
 from repro.blocking.name_blocking import name_blocks, normalize_name
@@ -18,8 +18,9 @@ class TestBuild:
         index = ResolutionIndex.build(kb2)
         assert index.kb_name == "dbpedia"
         assert index.n2 == len(kb2)
-        assert index.uris2 == [kb2.uri_of(eid) for eid in range(len(kb2))]
-        assert index.tokenizer is kb2.tokenizer
+        assert list(index.uris2) == [kb2.uri_of(eid) for eid in range(len(kb2))]
+        assert index.tokenizer.min_length == kb2.tokenizer.min_length
+        assert index.tokenizer.stopwords == kb2.tokenizer.stopwords
 
     def test_postings_mirror_token_index(self, restaurant_kbs):
         _, kb2 = restaurant_kbs
@@ -27,7 +28,8 @@ class TestBuild:
         assert set(index.postings) == set(kb2.token_index)
         for token, ids in kb2.token_index.items():
             assert list(index.postings[token]) == ids
-            assert isinstance(index.postings[token], array)
+            assert isinstance(index.postings[token], np.ndarray)
+            assert index.postings[token].dtype == np.int32
             assert index.entity_frequency(token) == len(ids)
         assert index.entity_frequency("never-a-token") == 0
 
@@ -82,8 +84,8 @@ class TestBuild:
             top_n_relations=config.relations_n,
         )
         expected = stats2.in_neighbor_csr()
-        assert index.in_neighbors.offsets == expected.offsets
-        assert index.in_neighbors.ids == expected.ids
+        assert index.in_neighbors.offsets.tolist() == expected.offsets.tolist()
+        assert index.in_neighbors.ids.tolist() == expected.ids.tolist()
 
     def test_describe_and_repr(self, restaurant_kbs):
         _, kb2 = restaurant_kbs
@@ -105,7 +107,7 @@ class TestPersistence:
         loaded = ResolutionIndex.load(path)
         assert loaded.kb_name == index.kb_name
         assert loaded.n2 == index.n2
-        assert list(loaded.uris2) == index.uris2
+        assert list(loaded.uris2) == list(index.uris2)
         assert loaded.config == index.config
         assert dict(loaded.names) == index.names
         assert set(loaded.postings) == set(index.postings)
@@ -144,3 +146,32 @@ class TestPersistence:
         path.write_bytes(MAGIC)  # magic but no version byte
         with pytest.raises(ValueError, match="unsupported index format version"):
             ResolutionIndex.load(path)
+
+
+class TestOneForm:
+    def test_built_planned_folded_and_loaded_share_field_types(self, mini_pair, tmp_path):
+        from repro.kb.entity import EntityDescription
+        from repro.serving.live import LiveIndex
+        from repro.sharding import ShardPlanner
+
+        built = ResolutionIndex.build(mini_pair.kb2)
+        planned = ShardPlanner(2).plan(built)[0]
+        live = LiveIndex(built)
+        live.delete(built.uris2[0])
+        live.upsert(EntityDescription("http://kb2/new", [("name", "a fresh name")]))
+        folded = live.compact()
+        built.save(tmp_path / "kb2.idx")
+        loaded = ResolutionIndex.load(tmp_path / "kb2.idx")
+
+        def types(index):
+            token = next(iter(index.postings))
+            fields = {name: type(value) for name, value in vars(index).items()}
+            fields.pop("token_global_ef"), fields.pop("shard_info"), fields.pop("load_info")
+            fields.pop("data")  # bytes when encoded here, an mmap when loaded
+            fields["posting"] = type(index.postings[token]), index.postings[token].dtype
+            fields["csr"] = type(index.in_neighbors.ids), index.in_neighbors.ids.dtype
+            fields["sections"] = {k: type(v) for k, v in index.sections.items() if k != "token_global_ef"}
+            return fields
+
+        assert types(built) == types(planned) == types(folded) == types(loaded)
+        assert types(built)["posting"] == (np.ndarray, np.dtype("int32"))

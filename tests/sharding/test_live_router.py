@@ -275,3 +275,41 @@ class TestWorkerReloadOp:
             }
         )
         assert all(row[1] == 0.5 for row in reweighted["row"])
+
+
+class TestAllOrNothingCompaction:
+    def test_failed_shard_write_changes_no_file(self, tmp_path, monkeypatch):
+        # An I/O error on the second temp file (shard 0, after the base):
+        # the base and every shard file keep their bytes, no temp file
+        # is left, and the live state is as if compaction never ran.
+        index_path = tmp_path / "kb2.idx"
+        base = build_index(BASE)
+        base.save(index_path)
+        ShardPlanner(2).write(base, index_path)
+        files = [index_path, *shard_paths(index_path, 2)]
+        before = {path: path.read_bytes() for path in files}
+        router = live_router(base, 2)
+        router.index_path = index_path
+        try:
+            apply_edits(router)
+            generation = router.generation
+            write_bytes = type(index_path).write_bytes
+            writes = []
+
+            def failing_write(path, data):
+                writes.append(path)
+                if len(writes) == 2:
+                    raise OSError(28, "No space left on device")
+                return write_bytes(path, data)
+
+            monkeypatch.setattr(type(index_path), "write_bytes", failing_write)
+            with pytest.raises(OSError, match="No space left"):
+                router.compact()
+            monkeypatch.undo()
+            assert {path: path.read_bytes() for path in files} == before
+            assert not list(tmp_path.glob("*.tmp"))
+            assert router.generation == generation
+            assert router.index.delta_active
+            assert router.swap_count == 0
+        finally:
+            router.close()

@@ -125,3 +125,26 @@ class TestPersistence:
         loaded = ResolutionIndex.load(path)
         assert loaded.shard_info is None
         assert loaded.token_global_ef is None
+
+    def test_failed_write_changes_no_shard_file(self, index, mini_pair, tmp_path, monkeypatch):
+        # An I/O error on the second temp file leaves every shard file
+        # with its old bytes and no temp file behind.
+        base = tmp_path / "kb2.idx"
+        paths = ShardPlanner(3).write(index, base)
+        before = {path: path.read_bytes() for path in paths}
+        other = ResolutionIndex.build(mini_pair.kb1, MinoanERConfig())
+        write_bytes = type(base).write_bytes
+        writes = []
+
+        def failing_write(path, data):
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(type(base), "write_bytes", failing_write)
+        with pytest.raises(OSError, match="No space left"):
+            ShardPlanner(3).write(other, base)
+        monkeypatch.undo()
+        assert {path: path.read_bytes() for path in paths} == before
+        assert not list(tmp_path.glob("*.tmp"))
