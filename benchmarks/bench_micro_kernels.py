@@ -3,7 +3,8 @@
 Unlike the table/figure benches (one-shot experiment regenerations),
 these measure the kernels that dominate the pipeline's run time with
 proper repetition, so performance regressions show up in the
-pytest-benchmark comparison output:
+pytest-benchmark comparison output (run from the repository root, which
+makes the tests' dict reference importable):
 
 * ``accumulate_beta`` -- the O(||B_T||) value-evidence pass;
 * ``neighbor_evidence`` -- gamma propagation through in-neighbors;
@@ -23,16 +24,16 @@ import pytest
 from repro.blocking.purging import purge_blocks
 from repro.blocking.token_blocking import token_blocks
 from repro.clustering.unique_mapping import unique_mapping_clustering
-from repro.graph.construction import (
+from repro.graph.pruning import top_k_candidates
+from repro.kb.knowledge_base import KnowledgeBase
+from repro.kb.statistics import KBStatistics
+from repro.kernels import InternedBlocks, numpy_backend
+from tests.graph.dict_reference import (
     accumulate_beta,
     neighbor_evidence,
     retained_beta_edges,
     value_evidence,
 )
-from repro.graph.pruning import top_k_candidates
-from repro.kb.knowledge_base import KnowledgeBase
-from repro.kb.statistics import KBStatistics
-from repro.kernels import InternedBlocks, numpy_backend
 
 
 def test_kb_construction(benchmark, profiles):

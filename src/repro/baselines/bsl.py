@@ -66,7 +66,6 @@ def candidate_pairs(
     kb1: KnowledgeBase,
     kb2: KnowledgeBase,
     name_attributes_k: int = 2,
-    purging_budget_ratio: float = 0.01,
 ) -> set[tuple[int, int]]:
     """The unpruned blocking-graph edges BSL compares.
 
@@ -75,11 +74,7 @@ def candidate_pairs(
     """
     stats1 = KBStatistics(kb1, top_k_name_attributes=name_attributes_k)
     stats2 = KBStatistics(kb2, top_k_name_attributes=name_attributes_k)
-    tokens = purge_blocks(
-        token_blocks(kb1, kb2),
-        cartesian=len(kb1) * len(kb2),
-        budget_ratio=purging_budget_ratio,
-    )
+    tokens = purge_blocks(token_blocks(kb1, kb2), cartesian=len(kb1) * len(kb2))
     names = name_blocks(stats1, stats2)
     pairs = tokens.distinct_pairs()
     pairs.update(names.distinct_pairs())

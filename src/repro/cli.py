@@ -165,13 +165,10 @@ def _config_options(args: argparse.Namespace) -> dict[str, Any]:
     if args.command == "serve":
         options: dict[str, Any] = dict(
             serving_cache_size=args.cache_size,
-            serving_candidate_cap=args.candidate_cap,
             serving_deadline_ms=args.deadline_ms,
-            serving_hedge_ms=args.hedge_ms,
             failure_mode=args.failure_mode,
             serving_max_pending=args.max_pending,
             serving_quota_qps=args.quota_qps,
-            serving_quota_burst=args.quota_burst,
         )
         if args.provenance is not None:
             options["provenance_sample_rate"] = args.provenance
@@ -199,6 +196,21 @@ def _config_options(args: argparse.Namespace) -> dict[str, Any]:
             use_neighbor_evidence=not args.no_neighbors,
         )
         checks = []
+        if args.command == "index":
+            # Each of these would otherwise be dropped without a word:
+            # --migrate returns before --shards is read, and --ledger is
+            # only folded in by --compact.
+            checks += [
+                (
+                    not (args.migrate and args.shards),
+                    "--shards cannot be combined with --migrate",
+                ),
+                (
+                    not (args.migrate and args.compact),
+                    "--compact cannot be combined with --migrate",
+                ),
+                (args.ledger is None or args.compact, "--ledger requires --compact"),
+            ]
         if args.command == "resolve":
             options.update(
                 failure_mode=args.failure_mode,
@@ -769,10 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU result-cache capacity, 0 disables (default %(default)s)",
     )
     serve.add_argument(
-        "--candidate-cap", type=int, default=serving_defaults.serving_candidate_cap,
-        help="per-query candidate cap (default: unlimited, exact)",
-    )
-    serve.add_argument(
         "--deadline-ms", type=float, default=serving_defaults.serving_deadline_ms,
         metavar="MS", help="per-lookup time budget; on expiry the query gets a "
         "degraded name-evidence-only answer (default: no deadline)",
@@ -798,12 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--replicas", type=int, default=1,
         metavar="R", help="worker replicas per shard; >1 enables hedged "
-        "requests (default %(default)s)",
-    )
-    serve.add_argument(
-        "--hedge-ms", type=float, default=serving_defaults.serving_hedge_ms,
-        metavar="MS", help="fixed delay before a backup request fires at a "
-        "sibling replica (default: adaptive p95 of the shard's latency)",
+        "requests after the shard's p95 latency (default %(default)s)",
     )
     serve.add_argument(
         "--failure-mode", choices=FAILURE_MODES, default=serving_defaults.failure_mode,
@@ -828,12 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quota-qps", type=float, default=None, metavar="QPS",
         help="per-source token-bucket quota; requests carrying a "
         "'source' field are shed once that source exceeds QPS "
-        "sustained (default: no quotas)",
-    )
-    serve.add_argument(
-        "--quota-burst", type=float, default=None, metavar="N",
-        help="token-bucket burst capacity for --quota-qps "
-        "(default: 2x the rate)",
+        "sustained, with a burst of 2x the rate (default: no quotas)",
     )
     serve.add_argument(
         "--ledger", metavar="FILE", default=None,

@@ -2,10 +2,16 @@
 
 The paper's sensitivity analysis (Figure 5) varies four parameters and
 recommends the global default ``(k, K, N, theta) = (2, 15, 3, 0.6)``,
-which is also the default here.  The remaining fields reproduce a fixed
-design decision of the paper (e.g. ``value_threshold = 1`` in R2),
-expose an ablation used in its evaluation (rule toggles, purging), or
-tune the serving and resilience layers built around it.
+which is also the default here.  The remaining fields expose an
+ablation used in its evaluation (rule toggles, purging, dynamic
+pruning) or tune the serving and resilience layers built around it.
+The paper's fixed design decisions are constants beside their one
+reader, not fields: R2's ``beta >= 1`` (``repro.core.rules``), the ~1%
+purging budget (``repro.blocking.purging``), the adaptive cut's gap
+ratio (``repro.graph.pruning``) and Unique Mapping Clustering, which
+always runs.  A knob stays only while a caller outside the tests sets
+it or a workload shows a non-default value winning (``DESIGN.md``,
+"Knobs").
 
 A field lives here only if the library reads it as ``config.<field>``
 (``tests/core/test_config.py`` checks this).  Settings that one
@@ -40,24 +46,16 @@ class MinoanERConfig:
         Trade-off between value-based and neighbor-based rankings in
         rule R3; the beta list is weighted ``theta`` and the gamma list
         ``1 - theta`` (section 4).
-    value_threshold:
-        R2 matches the top value candidate when ``beta`` reaches this
-        threshold; the paper fixes it to 1 ("many common and infrequent
-        tokens").
-    purge_blocks / purging_budget_ratio:
+    purge_blocks:
         Block Purging of oversized token blocks (section 3.3): retained
-        token blocks may suggest at most ``purging_budget_ratio`` of the
-        brute-force ``|E1|*|E2|`` comparisons (paper regime: ~1%%).
+        token blocks may suggest at most ~1% of the brute-force
+        ``|E1|*|E2|`` comparisons.
     use_name_rule / use_value_rule / use_rank_aggregation / use_reciprocity:
         Rule toggles for the Table 4 ablations.
     use_neighbor_evidence:
         When False, gamma weights are not computed and R3 ranks by value
         evidence alone ("contribution of neighbors" ablation, Table 4).
-    enforce_unique_mapping:
-        Apply Unique Mapping Clustering to the final match set, keeping
-        the best-scored pair per entity (section 5 notes MinoanER
-        employs it; rule order gives R1 > R2 > R3 priority).
-    dynamic_pruning / pruning_gap_ratio:
+    dynamic_pruning:
         Replace the fixed top-K candidate retention with the adaptive
         per-node cut of the paper's future work (section 7): each node's
         list is truncated at the first large weight gap in its local
@@ -66,12 +64,6 @@ class MinoanERConfig:
         Capacity of the :class:`repro.serving.cache.LRUCache` holding
         single-query decisions, keyed by entity content fingerprint
         (0 disables caching).
-    serving_candidate_cap:
-        Per-query cap on the candidate set considered by the serving
-        engine: after ``beta`` accumulation only the cap highest-scored
-        candidates survive.  ``None`` (the default) keeps every touched
-        candidate, which is required for exact batch/serve equivalence;
-        setting a cap trades recall for bounded query latency.
     failure_mode / retry_max_attempts / retry_base_delay_s:
         Stage-failure behaviour of the pipelines (see
         ``docs/resilience.md``): ``fail_fast`` aborts on the first
@@ -87,23 +79,14 @@ class MinoanERConfig:
         exceeds it mid-pipeline receives a *degraded* name-evidence-only
         answer flagged ``degraded=true`` instead of blocking the
         stream.
-    breaker_threshold:
-        Consecutive failures that open a shard replica's circuit
-        breaker in the router (the replica is skipped).  An open
-        breaker lets a half-open probe through after 30 s.
-    serving_hedge_ms:
-        Delay before a backup (hedged) request of the sharded serving
-        tier (``docs/sharding.md``) fires at a sibling replica; ``None``
-        adapts it to the shard's observed p95 latency.  Decisions are
-        bit-identical to unsharded serving at any shard/replica count.
-    serving_max_pending / serving_quota_qps / serving_quota_burst:
+    serving_max_pending / serving_quota_qps:
         Admission control of the serving engine
         (``docs/resilience.md``).  ``serving_max_pending`` bounds the
         summed cost of queries inside the engine at once;
         ``serving_quota_qps`` rate-limits each traffic source through a
-        token bucket of ``serving_quota_burst`` capacity (default
-        ``max(1, 2 * qps)``).  Both default off; rejections surface as
-        explicit load-shed error records, never silent drops.
+        token bucket of ``max(1, 2 * qps)`` capacity.  Both default
+        off; rejections surface as explicit load-shed error records,
+        never silent drops.
     provenance_sample_rate:
         Fraction of serving queries that carry a full
         :class:`repro.obs.ProvenanceRecord` (fired rule, evidence type,
@@ -117,29 +100,21 @@ class MinoanERConfig:
     candidates_k: int = 15
     relations_n: int = 3
     theta: float = 0.6
-    value_threshold: float = 1.0
     purge_blocks: bool = True
-    purging_budget_ratio: float = 0.01
     use_name_rule: bool = True
     use_value_rule: bool = True
     use_rank_aggregation: bool = True
     use_reciprocity: bool = True
     use_neighbor_evidence: bool = True
-    enforce_unique_mapping: bool = True
     dynamic_pruning: bool = False
-    pruning_gap_ratio: float = 0.2
     serving_cache_size: int = 1024
-    serving_candidate_cap: int | None = None
     provenance_sample_rate: float = 0.0
     failure_mode: str = "fail_fast"
     retry_max_attempts: int = 3
     retry_base_delay_s: float = 0.01
     serving_deadline_ms: float | None = None
-    breaker_threshold: int = 3
-    serving_hedge_ms: float | None = None
     serving_max_pending: int | None = None
     serving_quota_qps: float | None = None
-    serving_quota_burst: float | None = None
 
     def __post_init__(self) -> None:
         if self.name_attributes_k < 0:
@@ -150,24 +125,9 @@ class MinoanERConfig:
             raise ValueError(f"relations_n must be >= 0, got {self.relations_n}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
-        if self.value_threshold < 0.0:
-            raise ValueError(f"value_threshold must be >= 0, got {self.value_threshold}")
-        if self.purging_budget_ratio <= 0.0:
-            raise ValueError(
-                f"purging_budget_ratio must be > 0, got {self.purging_budget_ratio}"
-            )
-        if not 0.0 < self.pruning_gap_ratio < 1.0:
-            raise ValueError(
-                f"pruning_gap_ratio must be in (0, 1), got {self.pruning_gap_ratio}"
-            )
         if self.serving_cache_size < 0:
             raise ValueError(
                 f"serving_cache_size must be >= 0, got {self.serving_cache_size}"
-            )
-        if self.serving_candidate_cap is not None and self.serving_candidate_cap < 1:
-            raise ValueError(
-                f"serving_candidate_cap must be >= 1 or None, "
-                f"got {self.serving_candidate_cap}"
             )
         if not 0.0 <= self.provenance_sample_rate <= 1.0:
             raise ValueError(
@@ -194,15 +154,6 @@ class MinoanERConfig:
                 f"serving_deadline_ms must be > 0 or None, "
                 f"got {self.serving_deadline_ms}"
             )
-        if self.breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if self.serving_hedge_ms is not None and self.serving_hedge_ms < 0:
-            raise ValueError(
-                f"serving_hedge_ms must be >= 0 or None, "
-                f"got {self.serving_hedge_ms}"
-            )
         if self.serving_max_pending is not None and self.serving_max_pending < 1:
             raise ValueError(
                 f"serving_max_pending must be >= 1 or None, "
@@ -212,11 +163,6 @@ class MinoanERConfig:
             raise ValueError(
                 f"serving_quota_qps must be > 0 or None, "
                 f"got {self.serving_quota_qps}"
-            )
-        if self.serving_quota_burst is not None and self.serving_quota_burst <= 0:
-            raise ValueError(
-                f"serving_quota_burst must be > 0 or None, "
-                f"got {self.serving_quota_burst}"
             )
 
     def with_options(self, **changes: Any) -> "MinoanERConfig":

@@ -26,8 +26,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.blocking.name_blocking import normalize_name
+from repro.blocking.purging import DEFAULT_BUDGET_RATIO, MIN_BUDGET
 from repro.core.config import MinoanERConfig
 from repro.core.rank_aggregation import top_aggregate_candidate
+from repro.core.rules import VALUE_THRESHOLD
 from repro.graph.pruning import top_k_candidates
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
@@ -62,8 +64,8 @@ class DirtyMinoanER:
     """Deduplicate one KB: the non-bipartite variant of the pipeline.
 
     Parameters mirror :class:`repro.core.pipeline.MinoanER`; the same
-    configuration object is used (``value_threshold``, ``theta``,
-    ``candidates_k`` etc. keep their meaning).
+    configuration object is used (``theta``, ``candidates_k`` etc. keep
+    their meaning, and R2 fires at the same ``VALUE_THRESHOLD``).
 
     Examples
     --------
@@ -133,7 +135,7 @@ class DirtyMinoanER:
                 levels.append((len(eids) * (len(eids) - 1) // 2, eids))
         levels.sort(key=lambda item: item[0])
         cartesian = len(kb) * max(0, len(kb) - 1) // 2
-        budget = max(config.purging_budget_ratio * cartesian, 1000.0)
+        budget = max(DEFAULT_BUDGET_RATIO * cartesian, float(MIN_BUDGET))
         rows: list[dict[int, float]] = [dict() for _ in range(len(kb))]
         cumulative = 0
         for comparisons, eids in levels:
@@ -198,7 +200,7 @@ class DirtyMinoanER:
                 if eid in matched or not value_candidates[eid]:
                     continue
                 partner, beta = value_candidates[eid][0]
-                if beta >= config.value_threshold:
+                if beta >= VALUE_THRESHOLD:
                     collected.append((_ordered(eid, partner), beta, "R2"))
                     matched.update((eid, partner))
 

@@ -2,8 +2,8 @@
 
 Four rules applied in a fixed order -- no data-driven iteration, no
 convergence loop.  ``M = (R1 or R2 or R3) and R4`` (Definition 4.1),
-optionally followed by Unique Mapping Clustering (section 5) to enforce
-the clean-clean 1-1 constraint when several rules proposed conflicting
+followed by Unique Mapping Clustering (section 5) to enforce the
+clean-clean 1-1 constraint when several rules proposed conflicting
 partners for the same entity.
 """
 
@@ -92,10 +92,7 @@ class NonIterativeMatcher:
         if config.use_name_rule:
             absorb(name_rule(graph), "R1")
         if config.use_value_rule:
-            absorb(
-                value_rule(graph, matched_1, matched_2, config.value_threshold),
-                "R2",
-            )
+            absorb(value_rule(graph, matched_1, matched_2), "R2")
         if config.use_rank_aggregation:
             absorb(
                 rank_aggregation_rule(
@@ -132,8 +129,7 @@ class NonIterativeMatcher:
             removed = {pair for pair, _, _ in collected if pair not in kept_pairs}
             surviving = [item for item in collected if item[0] in kept_pairs]
 
-        if config.enforce_unique_mapping:
-            surviving = self._resolve_conflicts(surviving)
+        surviving = self._resolve_conflicts(surviving)
 
         matches = {pair for pair, _, _ in surviving}
         rule_of = {pair: rule for pair, _, rule in surviving}

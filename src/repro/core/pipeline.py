@@ -167,11 +167,7 @@ class MinoanER:
         names = name_blocks(stats1, stats2)
         tokens = token_blocks(stats1.kb, stats2.kb)
         if config.purge_blocks:
-            tokens = purge_blocks(
-                tokens,
-                cartesian=len(stats1.kb) * len(stats2.kb),
-                budget_ratio=config.purging_budget_ratio,
-            )
+            tokens = purge_blocks(tokens, cartesian=len(stats1.kb) * len(stats2.kb))
         return names, tokens
 
     def phase_retry_policy(self) -> RetryPolicy | None:
@@ -215,8 +211,6 @@ class MinoanER:
                 tokens,
                 k=self.config.candidates_k,
                 dynamic_pruning=self.config.dynamic_pruning,
-                pruning_gap_ratio=self.config.pruning_gap_ratio,
-                kernels=True,
             ),
         )
 

@@ -17,6 +17,10 @@ from repro.graph.blocking_graph import DisjunctiveBlockingGraph
 Match = tuple[int, int]
 """A matched pair ``(KB1 entity id, KB2 entity id)``."""
 
+VALUE_THRESHOLD = 1.0
+"""R2 accepts a top value candidate once its ``beta`` reaches this; the
+paper fixes it at 1 ("many common and infrequent tokens")."""
+
 
 def name_rule(graph: DisjunctiveBlockingGraph) -> list[tuple[Match, float]]:
     """R1: match every ``alpha = 1`` edge (exclusive shared name).
@@ -38,14 +42,13 @@ def value_rule(
     graph: DisjunctiveBlockingGraph,
     matched_1: set[int],
     matched_2: set[int],
-    threshold: float = 1.0,
 ) -> list[tuple[Match, float]]:
     """R2: match an entity to its top value candidate when ``beta`` is high.
 
     Iterates the *smaller* KB side for efficiency (fewer checks, as in
     Algorithm 2 line 6), skipping entities already matched.  The top
-    candidate by ``beta`` is accepted iff ``beta >= threshold`` (the
-    paper fixes the threshold at 1: several shared infrequent tokens).
+    candidate by ``beta`` is accepted iff ``beta >=``
+    :data:`VALUE_THRESHOLD` (several shared infrequent tokens).
     """
     matches: list[tuple[Match, float]] = []
     if graph.n1 <= graph.n2:
@@ -60,7 +63,7 @@ def value_rule(
         if not candidates:
             continue
         partner, beta = candidates[0]
-        if beta >= threshold:
+        if beta >= VALUE_THRESHOLD:
             pair = (eid, partner) if side == 1 else (partner, eid)
             matches.append((pair, beta))
     return matches

@@ -20,12 +20,11 @@ independently.
 
 from __future__ import annotations
 
-import math
-
 from repro.blocking.base import BlockCollection
-from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
-from repro.graph.pruning import adaptive_candidates, top_k_candidates
+from repro.graph.blocking_graph import DisjunctiveBlockingGraph
+from repro.graph.pruning import ADAPTIVE_CUT
 from repro.kb.statistics import KBStatistics
+from repro.kernels import InternedBlocks, get_backend
 
 
 def name_evidence(blocks: BlockCollection) -> tuple[dict[int, int], dict[int, int]]:
@@ -47,132 +46,6 @@ def name_evidence(blocks: BlockCollection) -> tuple[dict[int, int], dict[int, in
     return forward, reverse
 
 
-def accumulate_beta(blocks: BlockCollection, n1: int) -> list[dict[int, float]]:
-    """Accumulate ``beta`` (valueSim) for every co-occurring pair.
-
-    Returns, per KB1 entity, a dict ``KB2 id -> beta``.  Cost is exactly
-    the number of comparisons suggested by ``blocks`` (``||B_T||``),
-    which Block Purging has already bounded.
-    """
-    beta: list[dict[int, float]] = [dict() for _ in range(n1)]
-    for block in blocks:
-        weight = 1.0 / math.log2(block.comparisons + 1.0)
-        for eid1 in block.side1:
-            row = beta[eid1]
-            for eid2 in block.side2:
-                row[eid2] = row.get(eid2, 0.0) + weight
-    return beta
-
-
-def transpose_beta(beta_rows: list[dict[int, float]], n2: int) -> list[dict[int, float]]:
-    """Per-KB2-entity view of the same ``beta`` weights."""
-    columns: list[dict[int, float]] = [dict() for _ in range(n2)]
-    for eid1, row in enumerate(beta_rows):
-        for eid2, weight in row.items():
-            columns[eid2][eid1] = weight
-    return columns
-
-
-def value_evidence(
-    blocks: BlockCollection,
-    n1: int,
-    n2: int,
-    k: int,
-    select=top_k_candidates,
-) -> tuple[list[CandidateList], list[CandidateList]]:
-    """Top-K value candidates per node on both sides (lines 10-19)."""
-    beta_rows = accumulate_beta(blocks, n1)
-    beta_columns = transpose_beta(beta_rows, n2)
-    side1 = [select(row, k) for row in beta_rows]
-    side2 = [select(column, k) for column in beta_columns]
-    return side1, side2
-
-
-def retained_beta_edges(
-    value_candidates_1: list[CandidateList],
-    value_candidates_2: list[CandidateList],
-) -> dict[tuple[int, int], float]:
-    """Undirected union of the directed top-K ``beta`` edges.
-
-    ``beta`` is symmetric, so an edge kept by either endpoint carries
-    the same weight; the union avoids counting a pair twice during
-    ``gamma`` propagation (each neighbor pair contributes once, as in
-    Example 3.4).
-    """
-    edges: dict[tuple[int, int], float] = {}
-    for eid1, candidates in enumerate(value_candidates_1):
-        for eid2, weight in candidates:
-            edges[(eid1, eid2)] = weight
-    for eid2, candidates in enumerate(value_candidates_2):
-        for eid1, weight in candidates:
-            edges[(eid1, eid2)] = weight
-    return edges
-
-
-def neighbor_evidence(
-    beta_edges: dict[tuple[int, int], float],
-    stats1: KBStatistics,
-    stats2: KBStatistics,
-    k: int,
-    select=top_k_candidates,
-) -> tuple[list[CandidateList], list[CandidateList]]:
-    """Top-K neighbor candidates per node (lines 20-33).
-
-    Every retained ``beta`` edge ``(i, j)`` is evidence for every pair
-    ``(in_i, in_j)`` of their top in-neighbors: ``gamma[in_i][in_j] +=
-    beta[i][j]``.  Summed over all retained edges this reconstructs
-    ``neighborNSim`` restricted to value-similar neighbor pairs.
-    """
-    n1, n2 = len(stats1.kb), len(stats2.kb)
-    gamma_rows: list[dict[int, float]] = [dict() for _ in range(n1)]
-    for (eid1, eid2), weight in beta_edges.items():
-        in1 = stats1.top_in_neighbors(eid1)
-        if not in1:
-            continue
-        in2 = stats2.top_in_neighbors(eid2)
-        if not in2:
-            continue
-        for source in in1:
-            row = gamma_rows[source]
-            for target in in2:
-                row[target] = row.get(target, 0.0) + weight
-    gamma_columns: list[dict[int, float]] = [dict() for _ in range(n2)]
-    for source, row in enumerate(gamma_rows):
-        for target, weight in row.items():
-            gamma_columns[target][source] = weight
-    side1 = [select(row, k) for row in gamma_rows]
-    side2 = [select(column, k) for column in gamma_columns]
-    return side1, side2
-
-
-def _kernel_evidence(
-    stats1: KBStatistics,
-    stats2: KBStatistics,
-    token_blocks: BlockCollection,
-    k: int,
-    dynamic_pruning: bool,
-    pruning_gap_ratio: float,
-):
-    """Value + neighbor evidence via the array kernel layer.
-
-    Bit-identical to the dict reference path (see
-    :mod:`repro.kernels`); only the data layout and wall-clock differ.
-    """
-    from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM
-    from repro.kernels import InternedBlocks, get_backend
-
-    impl = get_backend()
-    n1, n2 = len(stats1.kb), len(stats2.kb)
-    cut = (pruning_gap_ratio, DEFAULT_ADAPTIVE_MINIMUM) if dynamic_pruning else None
-    interned = InternedBlocks.from_blocks(token_blocks, n1, n2)
-    value_1, value_2 = impl.value_topk(interned, k, cut)
-    edges = impl.retained_edges(value_1, value_2)
-    neighbor_1, neighbor_2 = impl.gamma_topk(
-        edges, stats1.in_neighbor_csr(), stats2.in_neighbor_csr(), k, cut
-    )
-    return value_1, value_2, neighbor_1, neighbor_2
-
-
 def build_blocking_graph(
     stats1: KBStatistics,
     stats2: KBStatistics,
@@ -180,10 +53,13 @@ def build_blocking_graph(
     token_blocks: BlockCollection,
     k: int = 15,
     dynamic_pruning: bool = False,
-    pruning_gap_ratio: float = 0.2,
-    kernels: bool = False,
 ) -> DisjunctiveBlockingGraph:
     """Run Algorithm 1: weight and prune the disjunctive blocking graph.
+
+    Value and neighbor evidence run on the array kernels of
+    :mod:`repro.kernels`; the dict-of-dicts form of the same passes is
+    the tests' oracle (``tests/graph/dict_reference.py``), and the two
+    build a bit-identical graph.
 
     Parameters
     ----------
@@ -196,33 +72,21 @@ def build_blocking_graph(
     k:
         ``K``: candidates kept per node per evidence type (paper
         default 15).
-    dynamic_pruning / pruning_gap_ratio:
-        Use the adaptive per-node candidate cut instead of a fixed
-        top-K (the paper's future-work idea; see
-        :func:`repro.graph.pruning.adaptive_candidates`).
-    kernels:
-        Run the hot path on the array kernels of :mod:`repro.kernels`
-        (what the pipeline does); ``False`` runs this module's
-        dict-of-dicts reference code, the oracle the kernel tests
-        compare against.  Both return a bit-identical graph.
+    dynamic_pruning:
+        Cut each node's top-K list at its first weight gap
+        (:data:`repro.graph.pruning.ADAPTIVE_CUT`, the paper's
+        future-work idea) instead of keeping all K.
     """
+    impl = get_backend()
     n1, n2 = len(stats1.kb), len(stats2.kb)
+    cut = ADAPTIVE_CUT if dynamic_pruning else None
     names_1, names_2 = name_evidence(name_blocks)
-    if kernels:
-        value_1, value_2, neighbor_1, neighbor_2 = _kernel_evidence(
-            stats1, stats2, token_blocks, k, dynamic_pruning, pruning_gap_ratio
-        )
-    else:
-        if dynamic_pruning:
-            def select(scores, limit):
-                return adaptive_candidates(scores, limit, gap_ratio=pruning_gap_ratio)
-        else:
-            select = top_k_candidates
-        value_1, value_2 = value_evidence(token_blocks, n1, n2, k, select=select)
-        beta_edges = retained_beta_edges(value_1, value_2)
-        neighbor_1, neighbor_2 = neighbor_evidence(
-            beta_edges, stats1, stats2, k, select=select
-        )
+    interned = InternedBlocks.from_blocks(token_blocks, n1, n2)
+    value_1, value_2 = impl.value_topk(interned, k, cut)
+    edges = impl.retained_edges(value_1, value_2)
+    neighbor_1, neighbor_2 = impl.gamma_topk(
+        edges, stats1.in_neighbor_csr(), stats2.in_neighbor_csr(), k, cut
+    )
     return DisjunctiveBlockingGraph(
         n1=n1,
         n2=n2,

@@ -15,6 +15,10 @@ from typing import Iterable, Mapping
 DEFAULT_ADAPTIVE_MINIMUM = 3
 """Default floor of candidates kept by the adaptive gap cut."""
 
+ADAPTIVE_CUT = (0.2, DEFAULT_ADAPTIVE_MINIMUM)
+"""The ``(gap_ratio, minimum)`` of :func:`adaptive_cut` that
+``config.dynamic_pruning`` switches on, in every pipeline and kernel."""
+
 
 def _rank_key(item: tuple[int, float]) -> tuple[float, int]:
     return (-item[1], item[0])

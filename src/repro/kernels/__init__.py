@@ -2,15 +2,14 @@
 
 Algorithm 1's cost is dominated by three passes -- ``beta``
 accumulation over purged token blocks, the transpose + top-K pruning of
-the value evidence, and ``gamma`` propagation over retained edges.  The
-reference implementation (:mod:`repro.graph.construction`) runs them
-over dicts of dicts; :mod:`repro.kernels.numpy_backend` runs them over
-integer-interned flat arrays (CSR-style) with vectorised expansion +
-``unique``/``bincount`` collapse.
+the value evidence, and ``gamma`` propagation over retained edges.
+:mod:`repro.kernels.numpy_backend` runs them over integer-interned flat
+arrays (CSR-style) with vectorised expansion + ``unique``/``bincount``
+collapse.
 
-The kernels are **bit-identical** to the dict reference (same float
-accumulation order per pair), which stays in
-:mod:`repro.graph.construction` as the equivalence oracle for tests --
+The kernels are **bit-identical** to the dict-of-dicts reference of
+the same passes (same float accumulation order per pair), which lives
+in ``tests/graph/dict_reference.py`` as the tests' equivalence oracle --
 a reference implementation, not a second runtime.
 
 :mod:`repro.kernels.partition` runs the same fused kernels one node

@@ -348,28 +348,23 @@ def value_topk(
 
 def batch_evidence(
     interned: InternedBlocks,
-    keep: int,
+    k: int,
     cut: AdaptiveCut = None,
-    columns: bool = True,
 ) -> BatchEvidence:
     """One source's merge-ready batch value evidence: :func:`value_topk`'s
     arrays as they are.
 
-    Rows keep their top ``keep`` pairs *uncut* (the cut belongs to the
-    merged row).  With ``columns``, every non-empty column ships its top
-    ``keep`` pairs cut by ``cut``: a KB2 entity's column lives wholly in
-    one source, so it is already final.
+    Rows keep their top ``k`` pairs *uncut* (the cut belongs to the
+    merged row).  Every non-empty column ships its top ``k`` pairs cut
+    by ``cut``: a KB2 entity's column lives wholly in one source, so it
+    is already final.
     """
-    rows, side2 = value_topk(interned, keep)
-    if columns:
-        lengths = np.diff(side2.offsets)
-        nodes = np.flatnonzero(lengths)
-        col_ids, col_scores, col_lengths = _cut_grouped(
-            side2.ids, side2.scores, lengths[nodes], cut
-        )
-    else:
-        nodes = col_lengths = col_ids = np.empty(0, dtype=np.int64)
-        col_scores = np.empty(0)
+    rows, side2 = value_topk(interned, k)
+    lengths = np.diff(side2.offsets)
+    nodes = np.flatnonzero(lengths)
+    col_ids, col_scores, col_lengths = _cut_grouped(
+        side2.ids, side2.scores, lengths[nodes], cut
+    )
     return BatchEvidence(
         np.diff(rows.offsets), rows.ids, rows.scores, nodes, col_lengths, col_ids, col_scores
     )
@@ -403,16 +398,13 @@ def merge_batch_evidence(
     id_space: int,
     k: int,
     cut: AdaptiveCut = None,
-    cap: int | None = None,
 ) -> tuple[RankedLists, RankedLists]:
     """A batch's ``(value_1, value_2)`` from per-source
     :class:`BatchEvidence`, vectorised.
 
     Rows: grouped top-``k`` over the union of the sources' rows under
     ``(-score, id)``, then ``cut``.  Columns: the sources' disjoint
-    columns stitched by column id.  With ``cap``, every merged row first
-    keeps its ``cap`` strongest pairs and both sides are ranked from
-    those capped rows (the columns the sources shipped are not read).
+    columns stitched by column id.
     """
     groups = _concat(
         [np.repeat(np.arange(n_entities), _as_int64(s.row_lengths)) for s in sources],
@@ -420,17 +412,8 @@ def merge_batch_evidence(
     )
     ids = _concat([source.row_ids for source in sources], _as_int64)
     scores = _concat([source.row_scores for source in sources], _as_float64)
-    if cap is None:
-        value_1 = _topk_grouped(groups, ids, scores, n_entities, k, cut, ties_sorted=False)
-        return value_1, _stitch_columns(sources, id_space)
-    capped = _topk_grouped(groups, ids, scores, n_entities, cap, None, ties_sorted=False)
-    positions = np.repeat(np.arange(n_entities), np.diff(capped.offsets))
-    # Capped rows are ranked per position, so ties reach both groupings
-    # id-ascending (candidates per row, positions per column).
-    return (
-        _topk_grouped(positions, capped.ids, capped.scores, n_entities, k, cut),
-        _topk_grouped(capped.ids, positions, capped.scores, id_space, k, cut),
-    )
+    value_1 = _topk_grouped(groups, ids, scores, n_entities, k, cut, ties_sorted=False)
+    return value_1, _stitch_columns(sources, id_space)
 
 
 def _side_arrays(lists) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
@@ -454,12 +437,11 @@ def _side_arrays(lists) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
 def retained_edges(value_candidates_1, value_candidates_2) -> EdgeArrays:
     """Undirected union of the directed top-K ``beta`` edges, as arrays.
 
-    The first-insertion order of
-    :func:`repro.graph.construction.retained_beta_edges` without a
-    per-edge step: every side-1 edge in list order, then the side-2
-    edges whose pair side 1 did not retain (one ``isin`` over
-    ``eid1 * n2 + eid2`` keys), in list order.  Weights are copied,
-    never recomputed.
+    The first-insertion order of the dict reference's
+    ``retained_beta_edges`` without a per-edge step: every side-1 edge
+    in list order, then the side-2 edges whose pair side 1 did not
+    retain (one ``isin`` over ``eid1 * n2 + eid2`` keys), in list
+    order.  Weights are copied, never recomputed.
     """
     lengths1, targets1, weights1 = _side_arrays(value_candidates_1)
     lengths2, sources2, weights2 = _side_arrays(value_candidates_2)

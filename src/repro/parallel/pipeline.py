@@ -18,10 +18,10 @@ from __future__ import annotations
 from repro.core.config import MinoanERConfig
 from repro.core.matcher import MatchingResult, NonIterativeMatcher
 from repro.core.pipeline import MinoanER, ResolutionResult
-from repro.core.rules import name_rule, rank_aggregation_scope
+from repro.core.rules import VALUE_THRESHOLD, name_rule, rank_aggregation_scope
 from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
 from repro.graph.construction import name_evidence
-from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM
+from repro.graph.pruning import ADAPTIVE_CUT
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kernels import get_backend
 from repro.kernels.partition import (
@@ -141,12 +141,7 @@ class ParallelMinoanER(MinoanER):
             for side, size in enumerate(sizes, 1)
             for chunk in split_into_partitions(range(size), self.context.default_partitions())
         ]
-        cut = (
-            (config.pruning_gap_ratio, DEFAULT_ADAPTIVE_MINIMUM)
-            if config.dynamic_pruning
-            else None
-        )
-        pruning = (config.candidates_k, cut)
+        pruning = (config.candidates_k, ADAPTIVE_CUT if config.dynamic_pruning else None)
 
         blocks = [(block.side1, block.side2) for block in tokens]
         value_1, value_2 = self._range_stage(
@@ -199,8 +194,7 @@ class ParallelMinoanER(MinoanER):
             matched, size = (matched_1, graph.n1) if side == 1 else (matched_2, graph.n2)
             unmatched = [eid for eid in range(size) if eid not in matched]
             chunks = context.run_stage(
-                "match:R2", unmatched, rule2_kernel,
-                graph._value_candidates[side - 1], config.value_threshold,
+                "match:R2", unmatched, rule2_kernel, graph._value_candidates[side - 1]
             )
             for chunk in chunks:
                 for eid, partner, beta in chunk:
@@ -250,15 +244,14 @@ class ParallelMinoanER(MinoanER):
 def rule2_kernel(
     node_ids: list[int],
     value_candidates: list[tuple],
-    threshold: float,
 ) -> list[tuple[int, int, float]]:
-    """Per-node work of R2: top value candidate if beta >= threshold."""
+    """Per-node work of R2: top value candidate if beta >= VALUE_THRESHOLD."""
     proposals = []
     for eid in node_ids:
         candidates = value_candidates[eid]
         if candidates:
             partner, beta = candidates[0]
-            if beta >= threshold:
+            if beta >= VALUE_THRESHOLD:
                 proposals.append((eid, partner, beta))
     return proposals
 

@@ -61,8 +61,9 @@ from repro.blocking.purging import purging_threshold_from_counts
 from repro.core.config import MinoanERConfig
 from repro.core.matcher import NonIterativeMatcher
 from repro.core.rank_aggregation import top_aggregate_candidate
+from repro.core.rules import VALUE_THRESHOLD
 from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
-from repro.graph.pruning import DEFAULT_ADAPTIVE_MINIMUM
+from repro.graph.pruning import ADAPTIVE_CUT
 from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
@@ -74,7 +75,7 @@ from repro.resilience.faults import inject
 from repro.resilience.policy import Deadline, DeadlineExpired
 from repro.serving.cache import LRUCache, entity_fingerprint
 from repro.serving.index import ResolutionIndex
-from repro.serving.merge import merge_batch_evidence, merge_single_evidence
+from repro.serving.merge import merge_single_evidence
 
 RULE_PRIORITY = {"R1": 0, "R2": 1, "R3": 2}
 """Conflict-resolution priority of the matching rules (R1 strongest)."""
@@ -134,7 +135,7 @@ def apply_single_rules(
         claimed_2.add(alpha)
     if config.use_value_rule and not claimed_q and value_list:
         top_candidate, top_beta = value_list[0]
-        if top_beta >= config.value_threshold:
+        if top_beta >= VALUE_THRESHOLD:
             collected.append((top_candidate, top_beta, "R2"))
             claimed_q = True
             claimed_2.add(top_candidate)
@@ -256,11 +257,7 @@ class MatchEngine:
         #: carry it, so no answer computed against an older index state
         #: can ever be served after the state changes.
         self.generation = 0
-        self._cut = (
-            (self.config.pruning_gap_ratio, DEFAULT_ADAPTIVE_MINIMUM)
-            if self.config.dynamic_pruning
-            else None
-        )
+        self._cut = ADAPTIVE_CUT if self.config.dynamic_pruning else None
         self.cache = cache if cache is not None else LRUCache(self.config.serving_cache_size)
         self._sampler = ProvenanceSampler(self.config.provenance_sample_rate)
         if recorder is not None:
@@ -276,7 +273,6 @@ class MatchEngine:
             self.admission: AdmissionController | None = AdmissionController(
                 max_pending=self.config.serving_max_pending or None,
                 quota_qps=self.config.serving_quota_qps,
-                quota_burst=self.config.serving_quota_burst,
                 recorder=self.recorder,
             )
         else:
@@ -603,25 +599,12 @@ class MatchEngine:
         pruned ``beta`` candidates of both sides of Algorithm 1.
 
         In-process provider: the interned ``value_topk`` kernel over the
-        retained token blocks; under ``serving_candidate_cap`` the merge
-        of this index's own :meth:`batch_evidence` (the merge's capped
-        branch is the cap's one implementation).  The shard routers
-        scatter the batch instead.
+        retained token blocks.  The shard routers scatter the batch
+        instead.
         """
-        if self.config.serving_candidate_cap is not None:
-            evidence = self.batch_evidence(batch, deadline, qkb=qkb)
-            value_1, value_2 = merge_batch_evidence(
-                self._run_kernel,
-                self.config,
-                self._cut,
-                len(batch),
-                self.index.id_space,
-                [evidence],
-            )
-        else:
-            value_1, value_2 = self._run_kernel(
-                "value_topk", self._interned(qkb), self.config.candidates_k, self._cut
-            )
+        value_1, value_2 = self._run_kernel(
+            "value_topk", self._interned(qkb), self.config.candidates_k, self._cut
+        )
         return value_1, value_2, False
 
     def _assemble_graph(
@@ -684,11 +667,7 @@ class MatchEngine:
             return shared
         ef = index.global_entity_frequency
         counts = [len(token_index[t]) * ef(t) for t in shared]
-        threshold = purging_threshold_from_counts(
-            counts,
-            cartesian=len(qkb) * index.n2,
-            budget_ratio=config.purging_budget_ratio,
-        )
+        threshold = purging_threshold_from_counts(counts, cartesian=len(qkb) * index.n2)
         return [t for t, count in zip(shared, counts) if count <= threshold]
 
     def _interned(self, qkb: KnowledgeBase) -> InternedBlocks:
@@ -775,10 +754,10 @@ class MatchEngine:
         Accumulates the query's ``beta`` row over this index's postings
         -- with *global* Entity Frequencies, so per-shard weights and
         purging thresholds equal the unsharded ones -- and returns what
-        the merge needs: the strongest ``(candidate, score)`` pairs in
-        ``(-score, id)`` order (``serving_candidate_cap`` of them, else
-        ``candidates_k``), the :data:`SWEEP_MARGIN` smallest touched
-        ids, the touched count, and whether the router-supplied
+        the merge needs: the ``candidates_k`` strongest ``(candidate,
+        score)`` pairs in ``(-score, id)`` order, the
+        :data:`SWEEP_MARGIN` smallest touched ids, the touched count,
+        and whether the router-supplied
         ``probe`` candidate (its alpha match) was touched.
 
         ``tokens`` short-circuits :meth:`value_tokens`: when the router
@@ -822,10 +801,8 @@ class MatchEngine:
         """One fused kernel call over ``(block weight, posting ids)``
         chunks (mapped id slices are consumed zero-copy), shaped as a
         merge-ready payload."""
-        cap = self.config.serving_candidate_cap
-        keep = cap if cap is not None else self.config.candidates_k
         row, mins, count, touched = self._run_kernel(
-            "row_evidence", weighted, keep, SWEEP_MARGIN, probe
+            "row_evidence", weighted, self.config.candidates_k, SWEEP_MARGIN, probe
         )
         return {
             "row": [[int(candidate), float(score)] for candidate, score in row],
@@ -842,26 +819,22 @@ class MatchEngine:
     ) -> BatchEvidence:
         """This index's value evidence for a whole batch, merge-ready.
 
-        Per batch entity, the strongest pairs of its ``beta`` row over
-        this index (``serving_candidate_cap`` of them, else
-        ``candidates_k``; *unpruned* -- the adaptive cut only applies to
-        the globally merged row).  Without a cap the shard-final pruned
-        candidate columns travel too: each KB2 entity's column lives
-        wholly in its owner shard, so its top ``candidates_k`` + cut
-        here *is* the global column.  One ``batch_evidence`` kernel call
+        Per batch entity, the ``candidates_k`` strongest pairs of its
+        ``beta`` row over this index (*unpruned* -- the adaptive cut
+        only applies to the globally merged row).  The shard-final
+        pruned candidate columns travel too: each KB2 entity's column
+        lives wholly in its owner shard, so its top ``candidates_k`` +
+        cut here *is* the global column.  One ``batch_evidence`` kernel call
         yields both as flat arrays (:class:`~repro.kernels.BatchEvidence`)
         straight from ``value_topk``'s output.  ``qkb`` short-circuits
         re-tokenising a batch the caller already profiled.
         """
-        config = self.config
         if qkb is None:
             qkb = KnowledgeBase(list(entities), name="query", tokenizer=self.index.tokenizer)
         if deadline is not None:
             deadline.check("batch evidence")
-        cap = config.serving_candidate_cap
-        keep = cap if cap is not None else config.candidates_k
         return self._run_kernel(
-            "batch_evidence", self._interned(qkb), keep, self._cut, cap is None
+            "batch_evidence", self._interned(qkb), self.config.candidates_k, self._cut
         )
 
     # ------------------------------------------------------------------

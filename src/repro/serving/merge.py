@@ -16,12 +16,10 @@ runs.
 Why the merged candidates are bit-identical to one source holding
 everything (see ``docs/sharding.md`` for the long form):
 
-* **Rows** -- each source ships its top ``keep`` pairs; the global top
-  ``keep`` is a subset of the union, so ``select_row`` over the
-  concatenation reproduces the global ranking, including the optional
-  ``serving_candidate_cap`` truncation (applied only when the union
-  exceeds the cap -- exactly when a single source's row would truncate).
-* **Sweep ids** (single queries, uncapped) -- rules R1-R3 claim at
+* **Rows** -- each source ships its top ``candidates_k`` pairs; the
+  global top ``candidates_k`` is a subset of the union, so
+  ``select_row`` over the concatenation reproduces the global ranking.
+* **Sweep ids** (single queries) -- rules R1-R3 claim at
   most two entities before the R3 side-2 sweep, so the sweep's
   strongest proposal is among the three smallest *touched* ids; each
   source's :data:`~repro.serving.engine.SWEEP_MARGIN` smallest cover
@@ -29,7 +27,7 @@ everything (see ``docs/sharding.md`` for the long form):
   confined to the pruned value list plus the (probed) alpha.  Replay
   over this subset therefore keeps the true winner while every extra
   id it proposes is one the full sweep proposed too.
-* **Columns** (batches, uncapped) -- a KB2 entity's candidate column
+* **Columns** (batches) -- a KB2 entity's candidate column
   lives wholly in its owner source, so that source's pruned column *is*
   the global one and columns merge by disjoint union.
 
@@ -45,7 +43,7 @@ from typing import Any, Callable, Sequence
 from repro.core.config import MinoanERConfig
 from repro.graph.blocking_graph import CandidateList
 from repro.graph.pruning import adaptive_cut
-from repro.kernels import BatchEvidence, RankedLists, numpy_backend
+from repro.kernels import BatchEvidence, RankedLists
 
 __all__ = ["merge_batch_evidence", "merge_single_evidence"]
 
@@ -74,16 +72,6 @@ def _merge_ranked(
     return ranked
 
 
-def _capped(
-    ids: list[int], sums: list[float], cap: int | None
-) -> tuple[list[int], list[float]]:
-    """The candidate-cap truncation, applied to a merged row."""
-    if cap is None or len(ids) <= cap:
-        return ids, sums
-    capped = numpy_backend.select_row(ids, sums, cap)
-    return [candidate for candidate, _ in capped], [score for _, score in capped]
-
-
 def merge_single_evidence(
     config: MinoanERConfig,
     cut,
@@ -100,15 +88,9 @@ def merge_single_evidence(
     ascending side-2 sweep ids -- the two inputs of
     :func:`repro.serving.engine.apply_single_rules`.
     """
-    k = config.candidates_k
-    cap = config.serving_candidate_cap
-    if cap is not None:
-        rows = [evidence["row"] for evidence in evidences]
-        ids = [int(candidate) for row in rows for candidate, _ in row]
-        sums = [float(score) for row in rows for _, score in row]
-        ids, sums = _capped(ids, sums, cap)
-        return numpy_backend.select_row(ids, sums, k, cut), sorted(ids)
-    value_list = _merge_ranked([evidence["row"] for evidence in evidences], k, cut)
+    value_list = _merge_ranked(
+        [evidence["row"] for evidence in evidences], config.candidates_k, cut
+    )
     sweep_set = {
         int(candidate)
         for evidence in evidences
@@ -132,15 +114,13 @@ def merge_batch_evidence(
 ) -> tuple[Sequence[CandidateList], RankedLists]:
     """A batch's ``(value_1, value_2)`` from per-source ``batch_evidence``.
 
-    Uncapped, this reproduces what the ``value_topk`` kernel returns for
-    the whole batch against one index holding every source's postings.
-    Capped, it *is* the definition: each merged row keeps its ``cap``
-    strongest candidates before pruning, and the candidate columns are
-    rebuilt from those capped rows in batch-entity order.  ``value_2``
-    spans the index's whole ``id_space`` as a :class:`RankedLists` built
-    from the touched columns alone; the engine feeds both to
-    ``MatchEngine._assemble_graph``.  ``run_kernel`` is the engine's
-    kernel call (``MatchEngine._run_kernel``).
+    This reproduces what the ``value_topk`` kernel returns for the whole
+    batch against one index holding every source's postings.
+    ``value_2`` spans the index's whole ``id_space`` as a
+    :class:`RankedLists` built from the touched columns alone; the
+    engine feeds both to ``MatchEngine._assemble_graph``.
+    ``run_kernel`` is the engine's kernel call
+    (``MatchEngine._run_kernel``).
     """
     return run_kernel(
         "merge_batch_evidence",
@@ -149,5 +129,4 @@ def merge_batch_evidence(
         id_space,
         config.candidates_k,
         cut,
-        config.serving_candidate_cap,
     )

@@ -15,11 +15,11 @@ the engine's own code path.
 
 Per shard, R replicas serve interchangeably.  A request goes to one
 replica (round-robin); if no answer arrives within the hedge delay --
-``config.serving_hedge_ms`` when set, else an adaptive p95 of the
-shard's recent latencies -- a backup request is *hedged* to the next
-replica and the first answer wins (the loser is cancelled best-effort).
-Replica faults feed per-replica circuit breakers
-(:mod:`repro.resilience.breaker`); what happens when a whole shard is
+an adaptive p95 of the shard's recent latencies -- a backup request is
+*hedged* to the next replica and the first answer wins (the loser is
+cancelled best-effort).  Replica faults feed per-replica circuit
+breakers (:mod:`repro.resilience.breaker`, opening after three
+consecutive failures); what happens when a whole shard is
 unreachable follows ``config.failure_mode``:
 
 * ``fail_fast`` -- the query raises :class:`ShardFailure`;
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import queue
 import subprocess
 import sys
@@ -98,14 +97,6 @@ HEDGE_WINDOW = 128
 
 class ShardFailure(RuntimeError):
     """A shard request failed on every replica the router could try."""
-
-
-def _host_cpus() -> int:
-    """CPUs this process may run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-linux
-        return os.cpu_count() or 1
 
 
 class ProcessReplica:
@@ -343,11 +334,7 @@ class ShardRouter(MatchEngine):
             if not group:
                 raise ValueError("every shard needs at least one replica")
             for replica in group:
-                if replica.breaker is None:
-                    replica.breaker = CircuitBreaker(
-                        failure_threshold=self.config.breaker_threshold,
-                        recorder=self.recorder,
-                    )
+                self._attach_breaker(replica)
         self.shards = len(self._replicas)
         self._on_shard_error = on_shard_error
         self._down: set[int] = set()
@@ -360,19 +347,9 @@ class ShardRouter(MatchEngine):
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, 2 * self.shards), thread_name_prefix="shard-router"
         )
-        # On a single-core host the fan-out serialises anyway, so the
-        # pool's submit/wakeup machinery is pure overhead; scatter
-        # shard-by-shard on the query thread instead.  Hedging, retries,
-        # breakers and chaos all live inside _request_shard and behave
-        # identically on either path.
-        self._sequential = _host_cpus() == 1
-        #: Per-shard round-trip milliseconds of the most recent scatter,
-        #: shard order -- only measured on the sequential path (pool
-        #: timings would include sibling shards' queueing); None there.
-        self.last_shard_ms: list[float] | None = None
         #: Per-shard worker compute milliseconds (self-reported
         #: ``service_ms``) of the most recent scatter; None for a shard
-        #: that degraded.  Set on both scatter paths.
+        #: that degraded.
         self.last_service_ms: list[float | None] | None = None
         #: Finagle-style retry budget shared by every shard call in
         #: ``failure_mode="retry"``: retries stop when sustained
@@ -561,26 +538,12 @@ class ShardRouter(MatchEngine):
                 if shard in self._down:
                     self._down.discard(shard)
 
-        if self._sequential:
-            timings: list[float] = []
-            for shard in range(self.shards):
-                started = time.perf_counter()
-                settle(
-                    shard,
-                    lambda shard=shard: self._shard_call(
-                        shard, op, payload, deadline, plan
-                    ),
-                )
-                timings.append((time.perf_counter() - started) * 1e3)
-            self.last_shard_ms = timings
-        else:
-            self.last_shard_ms = None
-            futures = [
-                self._pool.submit(self._shard_call, shard, op, payload, deadline, plan)
-                for shard in range(self.shards)
-            ]
-            for shard, future in enumerate(futures):
-                settle(shard, future.result)
+        futures = [
+            self._pool.submit(self._shard_call, shard, op, payload, deadline, plan)
+            for shard in range(self.shards)
+        ]
+        for shard, future in enumerate(futures):
+            settle(shard, future.result)
         self.last_service_ms = [
             result.get("service_ms") if result is not None else None
             for result in results
@@ -760,15 +723,18 @@ class ShardRouter(MatchEngine):
             self._rr[shard] = (offset + 1) % len(group)
         return group[offset:] + group[:offset]
 
+    def _attach_breaker(self, replica: Any) -> None:
+        """Give a replica that brings no circuit breaker the default one."""
+        if replica.breaker is None:
+            replica.breaker = CircuitBreaker(recorder=self.recorder)
+
     def _replica_failed(self, replica: Any, error: Exception) -> None:
         replica.breaker.record_failure()
         self.recorder.count("shard.failures")
 
     def _hedge_delay(self, shard: int, op: str) -> float:
-        """Seconds before a backup ``op`` request fires for this shard."""
-        fixed = self.config.serving_hedge_ms
-        if fixed is not None:
-            return fixed / 1e3
+        """Seconds before a backup ``op`` request fires for this shard:
+        the p95 of its recent ``op`` latencies, once it has enough."""
         window = self._latency[shard, op]
         if len(window) < HEDGE_MIN_SAMPLES:
             return DEFAULT_HEDGE_DELAY_S
@@ -833,11 +799,7 @@ class ShardRouter(MatchEngine):
         except Exception:
             replica.kill()
             raise
-        if replica.breaker is None:
-            replica.breaker = CircuitBreaker(
-                failure_threshold=self.config.breaker_threshold,
-                recorder=self.recorder,
-            )
+        self._attach_breaker(replica)
         with self._resurrection_gate():
             if self._closed or self._swap_epoch() != epoch:
                 replica.kill()

@@ -167,9 +167,7 @@ class TestFlagRanges:
             ("serve", "--auto-compact-delta", "0"),
             ("serve", "--auto-compact-tombstones", "1.5"),
             ("serve", "--cache-size", "-1"),
-            ("serve", "--candidate-cap", "0"),
             ("serve", "--deadline-ms", "0"),
-            ("serve", "--hedge-ms", "-1"),
             ("serve", "--max-pending", "0"),
             ("serve", "--provenance", "2"),
             ("resolve", "--theta", "1.5"),
@@ -191,6 +189,36 @@ class TestFlagRanges:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+class TestIndexFlagCombinations:
+    """``repro index`` flags one mode would drop without a word are a
+    usage error before anything is written."""
+
+    @pytest.mark.parametrize(
+        "source,flags",
+        [
+            ("index", ["--migrate", "--shards", "2"]),
+            ("index", ["--migrate", "--compact"]),
+            ("kb", ["--ledger", "edits.jsonl"]),
+        ],
+        ids=["migrate with shards", "migrate with compact", "ledger without compact"],
+    )
+    def test_dropped_flag_is_a_usage_error(
+        self, dataset_dir, index_path, capsys, source, flags
+    ):
+        before = sorted(dataset_dir.iterdir())
+        content = index_path.read_bytes()
+        kb = index_path if source == "index" else dataset_dir / "kb2.nt"
+        target = dataset_dir / "out.idx"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["index", str(kb), "-o", str(target), *flags])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert sorted(dataset_dir.iterdir()) == before
+        assert index_path.read_bytes() == content
 
 
 class TestUnreadableIndex:

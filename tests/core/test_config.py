@@ -42,8 +42,6 @@ class TestValidation:
             ("theta", 0.0),
             ("theta", 1.0),
             ("theta", 1.5),
-            ("value_threshold", -0.1),
-            ("purging_budget_ratio", 0.0),
         ],
     )
     def test_rejects_invalid(self, field, value):

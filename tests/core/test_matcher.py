@@ -114,17 +114,6 @@ class TestConflictResolution:
         assert len(lefts) == len(set(lefts))
         assert len(rights) == len(set(rights))
 
-    def test_conflicts_kept_when_unique_mapping_disabled(self):
-        g = graph(
-            names_1={0: 0},
-            names_2={0: 0},
-            value_1=[(), ((0, 5.0),)],
-            value_2=[((1, 5.0), (0, 1.0)), ()],
-        )
-        config = MinoanERConfig(enforce_unique_mapping=False)
-        result = NonIterativeMatcher(config).match(g)
-        assert {(0, 0), (1, 0)} <= result.matches
-
     def test_proposed_includes_filtered_pairs(self):
         g = graph(value_1=[((0, 1.5),), ()], value_2=[(), ()])
         result = NonIterativeMatcher(MinoanERConfig()).match(g)

@@ -112,7 +112,7 @@ def unrestricted_match(graph, config):
     collected = [(pair, score, "R1") for pair, score in name_rule(graph)]
     matched_1 = {pair[0] for pair, _, _ in collected}
     matched_2 = {pair[1] for pair, _, _ in collected}
-    for pair, score in value_rule(graph, matched_1, matched_2, config.value_threshold):
+    for pair, score in value_rule(graph, matched_1, matched_2):
         collected.append((pair, score, "R2"))
         matched_1.add(pair[0])
         matched_2.add(pair[1])

@@ -49,16 +49,16 @@ class TestNameRule:
 class TestValueRule:
     def test_matches_top_candidate_above_threshold(self):
         g = graph(value_1=[((0, 2.0), (1, 1.5)), ()])
-        matches = value_rule(g, set(), set(), threshold=1.0)
+        matches = value_rule(g, set(), set())
         assert [(pair, score) for pair, score in matches] == [((0, 0), 2.0)]
 
     def test_below_threshold_skipped(self):
         g = graph(value_1=[((0, 0.8),), ()])
-        assert value_rule(g, set(), set(), threshold=1.0) == []
+        assert value_rule(g, set(), set()) == []
 
     def test_already_matched_skipped(self):
         g = graph(value_1=[((0, 2.0),), ((1, 2.0),)])
-        matches = value_rule(g, {0}, set(), threshold=1.0)
+        matches = value_rule(g, {0}, set())
         assert [pair for pair, _ in matches] == [(1, 1)]
 
     def test_iterates_smaller_side(self):
@@ -68,7 +68,7 @@ class TestValueRule:
             n2=1,
             value_2=[((2, 1.7),)],
         )
-        matches = value_rule(g, set(), set(), threshold=1.0)
+        matches = value_rule(g, set(), set())
         assert [pair for pair, _ in matches] == [(2, 0)]
 
 

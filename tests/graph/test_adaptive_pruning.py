@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import MinoanERConfig
 from repro.core.pipeline import MinoanER
-from repro.graph.pruning import adaptive_candidates, top_k_candidates
+from repro.graph.pruning import ADAPTIVE_CUT, adaptive_candidates, adaptive_cut, top_k_candidates
 
 
 class TestAdaptiveCandidates:
@@ -48,8 +48,12 @@ class TestAdaptiveCandidates:
 
 class TestDynamicPruningConfig:
     def test_config_validation(self):
+        # dynamic_pruning switches on one cut; the cut validates its own
+        # parameters, so that one is a valid cut and others are refused.
+        gap_ratio, minimum = ADAPTIVE_CUT
+        assert adaptive_cut((), gap_ratio, minimum) == ()
         with pytest.raises(ValueError):
-            MinoanERConfig(pruning_gap_ratio=1.5)
+            adaptive_cut((), 1.5, minimum)
 
     def test_pipeline_with_dynamic_pruning(self, mini_pair):
         fixed = MinoanER().resolve(mini_pair.kb1, mini_pair.kb2)

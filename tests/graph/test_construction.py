@@ -7,19 +7,19 @@ import pytest
 from repro.blocking.base import Block, BlockCollection
 from repro.blocking.name_blocking import name_blocks
 from repro.blocking.token_blocking import token_blocks
-from repro.graph.construction import (
+from repro.graph.construction import build_blocking_graph, name_evidence
+from repro.kb.entity import EntityDescription
+from repro.kb.knowledge_base import KnowledgeBase
+from repro.kb.statistics import KBStatistics
+from repro.similarity.value import value_similarity
+from tests.graph import dict_reference
+from tests.graph.dict_reference import (
     accumulate_beta,
-    build_blocking_graph,
-    name_evidence,
     neighbor_evidence,
     retained_beta_edges,
     transpose_beta,
     value_evidence,
 )
-from repro.kb.entity import EntityDescription
-from repro.kb.knowledge_base import KnowledgeBase
-from repro.kb.statistics import KBStatistics
-from repro.similarity.value import value_similarity
 
 
 class TestNameEvidence:
@@ -181,12 +181,11 @@ class TestBuildBlockingGraph:
         stats2 = KBStatistics(kb2)
         names = name_blocks(stats1, stats2)
         tokens = token_blocks(kb1, kb2)
-        reference = build_blocking_graph(
+        reference = dict_reference.build_blocking_graph(
             stats1, stats2, names, tokens, k=5, dynamic_pruning=dynamic
         )
         kernel = build_blocking_graph(
-            stats1, stats2, names, tokens, k=5, dynamic_pruning=dynamic,
-            kernels=True,
+            stats1, stats2, names, tokens, k=5, dynamic_pruning=dynamic
         )
         assert kernel.identical(reference)
 

@@ -5,14 +5,13 @@ The engine's ``_lookup`` / ``_match_many`` are written once; the
 unsharded engine, the shard router and the live shard router differ
 only in where the value evidence comes from (in-process, scatter-gather,
 scatter-gather + overlay).  The matrix below crosses those providers
-with the two config knobs that change the merge shape
-(``serving_candidate_cap``, ``dynamic_pruning``) and pins the two
-degraded exits every provider shares: an expired deadline and a shard
-that is down in ``degrade`` mode.
+with the config knob that changes the merge shape (``dynamic_pruning``)
+and pins the two degraded exits every provider shares: an expired
+deadline and a shard that is down in ``degrade`` mode.
 
 The KB family is the relation-neutral one of
 ``test_live_equivalence.py`` (exact live == rebuild scope), with a
-token shared by every entity so a capped row really truncates.
+token shared by every entity so a value probe has many candidates.
 """
 
 import pytest
@@ -20,6 +19,7 @@ import pytest
 from repro.core.config import MinoanERConfig
 from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import parse_chaos, use_faults
 from repro.serving import LiveEngine, MatchEngine, ResolutionIndex
 from repro.sharding import (
@@ -68,7 +68,7 @@ def probe(uri: str, label: str) -> EntityDescription:
 
 
 # Exact names (rule R1) and value-only probes; ``shared`` touches every
-# indexed entity, so each value probe has more candidates than the cap.
+# indexed entity, so each value probe has many candidates.
 PROBES = [
     probe("q-name", "alpha1v0 tag1v0"),
     probe("q-kept", "alpha2v0 tag2v0 shared"),
@@ -84,19 +84,25 @@ def build_index(entities, config):
     return ResolutionIndex.build(KnowledgeBase(list(entities), name="kb2"), config)
 
 
-def inline_replicas(index, config):
-    return [
-        [InlineReplica(ShardWorker(MatchEngine(shard, config)))]
-        for shard in ShardPlanner(SHARDS).plan(index)
-    ]
+def inline_replicas(index, config, failure_threshold=None):
+    """One in-process replica per shard; with ``failure_threshold``, each
+    brings its own breaker (the router attaches the default otherwise)."""
+    groups = []
+    for shard in ShardPlanner(SHARDS).plan(index):
+        replica = InlineReplica(ShardWorker(MatchEngine(shard, config)))
+        if failure_threshold is not None:
+            replica.breaker = CircuitBreaker(failure_threshold=failure_threshold)
+        groups.append([replica])
+    return groups
 
 
 @pytest.fixture
 def provide(tmp_path):
-    """``provide(name, config)`` -> a serving target holding ``FINAL``."""
+    """``provide(name, config)`` -> a serving target holding ``FINAL``;
+    ``failure_threshold`` pre-attaches breakers to a router's replicas."""
     routers = []
 
-    def make(name: str, config: MinoanERConfig):
+    def make(name: str, config: MinoanERConfig, failure_threshold=None):
         if name == "engine-built":
             return MatchEngine(build_index(FINAL, config), config)
         if name == "engine-loaded":
@@ -107,12 +113,14 @@ def provide(tmp_path):
             target = LiveEngine(build_index(BASE, config), config)
         elif name == "shard-router":
             index = build_index(FINAL, config)
-            target = ShardRouter(index, inline_replicas(index, config), config)
+            replicas = inline_replicas(index, config, failure_threshold)
+            target = ShardRouter(index, replicas, config)
             routers.append(target)
             return target
         else:
             index = build_index(BASE, config)
-            target = LiveShardRouter(index, inline_replicas(index, config), config)
+            replicas = inline_replicas(index, config, failure_threshold)
+            target = LiveShardRouter(index, replicas, config)
             routers.append(target)
         apply_edits(target)
         assert target.index.delta_active
@@ -134,10 +142,9 @@ def fields(decision):
 
 
 @pytest.mark.parametrize("pruning", [False, True], ids=["fixed-k", "adaptive-cut"])
-@pytest.mark.parametrize("cap", [None, 5], ids=["uncapped", "cap5"])
 @pytest.mark.parametrize("provider", PROVIDERS)
-def test_single_equals_batch_of_one_equals_cold_rebuild(provide, provider, cap, pruning):
-    config = MinoanERConfig(serving_candidate_cap=cap, dynamic_pruning=pruning)
+def test_single_equals_batch_of_one_equals_cold_rebuild(provide, provider, pruning):
+    config = MinoanERConfig(dynamic_pruning=pruning)
     target = provide(provider, config)
     cold = MatchEngine(build_index(FINAL, config), config)
     for query in PROBES:
@@ -145,8 +152,6 @@ def test_single_equals_batch_of_one_equals_cold_rebuild(provide, provider, cap, 
         assert not expected[-1]
         assert fields(target.match(query)) == expected, query.uri
         assert fields(target.match_batch([query])[0]) == expected, query.uri
-    if cap is not None:
-        assert max(fields(cold.match(q))[3] for q in PROBES) == cap  # the cap bit
 
 
 @pytest.mark.parametrize("provider", PROVIDERS)
@@ -169,8 +174,8 @@ def test_deadline_expiring_before_value_evidence_degrades(provide, provider):
 
 @pytest.mark.parametrize("provider", SHARDED)
 def test_shard_down_in_degrade_mode_flags_and_never_caches(provide, provider):
-    config = MinoanERConfig(failure_mode="degrade", breaker_threshold=1000)
-    target = provide(provider, config)
+    config = MinoanERConfig(failure_mode="degrade")
+    target = provide(provider, config, failure_threshold=1000)
     with use_faults(parse_chaos("shard:request:1=error")):
         for _ in range(2):
             for query in PROBES:

@@ -3,7 +3,7 @@
 The same kernel surface written as plain loops over a dense scratch row
 + touched list, so the property tests can check the vectorised kernels
 element for element and by float bits against an independent second
-implementation (the dict reference in :mod:`repro.graph.construction`
+implementation (the dict reference in ``tests/graph/dict_reference.py``
 covers the whole graph; this one covers every kernel entry point).
 
 The accumulator pattern shared by the kernels: one dense ``float``
@@ -18,7 +18,7 @@ bounded min-heap, so every comparison is a C-level tuple comparison
 as :func:`repro.graph.pruning.top_k_candidates`.
 
 Floating-point equivalence with the dict reference
-(:mod:`repro.graph.construction`) is by construction:
+(``tests/graph/dict_reference.py``) is by construction:
 
 * per KB1 entity, blocks are visited in ascending block order, so every
   ``(i, j)`` pair accumulates its block weights in exactly the order the
@@ -185,7 +185,7 @@ def beta_sparse(interned: InternedBlocks) -> list[tuple[list[int], list[float]]]
 def accumulate_beta(interned: InternedBlocks) -> list[dict[int, float]]:
     """Per-KB1-entity ``beta`` rows as dicts (oracle-comparable view).
 
-    Bit-identical to :func:`repro.graph.construction.accumulate_beta`
+    Bit-identical to :func:`tests.graph.dict_reference.accumulate_beta`
     on the same blocks; used by the equivalence tests and benchmarks.
     """
     return [dict(zip(ids, sums)) for ids, sums in _beta_sparse_rows(interned)]
@@ -221,29 +221,27 @@ def value_topk(
 
 def batch_evidence(
     interned: InternedBlocks,
-    keep: int,
+    k: int,
     cut: AdaptiveCut = None,
-    columns: bool = True,
 ) -> BatchEvidence:
     """One source's merge-ready batch value evidence: :func:`value_topk`'s
     lists laid out as flat arrays.
 
-    Rows keep their top ``keep`` pairs *uncut* (the cut belongs to the
-    merged row).  With ``columns``, every non-empty column ships its top
-    ``keep`` pairs cut by ``cut``: a KB2 entity's column lives wholly in
-    one source, so it is already final.
+    Rows keep their top ``k`` pairs *uncut* (the cut belongs to the
+    merged row).  Every non-empty column ships its top ``k`` pairs cut
+    by ``cut``: a KB2 entity's column lives wholly in one source, so it
+    is already final.
     """
-    rows, side2 = value_topk(interned, keep)
+    rows, side2 = value_topk(interned, k)
     col_nodes, col_lengths, col_ids, col_scores = array("i"), array("i"), array("i"), array("d")
-    if columns:
-        for node, ranked in enumerate(side2):
-            if ranked:
-                if cut is not None:
-                    ranked = adaptive_cut(ranked, cut[0], cut[1])
-                col_nodes.append(node)
-                col_lengths.append(len(ranked))
-                col_ids.extend([position for position, _ in ranked])
-                col_scores.extend([score for _, score in ranked])
+    for node, ranked in enumerate(side2):
+        if ranked:
+            if cut is not None:
+                ranked = adaptive_cut(ranked, cut[0], cut[1])
+            col_nodes.append(node)
+            col_lengths.append(len(ranked))
+            col_ids.extend([position for position, _ in ranked])
+            col_scores.extend([score for _, score in ranked])
     return BatchEvidence(
         array("i", [len(ranked) for ranked in rows]),
         array("i", [candidate for ranked in rows for candidate, _ in ranked]),
@@ -280,24 +278,19 @@ def merge_batch_evidence(
     id_space: int,
     k: int,
     cut: AdaptiveCut = None,
-    cap: int | None = None,
 ) -> tuple[list[CandidateList], RankedLists]:
     """A batch's ``(value_1, value_2)`` from per-source
     :class:`BatchEvidence`.
 
     Rows: per batch entity, :func:`select_row` over the union of the
     sources' rows.  Columns: the sources' disjoint columns stitched by
-    column id.  With ``cap``, every merged row first keeps its ``cap``
-    strongest pairs and both sides are ranked from those capped rows
-    (the columns the sources shipped are not read).
+    column id.
     """
     rows = [
         (_spans(source.row_lengths), source.row_ids.tolist(), source.row_scores.tolist())
         for source in sources
     ]
     value_1: list[CandidateList] = []
-    column_ids: dict[int, list[int]] = {}
-    column_sums: dict[int, list[float]] = {}
     for position in range(n_entities):
         ids: list[int] = []
         sums: list[float] = []
@@ -305,30 +298,8 @@ def merge_batch_evidence(
             start, end = spans[position]
             ids += row_ids[start:end]
             sums += row_scores[start:end]
-        if cap is None:
-            value_1.append(_select_row(ids, sums, k, cut))
-            continue
-        if len(ids) > cap:
-            capped = _select_row(ids, sums, cap, None)
-            ids = [candidate for candidate, _ in capped]
-            sums = [score for _, score in capped]
         value_1.append(_select_row(ids, sums, k, cut))
-        for candidate, score in zip(ids, sums):
-            column_ids.setdefault(candidate, []).append(position)
-            column_sums.setdefault(candidate, []).append(score)
-    if cap is None:
-        return value_1, _stitch_columns(sources, id_space)
-    ranked = (
-        (candidate, _select_row(column_ids[candidate], column_sums[candidate], k, cut))
-        for candidate in sorted(column_ids)
-    )
-    return value_1, _ranked_lists(
-        id_space,
-        (
-            (candidate, [c for c, _ in column], [s for _, s in column])
-            for candidate, column in ranked
-        ),
-    )
+    return value_1, _stitch_columns(sources, id_space)
 
 
 def _stitch_columns(sources, id_space: int) -> RankedLists:
@@ -357,7 +328,7 @@ def retained_edges(
 
     Preserves the first-insertion order (side 1 sweeps first, then side
     2 adds edges not already retained) of
-    :func:`repro.graph.construction.retained_beta_edges`, so downstream
+    :func:`tests.graph.dict_reference.retained_beta_edges`, so downstream
     ``gamma`` float accumulation visits edges in the identical order.
     """
     sources = array("i")
@@ -430,7 +401,7 @@ def accumulate_gamma(
     """Per-KB1-entity ``gamma`` rows as dicts (oracle-comparable view).
 
     Same row values as the accumulation loop of
-    :func:`repro.graph.construction.neighbor_evidence`; used by the
+    :func:`tests.graph.dict_reference.neighbor_evidence`; used by the
     partition kernels and the equivalence tests.
     """
     return [

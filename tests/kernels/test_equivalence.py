@@ -4,8 +4,8 @@ The kernel layer's contract is *bit-identity*, not approximate
 equality: identical float sums, identical candidate order, identical
 retained-edge order.  Hypothesis drives random KB pairs (as random
 block collections and in-neighbor maps) through the numpy kernels, the
-python conformance oracle next to this file, and the reference
-implementation of :mod:`repro.graph.construction`.
+python conformance oracle next to this file, and the dict-of-dicts
+reference of ``tests/graph/dict_reference.py``.
 """
 
 import pickle
@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking.base import Block, BlockCollection
-from repro.graph import construction as reference
+from repro.graph.construction import build_blocking_graph
 from repro.kernels import CSRAdjacency, InternedBlocks, RankedLists, block_weight, numpy_backend
+from tests.graph import dict_reference as reference
 from tests.kernels import python_backend
 from tests.kernels.python_backend import retained_edges
 
@@ -163,9 +164,7 @@ class TestFullGraphEquivalence:
             cartesian=len(pair.kb1) * len(pair.kb2),
         )
         dict_graph = reference.build_blocking_graph(stats1, stats2, names, tokens, k=15)
-        kernel_graph = reference.build_blocking_graph(
-            stats1, stats2, names, tokens, k=15, kernels=True
-        )
+        kernel_graph = build_blocking_graph(stats1, stats2, names, tokens, k=15)
         assert kernel_graph.identical(dict_graph)
 
 
@@ -333,26 +332,24 @@ def sharded_batches(draw):
 class TestBatchEvidenceKernels:
     """``batch_evidence`` and ``merge_batch_evidence``: the numpy kernels
     equal the python ones element for element and bit for bit, and the
-    uncapped merge equals ``value_topk`` over the unsplit blocks."""
+    merge of every source equals ``value_topk`` over the unsplit blocks."""
 
     @given(
         data=sharded_batches(),
         k=st.integers(min_value=0, max_value=6),
         cut=st.sampled_from(CUTS),
-        cap=st.sampled_from([None, 1, 2, 5]),
         absent=st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
     )
     @settings(max_examples=120, deadline=None)
-    def test_numpy_equals_python(self, data, k, cut, cap, absent):
+    def test_numpy_equals_python(self, data, k, cut, absent):
         n1, n2, blocks, shards = data
-        keep = cap if cap is not None else k
         merged = []
         for backend in ("python", "numpy"):
             kernels = BACKENDS[backend]
-            evidences = [kernels.batch_evidence(shard, keep, cut, cap is None) for shard in shards]
+            evidences = [kernels.batch_evidence(shard, k, cut) for shard in shards]
             if absent is not None and absent < len(evidences):
                 del evidences[absent]  # a degraded shard: the survivors merge
-            merged.append((evidences, kernels.merge_batch_evidence(evidences, n1, n2, k, cut, cap)))
+            merged.append((evidences, kernels.merge_batch_evidence(evidences, n1, n2, k, cut)))
         (expected_evidence, expected), (actual_evidence, actual) = merged
         assert [_evidence_bits(e) for e in actual_evidence] == [
             _evidence_bits(e) for e in expected_evidence
@@ -360,27 +357,18 @@ class TestBatchEvidenceKernels:
         for mine, theirs in zip(actual, expected):
             assert len(mine) == len(theirs)
             assert _bits(mine) == _bits(theirs)
-        if cap is None and absent is None:
+        if absent is None:
             whole = InternedBlocks.from_blocks(blocks, n1, n2)
             for mine, theirs in zip(actual, BACKENDS["python"].value_topk(whole, k, cut)):
                 assert _bits(mine) == _bits(theirs)
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    @pytest.mark.parametrize("cap", [None, 2])
-    def test_no_sources_and_empty_sources(self, backend, cap):
+    def test_no_sources_and_empty_sources(self, backend):
         kernels = BACKENDS[backend]
         empty = kernels.batch_evidence(
-            InternedBlocks.from_blocks(BlockCollection([]), 3, 5), 4, None, cap is None
+            InternedBlocks.from_blocks(BlockCollection([]), 3, 5), 4, None
         )
         assert [field.tolist() for field in empty] == [[0, 0, 0], [], [], [], [], [], []]
         for sources in ([], [empty], [empty, empty]):
-            value_1, value_2 = kernels.merge_batch_evidence(sources, 3, 5, 4, None, cap)
+            value_1, value_2 = kernels.merge_batch_evidence(sources, 3, 5, 4, None)
             assert list(value_1) == [()] * 3 and list(value_2) == [()] * 5
-
-    def test_columns_left_out_when_capped(self):
-        blocks = BlockCollection([Block("a", [0, 1], [0, 2]), Block("b", [1], [2])])
-        interned = InternedBlocks.from_blocks(blocks, 2, 3)
-        for backend in ("python", "numpy"):
-            evidence = BACKENDS[backend].batch_evidence(interned, 1, None, False)
-            assert evidence.row_lengths.tolist() == [1, 1]
-            assert [field.tolist() for field in evidence[3:]] == [[], [], [], []]

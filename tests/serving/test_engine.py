@@ -135,40 +135,6 @@ class TestCacheBehaviour:
         assert second.match(entity).cached
 
 
-class TestCandidateCap:
-    def test_cap_bounds_candidates(self, mini_pair):
-        capped = MatchEngine(
-            ResolutionIndex.build(
-                mini_pair.kb2, MinoanERConfig(serving_candidate_cap=3)
-            )
-        )
-        for entity in list(mini_pair.kb1)[:20]:
-            assert capped.match(entity).candidates <= 3
-
-    def test_capped_single_equals_capped_batch(self, mini_pair):
-        engine = MatchEngine(
-            ResolutionIndex.build(
-                mini_pair.kb2, MinoanERConfig(serving_candidate_cap=5)
-            )
-        )
-        for entity in list(mini_pair.kb1)[:20]:
-            assert engine.match(entity) == engine.match_batch([entity])[0]
-
-    def test_generous_cap_changes_nothing(self, mini_pair):
-        index = ResolutionIndex.build(mini_pair.kb2)
-        exact = MatchEngine(index)
-        capped = MatchEngine(
-            index, index.config.with_options(serving_candidate_cap=10**6)
-        )
-        for entity in list(mini_pair.kb1)[:20]:
-            mine, theirs = exact.match(entity), capped.match(entity)
-            assert (mine.kb2_id, mine.rule, mine.score) == (
-                theirs.kb2_id,
-                theirs.rule,
-                theirs.score,
-            )
-
-
 class TestStats:
     def test_counters_accumulate(self, mini_pair):
         engine = MatchEngine(ResolutionIndex.build(mini_pair.kb2))

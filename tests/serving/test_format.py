@@ -170,7 +170,7 @@ class TestByteDeterminism:
             assert section["offset"] % index_format.ALIGNMENT == 0
 
     def test_config_survives_json_roundtrip(self):
-        config = MinoanERConfig(candidates_k=9, serving_hedge_ms=2.5)
+        config = MinoanERConfig(candidates_k=9, serving_deadline_ms=2.5)
         assert config_from_dict(config_to_dict(config)) == config
         # Unknown keys from a newer build are ignored, not fatal.
         augmented = dict(config_to_dict(config), future_knob=True)
@@ -190,6 +190,14 @@ class TestByteDeterminism:
             breaker_reset_s=5.0,
             observability=False,
             kernel_backend="python",
+            serving_candidate_cap=7,
+            serving_hedge_ms=2.5,
+            serving_quota_burst=4.0,
+            breaker_threshold=9,
+            value_threshold=2.0,
+            enforce_unique_mapping=False,
+            purging_budget_ratio=0.05,
+            pruning_gap_ratio=0.4,
         )
         parent_era = dict(config_to_dict(config), **removed)
         assert config_from_dict(json.loads(json.dumps(parent_era))) == config

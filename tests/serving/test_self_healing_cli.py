@@ -61,18 +61,19 @@ class TestEngineAdmission:
         assert "admission" not in engine.stats()
 
     def test_quota_sheds_per_source_queries(self, mini_pair):
-        config = MinoanERConfig(serving_quota_qps=1.0, serving_quota_burst=1.0)
+        config = MinoanERConfig(serving_quota_qps=1.0)
         engine = MatchEngine(ResolutionIndex.build(mini_pair.kb2, config), config)
         engine.admission._clock = FakeClock()  # freeze the drip
         probe = list(mini_pair.kb1)[0]
-        engine.match(probe, source="tenant-a")
+        for _ in range(2):  # the burst: twice the rate
+            engine.match(probe, source="tenant-a")
         with pytest.raises(LoadShedError) as caught:
             engine.match(probe, source="tenant-a")
         assert caught.value.reason == "quota"
         engine.match(probe, source="tenant-b")  # separate bucket
         stats = engine.stats()["admission"]
         assert stats["shed"]["quota"] == 1
-        assert stats["admitted"] == 2
+        assert stats["admitted"] == 3
 
     def test_max_pending_bounds_batch_cost(self, mini_pair):
         config = MinoanERConfig(serving_max_pending=2)
@@ -108,7 +109,7 @@ class TestServeSheds:
         rc = main(
             [
                 "serve", str(index_path), "-i", str(queries),
-                "--quota-qps", "0.000001", "--quota-burst", "1",
+                "--quota-qps", "0.000001",
             ]
         )
         assert rc == 0
@@ -116,7 +117,7 @@ class TestServeSheds:
         answered = [r for r in records if "error" not in r]
         shed = [r for r in records if r.get("shed")]
         assert len(records) == 3
-        assert len(shed) == 2  # burst admits exactly one
+        assert len(shed) == 2  # a burst of max(1, 2 * qps) admits exactly one
         for record in shed:
             assert record["reason"] == "quota"
             assert "tenant-a" in record["error"]
@@ -133,7 +134,7 @@ class TestServeSheds:
         rc = main(
             [
                 "serve", str(index_path), "-i", str(queries),
-                "--quota-qps", "0.000001", "--quota-burst", "2",
+                "--quota-qps", "1",  # a burst of two; the third query is shed
             ]
         )
         assert rc == 0

@@ -56,9 +56,15 @@ class TestSpawn:
             router.close()
 
 
+def zero_hedge_delay(monkeypatch) -> None:
+    """Fire every backup request at once, whatever the observed latency."""
+    monkeypatch.setattr(ShardRouter, "_hedge_delay", lambda self, shard, op: 0.0)
+
+
 class TestHedging:
-    def test_zero_delay_hedges_stay_identical(self, mini_pair, tmp_path):
-        config = MinoanERConfig(serving_hedge_ms=0.0)
+    def test_zero_delay_hedges_stay_identical(self, mini_pair, tmp_path, monkeypatch):
+        zero_hedge_delay(monkeypatch)
+        config = MinoanERConfig()
         index, path = build_sharded(mini_pair, tmp_path, config, 2)
         engine = MatchEngine(index, config)
         batch = list(mini_pair.kb1)[:15]
@@ -76,8 +82,9 @@ class TestHedging:
         finally:
             router.close()
 
-    def test_single_replica_never_hedges(self, mini_pair, tmp_path):
-        config = MinoanERConfig(serving_hedge_ms=0.0)
+    def test_single_replica_never_hedges(self, mini_pair, tmp_path, monkeypatch):
+        zero_hedge_delay(monkeypatch)
+        config = MinoanERConfig()
         _, path = build_sharded(mini_pair, tmp_path, config, 2)
         router = ShardRouter.spawn(path, 2, replicas=1, config=config)
         try:

@@ -282,10 +282,9 @@ class TestPackedBatchEvidence:
     @given(
         data=st.data(),
         field=st.sampled_from(BatchEvidence._fields),
-        cap=st.sampled_from([None, 1]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_fuzzed_field_is_rejected_or_merges(self, data, field, cap):
+    def test_fuzzed_field_is_rejected_or_merges(self, data, field):
         """Whatever one section holds, the reply is a
         :class:`ProtocolError` or evidence the merge kernel takes
         without an error."""
@@ -302,26 +301,26 @@ class TestPackedBatchEvidence:
                 else st.lists(st.floats(allow_nan=False), max_size=8),
             )
         )
-        self._rejected_or_merges(lambda: over_the_wire(reply(**{field: value})), cap)
+        self._rejected_or_merges(lambda: over_the_wire(reply(**{field: value})))
 
-    @given(position=st.integers(0, 10**6), byte=st.integers(0, 255), cap=st.sampled_from([None, 1]))
+    @given(position=st.integers(0, 10**6), byte=st.integers(0, 255))
     @settings(max_examples=300, deadline=None)
-    def test_flipped_byte_is_rejected_or_merges(self, position, byte, cap):
+    def test_flipped_byte_is_rejected_or_merges(self, position, byte):
         """One byte of the frame's payload (header, padding or a section)
         overwritten: a :class:`ProtocolError` or a mergeable reply."""
         frame = bytearray(frame_bytes(reply()))
         start = frame.index(b"\n") + 1
         frame[start + position % (len(frame) - start - 1)] = byte
-        self._rejected_or_merges(lambda: read_frame(io.BytesIO(bytes(frame))), cap)
+        self._rejected_or_merges(lambda: read_frame(io.BytesIO(bytes(frame))))
 
     @staticmethod
-    def _rejected_or_merges(receive, cap):
+    def _rejected_or_merges(receive):
         try:
             evidence = evidence_of(receive(), N_ENTITIES, ID_SPACE)
         except ProtocolError:
             return
         value_1, value_2 = numpy_backend.merge_batch_evidence(
-            [evidence, sample_evidence()], N_ENTITIES, ID_SPACE, 4, (0.2, 3), cap
+            [evidence, sample_evidence()], N_ENTITIES, ID_SPACE, 4, (0.2, 3)
         )
         assert len(list(value_1)) == N_ENTITIES
         assert len(list(value_2)) == ID_SPACE

@@ -5,8 +5,8 @@ trips, no subprocess overhead) over random shard counts in 1..8 on all
 four calibrated benchmark profiles, comparing every decision field the
 stream carries -- ids, scores, rules, degraded flags -- on both the
 single-query and the batch path, over built and loaded shards and across the
-config variants that change the merge shape (adaptive cut, candidate
-cap, reciprocity off).
+config variants that change the merge shape (adaptive cut, reciprocity
+off).
 """
 
 import queue
@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.config import MinoanERConfig
 from repro.datasets.profiles import scaled_profile
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import parse_chaos, use_faults
 from repro.serving import MatchEngine, ResolutionIndex
 from repro.sharding import InlineReplica, ShardFailure, ShardPlanner, ShardRouter, ShardWorker
@@ -30,11 +31,22 @@ PROFILES = [
 ]
 
 
-def inline_router(index, config, shards):
+def with_breakers(replica_sets, failure_threshold):
+    """Pre-attach a breaker of this threshold to every replica; the
+    router attaches its default breaker only to a replica without one."""
+    for group in replica_sets:
+        for replica in group:
+            replica.breaker = CircuitBreaker(failure_threshold=failure_threshold)
+    return replica_sets
+
+
+def inline_router(index, config, shards, failure_threshold=None):
     replica_sets = [
         [InlineReplica(ShardWorker(MatchEngine(shard, config)))]
         for shard in ShardPlanner(shards).plan(index)
     ]
+    if failure_threshold is not None:
+        with_breakers(replica_sets, failure_threshold)
     return ShardRouter(index, replica_sets, config)
 
 
@@ -82,11 +94,6 @@ class TestPropertySweep:
     def test_with_adaptive_cut(self, mini_pair):
         assert_sharded_identical(
             mini_pair, MinoanERConfig(dynamic_pruning=True), 3
-        )
-
-    def test_with_candidate_cap(self, mini_pair):
-        assert_sharded_identical(
-            mini_pair, MinoanERConfig(serving_candidate_cap=5), 3
         )
 
     def test_without_reciprocity(self, mini_pair):
@@ -160,29 +167,28 @@ class TestChaosDegrade:
 
     KILLED = 1
 
-    def _routers(self, index, config):
+    def _routers(self, index, config, failure_threshold):
         shards = ShardPlanner(3).plan(index)
-        chaos_router = ShardRouter(
-            index,
-            [
-                [InlineReplica(ShardWorker(MatchEngine(shard, config)))]
-                for shard in shards
-            ],
-            config,
-        )
+        chaos_sets = [
+            [InlineReplica(ShardWorker(MatchEngine(shard, config)))]
+            for shard in shards
+        ]
+        chaos_router = ShardRouter(index, with_breakers(chaos_sets, failure_threshold), config)
         structural_sets = [
             [InlineReplica(ShardWorker(MatchEngine(shard, config)))]
             for shard in shards
         ]
         structural_sets[self.KILLED] = [_DeadReplica(self.KILLED)]
-        structural_router = ShardRouter(index, structural_sets, config)
+        structural_router = ShardRouter(
+            index, with_breakers(structural_sets, failure_threshold), config
+        )
         return chaos_router, structural_router
 
     def test_chaos_killed_shard_degrades_not_aborts(self, mini_pair):
-        config = MinoanERConfig(failure_mode="degrade", breaker_threshold=1000)
+        config = MinoanERConfig(failure_mode="degrade")
         index = ResolutionIndex.build(mini_pair.kb2, config)
         batch = list(mini_pair.kb1)
-        chaos_router, structural_router = self._routers(index, config)
+        chaos_router, structural_router = self._routers(index, config, 1000)
         try:
             with use_faults(parse_chaos(f"shard:request:{self.KILLED}=error")):
                 chaos_batch = chaos_router.match_batch(batch)
@@ -205,17 +211,17 @@ class TestChaosDegrade:
             structural_router.close()
 
     def test_on_shard_error_fires_once_per_transition(self, mini_pair):
-        config = MinoanERConfig(failure_mode="degrade", breaker_threshold=1000)
+        config = MinoanERConfig(failure_mode="degrade")
         index = ResolutionIndex.build(mini_pair.kb2, config)
         batch = list(mini_pair.kb1)[:10]
         errors = []
         shards = ShardPlanner(2).plan(index)
         router = ShardRouter(
             index,
-            [
-                [InlineReplica(ShardWorker(MatchEngine(shard, config)))]
-                for shard in shards
-            ],
+            with_breakers(
+                [[InlineReplica(ShardWorker(MatchEngine(shard, config)))] for shard in shards],
+                1000,
+            ),
             config,
             on_shard_error=lambda shard, error: errors.append(shard),
         )
@@ -234,9 +240,9 @@ class TestChaosDegrade:
             router.close()
 
     def test_fail_fast_propagates(self, mini_pair):
-        config = MinoanERConfig(breaker_threshold=1000)  # fail_fast default
+        config = MinoanERConfig()  # fail_fast default
         index = ResolutionIndex.build(mini_pair.kb2, config)
-        router = inline_router(index, config, 2)
+        router = inline_router(index, config, 2, failure_threshold=1000)
         try:
             with use_faults(parse_chaos("shard:request:0=error")):
                 with pytest.raises(ShardFailure):
@@ -245,13 +251,11 @@ class TestChaosDegrade:
             router.close()
 
     def test_retry_recovers_from_transient_fault(self, mini_pair):
-        config = MinoanERConfig(
-            failure_mode="retry", retry_base_delay_s=0.0, breaker_threshold=1000
-        )
+        config = MinoanERConfig(failure_mode="retry", retry_base_delay_s=0.0)
         index = ResolutionIndex.build(mini_pair.kb2, config)
         engine = MatchEngine(index, config)
         batch = list(mini_pair.kb1)[:5]
-        router = inline_router(index, config, 2)
+        router = inline_router(index, config, 2, failure_threshold=1000)
         try:
             # A one-shot fault: the first attempt fails, the retry lands.
             with use_faults(parse_chaos("shard:request:0=error*1")):
@@ -281,7 +285,7 @@ class TestMalformedBatchReplies:
 
     CORRUPT = 1
 
-    def _router(self, index, config, replicas=1, corrupt=_CorruptBatchWorker):
+    def _router(self, index, config, failure_threshold, replicas=1, corrupt=_CorruptBatchWorker):
         sets = []
         for number, shard in enumerate(ShardPlanner(3).plan(index)):
             worker = corrupt if number == self.CORRUPT else ShardWorker
@@ -291,12 +295,12 @@ class TestMalformedBatchReplies:
                 for _ in range(replicas - 1)
             ]
             sets.append(group)
-        return ShardRouter(index, sets, config)
+        return ShardRouter(index, with_breakers(sets, failure_threshold), config)
 
     def test_fail_fast_raises_shard_failure(self, mini_pair):
-        config = MinoanERConfig(breaker_threshold=1000)
+        config = MinoanERConfig()
         index = ResolutionIndex.build(mini_pair.kb2, config)
-        router = self._router(index, config)
+        router = self._router(index, config, 1000)
         try:
             with pytest.raises(ShardFailure, match="not base64"):
                 router.match_batch(list(mini_pair.kb1)[:4])
@@ -325,9 +329,9 @@ class TestMalformedBatchReplies:
                     corrupt(response)
                 return response
 
-        config = MinoanERConfig(breaker_threshold=1000)
+        config = MinoanERConfig()
         index = ResolutionIndex.build(mini_pair.kb2, config)
-        router = self._router(index, config, corrupt=Corrupt)
+        router = self._router(index, config, 1000, corrupt=Corrupt)
         try:
             with pytest.raises(ShardFailure, match=f"shard {self.CORRUPT}: .*{message}"):
                 router.match_batch(list(mini_pair.kb1)[:4])
@@ -336,16 +340,16 @@ class TestMalformedBatchReplies:
             router.close()
 
     def test_degrade_equals_an_absent_shard(self, mini_pair):
-        config = MinoanERConfig(failure_mode="degrade", breaker_threshold=1000)
+        config = MinoanERConfig(failure_mode="degrade")
         index = ResolutionIndex.build(mini_pair.kb2, config)
         batch = list(mini_pair.kb1)
-        router = self._router(index, config)
+        router = self._router(index, config, 1000)
         absent_sets = [
             [InlineReplica(ShardWorker(MatchEngine(shard, config)))]
             for shard in ShardPlanner(3).plan(index)
         ]
         absent_sets[self.CORRUPT] = [_DeadReplica(self.CORRUPT)]
-        absent = ShardRouter(index, absent_sets, config)
+        absent = ShardRouter(index, with_breakers(absent_sets, 1000), config)
         try:
             decisions = router.match_batch(batch)
             assert all(d.degraded for d in decisions)
@@ -359,11 +363,11 @@ class TestMalformedBatchReplies:
             absent.close()
 
     def test_breaker_opens_and_a_sibling_replica_answers(self, mini_pair):
-        config = MinoanERConfig(breaker_threshold=2)
+        config = MinoanERConfig()
         index = ResolutionIndex.build(mini_pair.kb2, config)
         engine = MatchEngine(index, config)
         batch = list(mini_pair.kb1)[:6]
-        router = self._router(index, config, replicas=2)
+        router = self._router(index, config, 2, replicas=2)
         try:
             for _ in range(4):
                 decisions = router.match_batch(batch)
@@ -450,62 +454,20 @@ class TestRouterBehaviour:
             router.close()
 
 
-def host_cpus(monkeypatch, cpus: int) -> None:
-    """Pin the CPU count the router picks its fan-out from: one CPU
-    scatters sequentially on the query thread, more use the pool."""
-    monkeypatch.setattr("repro.sharding.router._host_cpus", lambda: cpus)
-
-
 class TestScatterModes:
-    """The fan-out path only changes *how* requests go out, never the answer."""
+    """Every scatter fans out over the router's thread pool."""
 
-    def test_sequential_and_pool_identical(self, mini_pair, monkeypatch):
-        config = MinoanERConfig()
-        index = ResolutionIndex.build(mini_pair.kb2, config)
-        engine = MatchEngine(index, config)
-        batch = list(mini_pair.kb1)
-        expected_single = [decision_fields(engine.match(e)) for e in batch]
-        expected_batch = [decision_fields(d) for d in engine.match_batch(batch)]
-        for cpus in (1, 2):
-            host_cpus(monkeypatch, cpus)
-            router = inline_router(index, config, 3)
-            try:
-                assert [
-                    decision_fields(router.match(e)) for e in batch
-                ] == expected_single
-                assert [
-                    decision_fields(d) for d in router.match_batch(batch)
-                ] == expected_batch
-            finally:
-                router.close()
-
-    def test_sequential_records_per_shard_timings(self, mini_pair, monkeypatch):
-        host_cpus(monkeypatch, 1)
-        config = MinoanERConfig()
-        index = ResolutionIndex.build(mini_pair.kb2, config)
-        router = inline_router(index, config, 3)
-        try:
-            router.match(list(mini_pair.kb1)[0])
-            assert router.last_shard_ms is not None
-            assert len(router.last_shard_ms) == 3
-            assert all(ms >= 0.0 for ms in router.last_shard_ms)
-            # Workers self-time their compute into the response.
-            assert router.last_service_ms is not None
-            assert all(s is not None and s >= 0.0 for s in router.last_service_ms)
-        finally:
-            router.close()
-
-    def test_pool_does_not_record_round_trips(self, mini_pair, monkeypatch):
-        host_cpus(monkeypatch, 2)
+    def test_pool_does_not_record_round_trips(self, mini_pair):
         config = MinoanERConfig()
         index = ResolutionIndex.build(mini_pair.kb2, config)
         router = inline_router(index, config, 2)
         try:
             router.match(list(mini_pair.kb1)[0])
             # Overlapping round trips have no meaningful per-shard wall
-            # time; service times still arrive with each response.
-            assert router.last_shard_ms is None
+            # time; workers self-time their compute into the response.
+            assert not hasattr(router, "last_shard_ms")
             assert router.last_service_ms is not None
+            assert all(s is not None and s >= 0.0 for s in router.last_service_ms)
         finally:
             router.close()
 

@@ -96,12 +96,14 @@ class TestResurrect:
 
 class TestSigkillMidStream:
     def test_kill_hedge_trip_resurrect_identical_stream(
-        self, mini_pair, tmp_path
+        self, mini_pair, tmp_path, monkeypatch
     ):
         """Satellite: SIGKILL mid-request -> hedge covers, breaker
         records the corpse, supervisor resurrects, and the decision
         stream diffs clean against an uncrashed serve."""
-        config = MinoanERConfig(serving_hedge_ms=0.0, failure_mode="degrade")
+        # Backups fire at once, whatever the observed latency.
+        monkeypatch.setattr(ShardRouter, "_hedge_delay", lambda self, shard, op: 0.0)
+        config = MinoanERConfig(failure_mode="degrade")
         index, path = build_sharded(mini_pair, tmp_path, config, 2)
         engine = MatchEngine(index, config)
         batch = list(mini_pair.kb1)[:12]
