@@ -363,12 +363,13 @@ class TestBatchEvidenceKernels:
                 assert _bits(mine) == _bits(theirs)
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_no_sources_and_empty_sources(self, backend):
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_no_sources_and_empty_sources(self, backend, cut):
         kernels = BACKENDS[backend]
         empty = kernels.batch_evidence(
-            InternedBlocks.from_blocks(BlockCollection([]), 3, 5), 4, None
+            InternedBlocks.from_blocks(BlockCollection([]), 3, 5), 4, cut
         )
         assert [field.tolist() for field in empty] == [[0, 0, 0], [], [], [], [], [], []]
         for sources in ([], [empty], [empty, empty]):
-            value_1, value_2 = kernels.merge_batch_evidence(sources, 3, 5, 4, None)
+            value_1, value_2 = kernels.merge_batch_evidence(sources, 3, 5, 4, cut)
             assert list(value_1) == [()] * 3 and list(value_2) == [()] * 5
