@@ -11,10 +11,12 @@ makes the tests' dict reference importable):
 * ``retained_beta_edges`` -- the undirected union of pruned beta edges;
 * ``top_k_candidates`` -- per-node pruning;
 * ``unique_mapping_clustering`` -- the final 1-1 assignment;
+* Algorithm 2 -- the array matcher against its per-node oracle
+  (``tests/core/matcher_reference.py``);
 * ``KnowledgeBase`` construction -- tokenisation + index building;
 * the numpy kernel (:mod:`repro.kernels`) counterparts of the beta /
   fused value / gamma passes, so the dict-vs-kernel gap is visible in
-  one pytest-benchmark run.
+  one pytest-benchmark run (likewise the two matchers).
 """
 
 import random
@@ -23,11 +25,15 @@ import pytest
 
 from repro.blocking.purging import purge_blocks
 from repro.blocking.token_blocking import token_blocks
+from repro.blocking.name_blocking import name_blocks
 from repro.clustering.unique_mapping import unique_mapping_clustering
+from repro.core.matcher import NonIterativeMatcher
+from repro.graph.construction import build_blocking_graph
 from repro.graph.pruning import top_k_candidates
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
 from repro.kernels import InternedBlocks, numpy_backend
+from tests.core.matcher_reference import reference_match
 from tests.graph.dict_reference import (
     accumulate_beta,
     neighbor_evidence,
@@ -148,3 +154,30 @@ def test_unique_mapping(benchmark):
     ]
     matches = benchmark(lambda: unique_mapping_clustering(scored))
     assert matches
+
+
+@pytest.fixture(scope="module")
+def fresh_bbc_graph(profiles):
+    """Builds a new kernel-built ``bbc_dbpedia`` graph per call: a graph
+    caches the tuples and out-sets read from it, so each timed round
+    needs its own."""
+    pair = profiles["bbc_dbpedia"]
+    stats1, stats2 = KBStatistics(pair.kb1), KBStatistics(pair.kb2)
+    names = name_blocks(stats1, stats2)
+    tokens = purge_blocks(
+        token_blocks(pair.kb1, pair.kb2), cartesian=len(pair.kb1) * len(pair.kb2)
+    )
+    return lambda: ((build_blocking_graph(stats1, stats2, names, tokens),), {})
+
+
+def test_matcher_arrays(benchmark, fresh_bbc_graph):
+    """Algorithm 2 as array passes over the graph's CSR lists."""
+    matcher = NonIterativeMatcher()
+    result = benchmark.pedantic(matcher.match, setup=fresh_bbc_graph, rounds=5)
+    assert result.matches
+
+
+def test_matcher_per_node(benchmark, fresh_bbc_graph):
+    """The per-node oracle of the same decisions."""
+    result = benchmark.pedantic(reference_match, setup=fresh_bbc_graph, rounds=5)
+    assert result.matches

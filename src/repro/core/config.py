@@ -9,7 +9,8 @@ The paper's fixed design decisions are constants beside their one
 reader, not fields: R2's ``beta >= 1`` (``repro.core.rules``), the ~1%
 purging budget (``repro.blocking.purging``), the adaptive cut's gap
 ratio (``repro.graph.pruning``) and Unique Mapping Clustering, which
-always runs.  A knob stays only while a caller outside the tests sets
+always runs; so is the first retry backoff
+(``repro.resilience.policy``).  A knob stays only while a caller outside the tests sets
 it or a workload shows a non-default value winning (``DESIGN.md``,
 "Knobs").
 
@@ -64,12 +65,13 @@ class MinoanERConfig:
         Capacity of the :class:`repro.serving.cache.LRUCache` holding
         single-query decisions, keyed by entity content fingerprint
         (0 disables caching).
-    failure_mode / retry_max_attempts / retry_base_delay_s:
+    failure_mode / retry_max_attempts:
         Stage-failure behaviour of the pipelines (see
         ``docs/resilience.md``): ``fail_fast`` aborts on the first
         failure (the historical behaviour), ``retry`` re-runs failed
         work up to ``retry_max_attempts`` total attempts with
-        exponential backoff starting at ``retry_base_delay_s``, and
+        exponential backoff starting at
+        ``repro.resilience.policy.RETRY_BASE_DELAY_S``, and
         ``degrade`` additionally skips exhausted stage partitions,
         producing a partial result whose holes are enumerated in
         ``ResolutionResult.degraded``.
@@ -111,7 +113,6 @@ class MinoanERConfig:
     provenance_sample_rate: float = 0.0
     failure_mode: str = "fail_fast"
     retry_max_attempts: int = 3
-    retry_base_delay_s: float = 0.01
     serving_deadline_ms: float | None = None
     serving_max_pending: int | None = None
     serving_quota_qps: float | None = None
@@ -144,10 +145,6 @@ class MinoanERConfig:
         if self.retry_max_attempts < 1:
             raise ValueError(
                 f"retry_max_attempts must be >= 1, got {self.retry_max_attempts}"
-            )
-        if self.retry_base_delay_s < 0:
-            raise ValueError(
-                f"retry_base_delay_s must be >= 0, got {self.retry_base_delay_s}"
             )
         if self.serving_deadline_ms is not None and self.serving_deadline_ms <= 0:
             raise ValueError(

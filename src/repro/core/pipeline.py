@@ -27,7 +27,7 @@ from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.statistics import KBStatistics
 from repro.obs import Recorder, current_recorder, phase_span
 from repro.resilience.faults import inject
-from repro.resilience.policy import RetryPolicy
+from repro.resilience.policy import RETRY_BASE_DELAY_S, RetryPolicy
 
 
 TIMING_PHASES = ("statistics", "blocking", "graph", "matching", "total")
@@ -182,7 +182,7 @@ class MinoanER:
             return None
         return RetryPolicy(
             max_attempts=self.config.retry_max_attempts,
-            base_delay_s=self.config.retry_base_delay_s,
+            base_delay_s=RETRY_BASE_DELAY_S,
         )
 
     def span_attributes(self) -> dict[str, object]:

@@ -91,11 +91,12 @@ class DisjunctiveBlockingGraph:
         return 0.0
 
     # ------------------------------------------------------------------
-    # Directed-edge existence (used by reciprocity rule R4)
+    # Directed-edge existence (rule R4, one pair at a time)
     # ------------------------------------------------------------------
     def _out_set(self, side: int, eid: int) -> frozenset[int]:
-        """``eid``'s targets, built on first use: R4 over a serving batch
-        reads the out-sets of the proposals' nodes, not of all ``n2``."""
+        """``eid``'s targets, built on first use: a caller that checks a
+        few pairs (``explain``, the ensemble) builds those nodes' sets
+        only.  The matcher's R4 gathers the same targets as arrays."""
         index = self._check_side(side)
         cache = self._out_sets[index]
         targets = cache.get(eid)

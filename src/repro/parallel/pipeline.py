@@ -8,17 +8,18 @@ assembles the retained edges -- ``graph:gamma`` over node ranges of both
 KBs (:mod:`repro.kernels.partition`, which is why the graph is
 **bit-identical** to the serial one at any partition count), then the
 per-node work of rules R2/R3 over node partitions (``match:*``), whose
-proposals the driver replays through the same deterministic greedy/UMC
-logic.  All stage kernels are module-level functions so the ``process``
-backend can pickle them.
+proposals the driver concatenates and resolves with the serial R4 and
+unique mapping.  All stage kernels are module-level functions so the
+``process`` backend can pickle them.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import MinoanERConfig
 from repro.core.matcher import MatchingResult, NonIterativeMatcher
 from repro.core.pipeline import MinoanER, ResolutionResult
-from repro.core.rules import VALUE_THRESHOLD, name_rule, rank_aggregation_scope
 from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
 from repro.graph.construction import name_evidence
 from repro.graph.pruning import ADAPTIVE_CUT
@@ -168,108 +169,22 @@ class ParallelMinoanER(MinoanER):
         return sides
 
     def matching_phase(self, graph: DisjunctiveBlockingGraph, guarded) -> MatchingResult:
-        """Rules R1-R4 with per-node stages (barriers between rules);
-        identical output to the serial matcher.
+        """Rules R1-R4 with R2 and R3 as per-node stages (barriers
+        between rules); identical output to the serial matcher.
 
-        R1 is a driver scan of the (tiny) alpha edge set.  R2 and R3
-        compute per-node proposals in parallel; the driver then replays
-        the exact iteration order of Algorithm 2 (side 1 ascending, then
-        side 2) so greedy claiming matches the serial matcher.  R4 and
-        unique-mapping conflict resolution reuse the serial
-        implementation directly.
+        R1 is a driver scan of the (tiny) alpha edge set.  ``match:R2``
+        and ``match:R3_side{1,2}`` partition the nodes each rule visits;
+        a partition runs the serial kernel over its node range, and the
+        driver concatenates the proposals in partition order -- the
+        ascending node order of the serial pass.  R4 and unique mapping
+        run on the driver.
         """
-        config, context = self.config, self.context
-        collected: list[tuple[tuple[int, int], float, str]] = []
-        matched_1: set[int] = set()
-        matched_2: set[int] = set()
+        return NonIterativeMatcher(self.config).apply(graph, self._rule_stage)
 
-        if config.use_name_rule:
-            for pair, score in name_rule(graph):
-                collected.append((pair, score, "R1"))
-                matched_1.add(pair[0])
-                matched_2.add(pair[1])
-
-        if config.use_value_rule:
-            side = 1 if graph.n1 <= graph.n2 else 2
-            matched, size = (matched_1, graph.n1) if side == 1 else (matched_2, graph.n2)
-            unmatched = [eid for eid in range(size) if eid not in matched]
-            chunks = context.run_stage(
-                "match:R2", unmatched, rule2_kernel, graph._value_candidates[side - 1]
-            )
-            for chunk in chunks:
-                for eid, partner, beta in chunk:
-                    pair = (eid, partner) if side == 1 else (partner, eid)
-                    collected.append((pair, beta, "R2"))
-                    matched_1.add(pair[0])
-                    matched_2.add(pair[1])
-
-        if config.use_rank_aggregation:
-            proposals: dict[tuple[int, int], tuple[int, float]] = {}
-            scopes = {
-                side: rank_aggregation_scope(graph, side, config.use_reciprocity)
-                for side in (1, 2)
-            }
-            for side in (1, 2):
-                matched = matched_1 if side == 1 else matched_2
-                unmatched = [eid for eid in scopes[side] if eid not in matched]
-                chunks = context.run_stage(
-                    f"match:R3_side{side}",
-                    unmatched,
-                    rule3_kernel,
-                    graph._value_candidates[side - 1],
-                    graph._neighbor_candidates[side - 1],
-                    config.theta,
-                    config.use_neighbor_evidence,
-                )
-                for chunk in chunks:
-                    for eid, partner, score in chunk:
-                        proposals[(side, eid)] = (partner, score)
-            # Replay Algorithm 2's greedy claiming deterministically.
-            claimed_1, claimed_2 = set(matched_1), set(matched_2)
-            for side in (1, 2):
-                claimed_own = claimed_1 if side == 1 else claimed_2
-                claimed_other = claimed_2 if side == 1 else claimed_1
-                for eid in scopes[side]:
-                    if eid in claimed_own or (side, eid) not in proposals:
-                        continue
-                    partner, score = proposals[(side, eid)]
-                    pair = (eid, partner) if side == 1 else (partner, eid)
-                    collected.append((pair, score, "R3"))
-                    claimed_own.add(eid)
-                    claimed_other.add(partner)
-
-        return NonIterativeMatcher(config).assemble(graph, collected)
-
-
-def rule2_kernel(
-    node_ids: list[int],
-    value_candidates: list[tuple],
-) -> list[tuple[int, int, float]]:
-    """Per-node work of R2: top value candidate if beta >= VALUE_THRESHOLD."""
-    proposals = []
-    for eid in node_ids:
-        candidates = value_candidates[eid]
-        if candidates:
-            partner, beta = candidates[0]
-            if beta >= VALUE_THRESHOLD:
-                proposals.append((eid, partner, beta))
-    return proposals
-
-
-def rule3_kernel(
-    node_ids: list[int],
-    value_candidates: list[tuple],
-    neighbor_candidates: list[tuple],
-    theta: float,
-    use_neighbor_evidence: bool,
-) -> list[tuple[int, int, float]]:
-    """Per-node work of R3: best rank-aggregated candidate."""
-    from repro.core.rank_aggregation import top_aggregate_candidate
-
-    proposals = []
-    for eid in node_ids:
-        neighbors = neighbor_candidates[eid] if use_neighbor_evidence else ()
-        best = top_aggregate_candidate(value_candidates[eid], neighbors, theta)
-        if best is not None:
-            proposals.append((eid, best[0], best[1]))
-    return proposals
+    def _rule_stage(self, name, nodes, kernel, *args):
+        """One rule stage: ``kernel`` per partition of ``nodes``, the
+        partitions' ``(nodes, partners, scores)`` laid back to back."""
+        parts = self.context.run_stage(name, nodes, kernel, *args)
+        if not parts:
+            return kernel(nodes[:0], *args)
+        return tuple(np.concatenate(column) for column in zip(*parts))

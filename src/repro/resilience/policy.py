@@ -34,6 +34,12 @@ FAILURE_MODES = ("fail_fast", "retry", "degrade")
 """Accepted values of ``MinoanERConfig.failure_mode`` and
 ``ParallelContext(failure_mode=...)``."""
 
+RETRY_BASE_DELAY_S = 0.01
+"""First backoff of a retry under ``failure_mode = "retry"``: the
+pipelines' phases (``repro.core.pipeline``) and the shard router's
+requests (``repro.sharding.router``) wait this long before retry 1,
+doubling after."""
+
 DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (
     FaultInjected,
     TimeoutError,

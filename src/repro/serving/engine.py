@@ -61,7 +61,7 @@ from repro.blocking.purging import purging_threshold_from_counts
 from repro.core.config import MinoanERConfig
 from repro.core.matcher import NonIterativeMatcher
 from repro.core.rank_aggregation import top_aggregate_candidate
-from repro.core.rules import VALUE_THRESHOLD
+from repro.core.rules import RULE_PRIORITY, VALUE_THRESHOLD
 from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
 from repro.graph.pruning import ADAPTIVE_CUT
 from repro.kb.entity import EntityDescription
@@ -76,9 +76,6 @@ from repro.resilience.policy import Deadline, DeadlineExpired
 from repro.serving.cache import LRUCache, entity_fingerprint
 from repro.serving.index import ResolutionIndex
 from repro.serving.merge import merge_single_evidence
-
-RULE_PRIORITY = {"R1": 0, "R2": 1, "R3": 2}
-"""Conflict-resolution priority of the matching rules (R1 strongest)."""
 
 PROVENANCE_TOP_SCORES = 3
 """Strongest value candidates kept on a provenance record."""
@@ -534,22 +531,15 @@ class MatchEngine:
         router sets it when a shard's contribution is missing).
         """
         matching = NonIterativeMatcher(self.config).match(graph)
-
-        # Per query entity, the strongest surviving pair (under the
-        # matcher's own conflict order; unique mapping already leaves at
-        # most one).
-        best_of: dict[int, tuple[tuple, int, str, float]] = {}
-        for pair, rule in matching.rule_of.items():
-            score = matching.scores[pair]
-            eid1 = int(pair[0])
-            order = (RULE_PRIORITY[rule], -score, pair)
-            if eid1 not in best_of or order < best_of[eid1][0]:
-                best_of[eid1] = (order, int(pair[1]), rule, float(score))
-
+        # Unique mapping leaves each query entity at most one pair.
+        matched = {
+            eid1: (eid2, rule, matching.scores[eid1, eid2])
+            for (eid1, eid2), rule in matching.rule_of.items()
+        }
         outcomes: list[_Outcome] = []
         for position in range(len(batch)):
             value_list = graph.value_candidates(1, position)
-            _, kb2_id, rule, score = best_of.get(position, (None, None, None, None))
+            kb2_id, rule, score = matched.get(position, (None, None, None))
             outcomes.append(
                 (kb2_id, rule, score, len(value_list), _top_scores(value_list))
             )

@@ -59,7 +59,12 @@ from repro.obs.recorder import percentile
 from repro.resilience.admission import RetryBudget
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPlan, current_faults
-from repro.resilience.policy import Deadline, DeadlineExpired, RetryPolicy
+from repro.resilience.policy import (
+    RETRY_BASE_DELAY_S,
+    Deadline,
+    DeadlineExpired,
+    RetryPolicy,
+)
 from repro.resilience.supervisor import ReplicaSupervisor
 from repro.serving.cache import LRUCache
 from repro.serving.engine import MatchEngine
@@ -569,7 +574,7 @@ class ShardRouter(MatchEngine):
             self.retry_budget.note_request()
             policy = RetryPolicy(
                 max_attempts=self.config.retry_max_attempts,
-                base_delay_s=self.config.retry_base_delay_s,
+                base_delay_s=RETRY_BASE_DELAY_S,
                 retryable=(ShardFailure,),
             )
             return policy.call(

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.datasets.generator import ProfileSpec, generate_kb_pair
 from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
+
+settings.register_profile("deep", max_examples=1000, deadline=None)
+"""``--hypothesis-profile deep``: ten times the default example count,
+for the properties that leave ``max_examples`` to the profile (the
+array matcher against its per-node oracle).  Tier-1 runs the default
+profile."""
 
 
 @pytest.fixture

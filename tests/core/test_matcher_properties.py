@@ -1,13 +1,17 @@
 """Property-based tests of the matcher over random pruned graphs."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MinoanERConfig
 from repro.core.matcher import NonIterativeMatcher
 from repro.core.rank_aggregation import top_aggregate_candidate
-from repro.core.rules import name_rule, value_rule
+from repro.core.rules import name_rule
 from repro.graph.blocking_graph import DisjunctiveBlockingGraph
+from repro.kernels import RankedLists
+from tests.core.matcher_reference import reference_match, value_rule
 
 
 @st.composite
@@ -190,3 +194,138 @@ class TestR3Scope:
             reference.rule_of,
             reference.scores,
         )
+
+
+USE_TOGGLES = (
+    "use_name_rule",
+    "use_value_rule",
+    "use_rank_aggregation",
+    "use_reciprocity",
+    "use_neighbor_evidence",
+)
+
+
+def ranked(lists) -> RankedLists:
+    """Tuple candidate lists as the kernels lay them out."""
+    offsets = np.cumsum([0] + [len(row) for row in lists])
+    ids = np.array([c for row in lists for c, _ in row], dtype=np.int64)
+    scores = np.array([s for row in lists for _, s in row], dtype=np.float64)
+    return RankedLists(offsets, ids, scores)
+
+
+def as_ranked(graph: DisjunctiveBlockingGraph) -> DisjunctiveBlockingGraph:
+    """The same graph with every candidate list a :class:`RankedLists`."""
+    sizes = {1: graph.n1, 2: graph.n2}
+    names = [
+        {eid: graph.name_match(side, eid) for eid in range(n) if graph.name_match(side, eid) is not None}
+        for side, n in sizes.items()
+    ]
+    value = [ranked([graph.value_candidates(side, eid) for eid in range(n)]) for side, n in sizes.items()]
+    neighbor = [
+        ranked([graph.neighbor_candidates(side, eid) for eid in range(n)]) for side, n in sizes.items()
+    ]
+    return DisjunctiveBlockingGraph(graph.n1, graph.n2, *names, *value, *neighbor)
+
+
+def assert_same_result(result, reference) -> None:
+    """All five fields equal, in order, as python values; scores bit for bit."""
+    assert result.matches == reference.matches
+    assert list(result.rule_of.items()) == list(reference.rule_of.items())
+    assert [(pair, score.hex()) for pair, score in result.scores.items()] == [
+        (pair, score.hex()) for pair, score in reference.scores.items()
+    ]
+    assert result.proposed == reference.proposed
+    assert result.removed_by_reciprocity == reference.removed_by_reciprocity
+    for (eid1, eid2), _ in result.proposed:
+        assert type(eid1) is int and type(eid2) is int
+    assert all(type(score) is float for score in result.scores.values())
+
+
+def config_with(toggle, theta=0.6) -> MinoanERConfig:
+    config = MinoanERConfig(theta=theta)
+    return config if toggle is None else config.with_options(**{toggle: False})
+
+
+class TestArrayMatcherEqualsOracle:
+    """The array passes decide exactly what the per-node loops decide
+    (``tests/core/matcher_reference.py``), on hand-built tuples and on
+    the kernels' :class:`RankedLists` alike.  The example count comes
+    from the hypothesis profile (``--hypothesis-profile deep`` in CI)."""
+
+    @pytest.mark.parametrize("toggle", (None, *USE_TOGGLES))
+    @given(graph=random_graph(), theta=st.sampled_from((0.6, 0.5, 0.3)))
+    @settings(deadline=None)
+    def test_all_fields_equal(self, toggle, graph, theta):
+        config = config_with(toggle, theta)
+        reference = reference_match(graph, config)
+        assert_same_result(NonIterativeMatcher(config).match(graph), reference)
+        assert_same_result(NonIterativeMatcher(config).match(as_ranked(graph)), reference)
+
+    @staticmethod
+    def check(graph, config=None):
+        config = config or MinoanERConfig()
+        result = NonIterativeMatcher(config).match(graph)
+        assert_same_result(result, reference_match(graph, config))
+        return result
+
+    def test_candidate_in_both_lists_sums_two_terms(self):
+        graph = DisjunctiveBlockingGraph(
+            1, 2, {}, {},
+            [((1, 0.9), (0, 0.5))], [((0, 0.5),), ((0, 0.5),)],
+            [((0, 3.0), (1, 1.0))], [(), ()],
+        )
+        theta = 0.6
+        result = self.check(graph, MinoanERConfig(theta=theta))
+        # b1: value rank 2/2, neighbor rank 1/2; b0: value 1/2, neighbor 2/2.
+        b1 = theta * (2 / 2) + (1.0 - theta) * (1 / 2)
+        assert b1 > theta * (1 / 2) + (1.0 - theta) * (2 / 2)
+        assert result.rule_of == {(0, 1): "R3"}
+        assert result.scores[(0, 1)].hex() == b1.hex()
+
+    def test_aggregate_tie_breaks_on_ascending_id(self):
+        graph = DisjunctiveBlockingGraph(
+            1, 2, {}, {},
+            [((1, 0.9), (0, 0.5))], [((0, 0.5),), ((0, 0.5),)],
+            [((0, 2.0), (1, 1.0))], [(), ()],
+        )
+        result = self.check(graph, MinoanERConfig(theta=0.5))
+        assert result.proposed[0] == ((0, 0), "R3")
+        assert result.rule_of == {(0, 0): "R3"}
+        assert result.scores[(0, 0)] == 0.75
+
+    def test_partner_claimed_by_r1_is_still_proposed(self):
+        graph = DisjunctiveBlockingGraph(
+            2, 1, {0: 0}, {0: 0},
+            [((0, 0.5),), ((0, 0.9),)], [((1, 0.9), (0, 0.5))],
+            [(), ()], [()],
+        )
+        result = self.check(graph)
+        assert result.proposed == [((0, 0), "R1"), ((1, 0), "R3")]
+        assert result.rule_of == {(0, 0): "R1"}
+
+    def test_value_rule_runs_on_the_smaller_side_two(self):
+        graph = DisjunctiveBlockingGraph(
+            3, 1, {}, {},
+            [(), (), ((0, 1.7),)], [((2, 1.7),)],
+            [(), (), ()], [()],
+        )
+        result = self.check(graph)
+        assert result.proposed == [((2, 0), "R2")]
+        assert result.rule_of == {(2, 0): "R2"}
+
+    @pytest.mark.parametrize("sizes", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_side(self, sizes):
+        n1, n2 = sizes
+        graph = DisjunctiveBlockingGraph(n1, n2, {}, {}, [()] * n1, [()] * n2, [()] * n1, [()] * n2)
+        result = self.check(graph)
+        assert (result.matches, result.proposed) == (set(), [])
+
+    def test_ranked_lists_and_tuples_decide_alike(self):
+        graph = DisjunctiveBlockingGraph(
+            3, 3, {0: 0}, {0: 0},
+            [((0, 0.2),), ((1, 2.5), (2, 0.5)), ((2, 0.3),)],
+            [((0, 0.2),), ((1, 2.5),), ((2, 0.3), (1, 0.2))],
+            [(), (), ((2, 4.0),)],
+            [(), (), ((2, 4.0),)],
+        )
+        assert_same_result(self.check(as_ranked(graph)), self.check(graph))

@@ -1,14 +1,15 @@
-"""Unit tests for the matching rules R1-R4 on hand-built graphs."""
+"""Unit tests for the matching rules R1-R4 on hand-built graphs: R1 as the
+library runs it, R2-R4 in their per-node reference form."""
 
 import pytest
 
-from repro.core.rules import (
-    name_rule,
+from repro.core.rules import name_rule
+from repro.graph.blocking_graph import DisjunctiveBlockingGraph
+from tests.core.matcher_reference import (
     rank_aggregation_rule,
     reciprocity_rule,
     value_rule,
 )
-from repro.graph.blocking_graph import DisjunctiveBlockingGraph
 
 
 def graph(

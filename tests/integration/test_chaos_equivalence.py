@@ -23,8 +23,14 @@ CHAOS_SPECS = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def no_retry_backoff(monkeypatch):
+    """Retried phases back off without sleeping: bits, not time, are tested."""
+    monkeypatch.setattr("repro.core.pipeline.RETRY_BASE_DELAY_S", 0.0)
+
+
 def retry_config() -> MinoanERConfig:
-    return MinoanERConfig(failure_mode="retry", retry_base_delay_s=0.0)
+    return MinoanERConfig(failure_mode="retry")
 
 
 def assert_identical(chaotic, clean) -> None:

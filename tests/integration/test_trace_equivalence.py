@@ -23,7 +23,7 @@ from repro.resilience import RetryPolicy, parse_chaos, use_faults
 
 def traced_resolve(pair, backend, chaos=None, failure_mode="fail_fast"):
     recorder = Recorder(trace_id="trace-equivalence")
-    config = MinoanERConfig(failure_mode=failure_mode, retry_base_delay_s=0.0)
+    config = MinoanERConfig(failure_mode=failure_mode)
     policy = (
         RetryPolicy(max_attempts=4, base_delay_s=0.0)
         if failure_mode != "fail_fast"

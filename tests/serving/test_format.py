@@ -198,6 +198,7 @@ class TestByteDeterminism:
             enforce_unique_mapping=False,
             purging_budget_ratio=0.05,
             pruning_gap_ratio=0.4,
+            retry_base_delay_s=0.0,
         )
         parent_era = dict(config_to_dict(config), **removed)
         assert config_from_dict(json.loads(json.dumps(parent_era))) == config

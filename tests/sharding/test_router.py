@@ -250,8 +250,9 @@ class TestChaosDegrade:
         finally:
             router.close()
 
-    def test_retry_recovers_from_transient_fault(self, mini_pair):
-        config = MinoanERConfig(failure_mode="retry", retry_base_delay_s=0.0)
+    def test_retry_recovers_from_transient_fault(self, mini_pair, monkeypatch):
+        monkeypatch.setattr("repro.sharding.router.RETRY_BASE_DELAY_S", 0.0)
+        config = MinoanERConfig(failure_mode="retry")
         index = ResolutionIndex.build(mini_pair.kb2, config)
         engine = MatchEngine(index, config)
         batch = list(mini_pair.kb1)[:5]
