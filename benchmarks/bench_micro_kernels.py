@@ -16,11 +16,14 @@ makes the tests' dict reference importable):
 * ``KnowledgeBase`` construction -- tokenisation + index building;
 * the numpy kernel (:mod:`repro.kernels`) counterparts of the beta /
   fused value / gamma passes, so the dict-vs-kernel gap is visible in
-  one pytest-benchmark run (likewise the two matchers).
+  one pytest-benchmark run (likewise the two matchers);
+* the grouped top-K and the retained-edge union of the batch kernels at
+  a serving batch's shape (1000 queries x 100k KB2 columns).
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.blocking.purging import purge_blocks
@@ -181,3 +184,41 @@ def test_matcher_per_node(benchmark, fresh_bbc_graph):
     """The per-node oracle of the same decisions."""
     result = benchmark.pedantic(reference_match, setup=fresh_bbc_graph, rounds=5)
     assert result.matches
+
+
+SERVING_QUERIES = 1000
+SERVING_COLUMNS = 100_000
+
+
+@pytest.fixture(scope="module")
+def batch_pairs():
+    """A serving batch's collapsed ``beta`` pairs: ~1M distinct (query,
+    KB2 column) pairs in ``(query, column)`` order, as ``_accumulate_pairs``
+    returns them, with scores from 200 distinct values."""
+    rng = np.random.default_rng(7)
+    keys = np.unique(rng.integers(0, SERVING_QUERIES * SERVING_COLUMNS, 1_000_000))
+    rows, cols = np.divmod(keys, SERVING_COLUMNS)
+    scores = rng.choice(rng.uniform(0.05, 6.0, 200), size=len(keys))
+    return rows, cols, scores
+
+
+def _both_sides(rows, cols, scores):
+    """Both sides' top-15 lists, as ``value_topk`` ranks them."""
+    ranks = numpy_backend._score_ranks(scores)
+    side1 = numpy_backend._topk_grouped(rows, cols, scores, SERVING_QUERIES, 15, None, ranks=ranks)
+    side2 = numpy_backend._topk_grouped(cols, rows, scores, SERVING_COLUMNS, 15, None, ranks=ranks)
+    return side1, side2
+
+
+def test_kernel_topk_grouped(benchmark, batch_pairs):
+    """Grouped top-K of both sides of a serving batch: one shared score
+    ranking, then one packed-key sort per side."""
+    side1, side2 = benchmark(lambda: _both_sides(*batch_pairs))
+    assert len(side1) == SERVING_QUERIES and len(side2) == SERVING_COLUMNS
+
+
+def test_kernel_retained_edges(benchmark, batch_pairs):
+    """Undirected union of a serving batch's two top-K sides."""
+    side1, side2 = _both_sides(*batch_pairs)
+    sources, _, _ = benchmark(lambda: numpy_backend.retained_edges(side1, side2))
+    assert len(sources) >= 15 * SERVING_QUERIES

@@ -294,21 +294,6 @@ class NonIterativeMatcher:
                 proposals.add(side, proposed, "R3")
         return self._resolve(arrays, *proposals.arrays())
 
-    def assemble(
-        self,
-        graph: DisjunctiveBlockingGraph,
-        collected: list[tuple[Match, float, str]],
-    ) -> MatchingResult:
-        """R4 and conflict resolution over ``(pair, score, rule)``
-        proposals collected elsewhere, in their order."""
-        return self._resolve(
-            GraphArrays(graph),
-            np.array([pair[0] for pair, _, _ in collected], dtype=np.int64),
-            np.array([pair[1] for pair, _, _ in collected], dtype=np.int64),
-            np.array([score for _, score, _ in collected], dtype=np.float64),
-            np.array([RULE_PRIORITY[rule] for _, _, rule in collected], dtype=np.int64),
-        )
-
     def _resolve(
         self,
         arrays: GraphArrays,

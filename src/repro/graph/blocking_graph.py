@@ -117,15 +117,6 @@ class DisjunctiveBlockingGraph:
         """True iff both directed edges between the pair exist (rule R4)."""
         return self.has_directed_edge(1, eid1, eid2) and self.has_directed_edge(2, eid2, eid1)
 
-    def targets_of(self, side: int) -> list[int]:
-        """Ascending ids of the other side's nodes that some node of
-        ``side`` points at (the union of that side's out-sets)."""
-        n = self.n1 if self._check_side(side) == 0 else self.n2
-        found: set[int] = set()
-        for eid in range(n):
-            found.update(self._out_set(side, eid))
-        return sorted(found)
-
     # ------------------------------------------------------------------
     # Aggregate views
     # ------------------------------------------------------------------

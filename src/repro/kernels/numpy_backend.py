@@ -2,11 +2,13 @@
 
 Strategy: expand every suggested comparison (or in-neighbor pair) into
 flat parallel arrays *in reference order*, collapse duplicate pairs with
-``np.unique`` + ``np.bincount``, and prune per node from the grouped
+one sort + ``np.bincount``, and prune per node from the grouped
 nonzeros.  ``np.bincount`` accumulates its weights with a sequential
 C loop in input order, so each pair's float sum is built in exactly the
 block/edge order of the dict reference -- the results are bit-identical,
-not merely approximately equal.
+not merely approximately equal.  The batch kernels' sorts are value
+sorts of packed int64 keys wherever the keys' bit widths fit in 63
+(DESIGN.md, "Grouped top-K as one value sort").
 
 Callers reach this module through :func:`repro.kernels.get_backend`
 (offline) or look its kernels up as module attributes at call time
@@ -14,6 +16,8 @@ Callers reach this module through :func:`repro.kernels.get_backend`
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -75,9 +79,28 @@ def _accumulate_pairs(
     weights: "np.ndarray",
     n2: int,
 ):
-    """Collapse duplicate ``(row, col)`` pairs, summing in input order."""
+    """Collapse duplicate ``(row, col)`` pairs, summing in input order.
+
+    The pairs are grouped by one value sort of ``key << bits | position``
+    keys when those fit in 63 bits (``np.unique`` otherwise); the sums
+    are then built by ``bincount`` over the input in its own order.
+    """
     keys = rows * n2 + cols
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    position_bits = (len(keys) - 1).bit_length()
+    if len(keys) and int(keys.max()).bit_length() + position_bits <= 63:
+        packed = keys << position_bits
+        packed |= np.arange(len(keys), dtype=np.int64)
+        packed.sort()
+        sorted_keys = packed >> position_bits
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+        unique_keys = sorted_keys[first]
+        inverse = np.empty(len(keys), dtype=np.int64)
+        packed &= (1 << position_bits) - 1
+        inverse[packed] = np.cumsum(first) - 1
+    else:
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
     sums = np.bincount(inverse, weights=weights)
     unique_rows = unique_keys // n2
     unique_cols = unique_keys - unique_rows * n2
@@ -252,6 +275,52 @@ def _cut_grouped(
     return ids[keep], scores[keep], cut_lengths
 
 
+ScoreRanks = tuple["np.ndarray", "np.ndarray"]
+"""``(table, ranks)``: the distinct negated scores ascending, and each
+score's index in that table (its dense rank under ``-score``)."""
+
+
+def _score_ranks(scores: "np.ndarray") -> ScoreRanks | None:
+    """Dense descending ranks of ``scores``, or None when ``-table[ranks]``
+    would not give back the scores' bits: only a zero (``-0.0 ==
+    0.0``) or a NaN shares one table entry between different bits."""
+    table = np.unique(-scores)
+    if not len(table) or np.isnan(table[-1]) or not table.all():
+        return None
+    return table, np.searchsorted(table, -scores)
+
+
+def _grouped_order(
+    groups: "np.ndarray",
+    candidates: "np.ndarray",
+    scores: "np.ndarray",
+    n: int,
+    keep: "np.ndarray",
+    ranks: ScoreRanks | None,
+    ties_sorted: bool,
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """The ``(candidates, scores)`` that ``keep`` selects from all entries
+    in ``(group, -score, candidate)`` order.
+
+    One value sort of packed int64 keys ``group | rank | candidate`` when
+    their bit widths fit in 63; the scores are read back from the rank
+    table.  Wider inputs (or scores without exact ranks) take a lexsort.
+    """
+    if ranks is not None:
+        table, rank = ranks
+        low = int(candidates.min())
+        rank_bits = (len(table) - 1).bit_length()
+        id_bits = (int(candidates.max()) - low).bit_length()
+        if (n - 1).bit_length() + rank_bits + id_bits <= 63:
+            keys = (groups << (rank_bits + id_bits)) | (rank << id_bits) | (candidates - low)
+            keys = np.sort(keys)[keep]
+            ids = (keys & ((1 << id_bits) - 1)) + low
+            return ids, -table[(keys >> id_bits) & ((1 << rank_bits) - 1)]
+    keys = (-scores, groups) if ties_sorted else (candidates, -scores, groups)
+    order = np.lexsort(keys)[keep]
+    return candidates[order], scores[order]
+
+
 def _topk_grouped(
     groups: "np.ndarray",
     candidates: "np.ndarray",
@@ -260,26 +329,29 @@ def _topk_grouped(
     k: int,
     cut: AdaptiveCut,
     ties_sorted: bool = True,
+    ranks: ScoreRanks | None = None,
 ) -> RankedLists:
     """Per-group top-K with the (-score, candidate id) ranking key, as
     one CSR :class:`RankedLists` over all ``n`` groups.
 
-    With ``ties_sorted``, the caller guarantees that within every group
+    ``ranks`` are :func:`_score_ranks` of ``scores``, computed here when
+    not given (the two sides of one kernel call share them).  With
+    ``ties_sorted``, the caller guarantees that within every group
     entries with equal scores appear in ascending candidate order (true
     of both ``_accumulate_pairs`` orientations, whose input is sorted by
-    ``(row, col)``), so a stable two-key lexsort realises the full
-    ``(group, -score, candidate)`` order; otherwise (rows concatenated
-    from several sources) the candidate id is a third sort key.  No step
-    is per group: an empty group costs one offset.
+    ``(row, col)``); only the lexsort of :func:`_grouped_order` relies on
+    it.  No step is per group: an empty group costs one offset.
     """
     if len(groups) == 0 or k <= 0:
         return _empty(n)
-    keys = (-scores, groups) if ties_sorted else (candidates, -scores, groups)
-    order = np.lexsort(keys)
+    if ranks is None:
+        ranks = _score_ranks(scores)
     counts = np.bincount(groups, minlength=n)
-    kept = order[_group_ranks(counts) < k]
+    kept = _group_ranks(counts) < k
     ids, ranked, lengths = _cut_grouped(
-        candidates[kept], scores[kept], np.minimum(counts, k), cut
+        *_grouped_order(groups, candidates, scores, n, kept, ranks, ties_sorted),
+        np.minimum(counts, k),
+        cut,
     )
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
@@ -341,8 +413,9 @@ def value_topk(
     if pairs is None:
         return _empty(interned.n1), _empty(interned.n2)
     unique_rows, unique_cols, sums = pairs
-    side1 = _topk_grouped(unique_rows, unique_cols, sums, interned.n1, k, cut)
-    side2 = _topk_grouped(unique_cols, unique_rows, sums, interned.n2, k, cut)
+    ranks = _score_ranks(sums)
+    side1 = _topk_grouped(unique_rows, unique_cols, sums, interned.n1, k, cut, ranks=ranks)
+    side2 = _topk_grouped(unique_cols, unique_rows, sums, interned.n2, k, cut, ranks=ranks)
     return side1, side2
 
 
@@ -434,21 +507,38 @@ def _side_arrays(lists) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
     return lengths, ids, scores
 
 
+def list_heads(lists, width: int) -> tuple[list[int], list[CandidateList]]:
+    """Each candidate list's length and its first ``width`` pairs, as
+    python ints and floats: one gather off the lists' arrays, no tuple
+    built per whole list."""
+    lengths, ids, scores = _side_arrays(lists)
+    shown = np.minimum(lengths, width)
+    at = np.repeat(np.cumsum(lengths) - lengths, shown) + _group_ranks(shown)
+    pairs = iter(zip(ids[at].tolist(), scores[at].tolist()))
+    return lengths.tolist(), [tuple(islice(pairs, count)) for count in shown.tolist()]
+
+
 def retained_edges(value_candidates_1, value_candidates_2) -> EdgeArrays:
     """Undirected union of the directed top-K ``beta`` edges, as arrays.
 
     The first-insertion order of the dict reference's
     ``retained_beta_edges`` without a per-edge step: every side-1 edge
     in list order, then the side-2 edges whose pair side 1 did not
-    retain (one ``isin`` over ``eid1 * n2 + eid2`` keys), in list
-    order.  Weights are copied, never recomputed.
+    retain, in list order.  A side-1 edge ``(s, t)`` finds its side-2
+    twin among the <= K slots of column ``t``: one pass per slot.
+    Weights are copied, never recomputed.
     """
     lengths1, targets1, weights1 = _side_arrays(value_candidates_1)
     lengths2, sources2, weights2 = _side_arrays(value_candidates_2)
-    n2 = len(lengths2)
     sources1 = np.repeat(np.arange(len(lengths1), dtype=np.int64), lengths1)
-    targets2 = np.repeat(np.arange(n2, dtype=np.int64), lengths2)
-    new = ~np.isin(sources2 * n2 + targets2, sources1 * n2 + targets1)
+    targets2 = np.repeat(np.arange(len(lengths2), dtype=np.int64), lengths2)
+    column_lengths = lengths2[targets1]
+    column_starts = (np.cumsum(lengths2) - lengths2)[targets1]
+    new = np.ones(len(sources2), dtype=bool)
+    for slot in range(int(column_lengths.max(initial=0))):
+        edges = np.flatnonzero(column_lengths > slot)
+        at = column_starts[edges] + slot
+        new[at[sources2[at] == sources1[edges]]] = False
     return (
         np.concatenate((sources1, sources2[new])),
         np.concatenate((targets1, targets2[new])),
@@ -518,6 +608,7 @@ def gamma_topk(
     if pairs is None:
         return _empty(n1), _empty(n2)
     unique_rows, unique_cols, sums = pairs
-    side1 = _topk_grouped(unique_rows, unique_cols, sums, n1, k, cut)
-    side2 = _topk_grouped(unique_cols, unique_rows, sums, n2, k, cut)
+    ranks = _score_ranks(sums)
+    side1 = _topk_grouped(unique_rows, unique_cols, sums, n1, k, cut, ranks=ranks)
+    side2 = _topk_grouped(unique_cols, unique_rows, sums, n2, k, cut, ranks=ranks)
     return side1, side2

@@ -504,7 +504,7 @@ class MatchEngine:
             self.recorder.count("deadline.expired")
             outcomes = [self._name_only_outcome(entity) for entity in batch]
             return self._batch_decisions(batch, outcomes, started, degraded=True)
-        return self._finish_batch(batch, graph, started, degraded)
+        return self._finish_batch(batch, value_1, graph, started, degraded)
 
     def _query_stats(
         self, entities: list[EntityDescription]
@@ -521,12 +521,15 @@ class MatchEngine:
     def _finish_batch(
         self,
         batch: list[EntityDescription],
+        value_1: Sequence[CandidateList],
         graph: DisjunctiveBlockingGraph,
         started: float,
         degraded: bool,
     ) -> list[MatchDecision]:
         """Run the matcher over the assembled graph and shape decisions.
 
+        Each query's retained-candidate count and provenance scores are
+        read off ``value_1``'s arrays, never as a tuple per row.
         ``degraded`` marks every decision as partial-evidence (the shard
         router sets it when a shard's contribution is missing).
         """
@@ -536,13 +539,11 @@ class MatchEngine:
             eid1: (eid2, rule, matching.scores[eid1, eid2])
             for (eid1, eid2), rule in matching.rule_of.items()
         }
+        lengths, heads = numpy_backend.list_heads(value_1, PROVENANCE_TOP_SCORES)
         outcomes: list[_Outcome] = []
-        for position in range(len(batch)):
-            value_list = graph.value_candidates(1, position)
+        for position, (length, top) in enumerate(zip(lengths, heads)):
             kb2_id, rule, score = matched.get(position, (None, None, None))
-            outcomes.append(
-                (kb2_id, rule, score, len(value_list), _top_scores(value_list))
-            )
+            outcomes.append((kb2_id, rule, score, length, top))
         return self._batch_decisions(batch, outcomes, started, degraded)
 
     def _batch_decisions(

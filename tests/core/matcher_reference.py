@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.clustering.unique_mapping import unique_mapping_clustering
 from repro.core.config import MinoanERConfig
-from repro.core.matcher import MatchingResult
+from repro.core.matcher import GraphArrays, MatchingResult, NonIterativeMatcher
 from repro.core.rank_aggregation import top_aggregate_candidate
 from repro.core.rules import RULE_PRIORITY, VALUE_THRESHOLD, Match, name_rule
 from repro.graph.blocking_graph import DisjunctiveBlockingGraph
@@ -52,6 +54,16 @@ def value_rule(
     return matches
 
 
+def targets_of(graph: DisjunctiveBlockingGraph, side: int) -> list[int]:
+    """Ascending ids of the other side's nodes that some node of
+    ``side`` points at (the union of that side's out-sets)."""
+    n = graph.n1 if side == 1 else graph.n2
+    found: set[int] = set()
+    for eid in range(n):
+        found.update(graph._out_set(side, eid))
+    return sorted(found)
+
+
 def rank_aggregation_scope(
     graph: DisjunctiveBlockingGraph, side: int, use_reciprocity: bool
 ) -> Sequence[int]:
@@ -64,7 +76,7 @@ def rank_aggregation_scope(
     """
     if side == 1:
         return range(graph.n1)
-    return graph.targets_of(1) if use_reciprocity else range(graph.n2)
+    return targets_of(graph, 1) if use_reciprocity else range(graph.n2)
 
 
 def rank_aggregation_rule(
@@ -176,6 +188,22 @@ def reference_assemble(
         scores={pair: score for pair, score, _ in surviving},
         proposed=proposed,
         removed_by_reciprocity=removed,
+    )
+
+
+def assemble(
+    graph: DisjunctiveBlockingGraph,
+    config: MinoanERConfig,
+    collected: list[tuple[Match, float, str]],
+) -> MatchingResult:
+    """The array matcher's R4 and conflict resolution over ``(pair,
+    score, rule)`` proposals collected elsewhere, in their order."""
+    return NonIterativeMatcher(config)._resolve(
+        GraphArrays(graph),
+        np.array([pair[0] for pair, _, _ in collected], dtype=np.int64),
+        np.array([pair[1] for pair, _, _ in collected], dtype=np.int64),
+        np.array([score for _, score, _ in collected], dtype=np.float64),
+        np.array([RULE_PRIORITY[rule] for _, _, rule in collected], dtype=np.int64),
     )
 
 

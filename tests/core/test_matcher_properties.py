@@ -11,7 +11,7 @@ from repro.core.rank_aggregation import top_aggregate_candidate
 from repro.core.rules import name_rule
 from repro.graph.blocking_graph import DisjunctiveBlockingGraph
 from repro.kernels import RankedLists
-from tests.core.matcher_reference import reference_match, value_rule
+from tests.core.matcher_reference import assemble, reference_match, targets_of, value_rule
 
 
 @st.composite
@@ -137,7 +137,7 @@ def unrestricted_match(graph, config):
             collected.append(((eid, partner) if side == 1 else (partner, eid), score, "R3"))
             claimed_own.add(eid)
             claimed_other.add(partner)
-    return NonIterativeMatcher(config).assemble(graph, collected)
+    return assemble(graph, config, collected)
 
 
 class TestR3Scope:
@@ -186,7 +186,7 @@ class TestR3Scope:
         assert reference.removed_by_reciprocity == {(0, 1)}
         assert ((0, 1), "R3") in reference.proposed
         scoped = NonIterativeMatcher(config).match(graph)
-        assert graph.targets_of(1) == [0]
+        assert targets_of(graph, 1) == [0]
         assert scoped.removed_by_reciprocity == set()
         assert scoped.proposed == [((0, 0), "R2")]
         assert (scoped.matches, scoped.rule_of, scoped.scores) == (

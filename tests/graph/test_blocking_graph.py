@@ -3,6 +3,7 @@
 import pytest
 
 from repro.graph.blocking_graph import DisjunctiveBlockingGraph
+from tests.core.matcher_reference import targets_of
 
 
 @pytest.fixture
@@ -89,8 +90,8 @@ class TestDirectedEdges:
         assert sorted(small_graph._out_sets[1]) == [2]
 
     def test_targets_of(self, small_graph):
-        assert small_graph.targets_of(1) == [0, 1, 2]
-        assert small_graph.targets_of(2) == [0, 1]
+        assert targets_of(small_graph, 1) == [0, 1, 2]
+        assert targets_of(small_graph, 2) == [0, 1]
 
 
 class TestNetworkxExport:

@@ -10,7 +10,9 @@ reference of ``tests/graph/dict_reference.py``.
 
 import pickle
 from array import array
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -373,3 +375,145 @@ class TestBatchEvidenceKernels:
         for sources in ([], [empty], [empty, empty]):
             value_1, value_2 = kernels.merge_batch_evidence(sources, 3, 5, 4, cut)
             assert list(value_1) == [()] * 3 and list(value_2) == [()] * 5
+
+
+def _lexsort_topk(groups, candidates, scores, n, k, cut, ties_sorted):
+    """``_topk_grouped`` as a lexsort over ``(group, -score[, candidate])``:
+    the form the packed value sort replaces."""
+    if len(groups) == 0 or k <= 0:
+        return numpy_backend._empty(n)
+    keys = (-scores, groups) if ties_sorted else (candidates, -scores, groups)
+    order = np.lexsort(keys)
+    counts = np.bincount(groups, minlength=n)
+    kept = order[numpy_backend._group_ranks(counts) < k]
+    ids, ranked, lengths = numpy_backend._cut_grouped(
+        candidates[kept], scores[kept], np.minimum(counts, k), cut
+    )
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return RankedLists(offsets, ids, ranked)
+
+
+@st.composite
+def grouped_entries(draw):
+    """``(groups, candidates, scores, n, ties_sorted)`` with scores drawn
+    from at most three distinct values, so that ties dominate.
+
+    Tie-sorted inputs are distinct ``(row, col)`` pairs in ``(row, col)``
+    order, grouped by row or by column (the two ``_accumulate_pairs``
+    orientations); the others come in any order, repeats included."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    width = draw(st.integers(min_value=1, max_value=9))
+    values = draw(
+        st.lists(
+            st.floats(min_value=0.01, max_value=9.0, allow_nan=False),
+            min_size=1, max_size=3, unique=True,
+        )
+    )
+    ties_sorted = draw(st.booleans())
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, width - 1)),
+            max_size=40, unique=ties_sorted,
+        )
+    )
+    if ties_sorted:
+        pairs.sort()
+        if draw(st.booleans()):  # grouped by column: n bounds the columns
+            pairs = [(col % n, row) for row, col in pairs]
+            pairs = sorted(set(pairs), key=lambda pair: (pair[1], pair[0]))
+    scores = [draw(st.sampled_from(values)) for _ in pairs]
+    groups = np.array([group for group, _ in pairs], dtype=np.int64)
+    candidates = np.array([candidate for _, candidate in pairs], dtype=np.int64)
+    return groups, candidates, np.array(scores, dtype=np.float64), n, ties_sorted
+
+
+class TestPackedTopk:
+    """``_topk_grouped`` sorts packed ``group | rank | candidate`` keys by
+    value; the result is the lexsort form's, float bits included."""
+
+    @given(
+        entries=grouped_entries(),
+        k=st.integers(min_value=0, max_value=5),
+        cut=st.sampled_from(CUTS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_lexsort_form(self, entries, k, cut):
+        groups, candidates, scores, n, ties_sorted = entries
+        expected = _lexsort_topk(groups, candidates, scores, n, k, cut, ties_sorted)
+        with mock.patch.object(np, "lexsort", side_effect=AssertionError("lexsort ran")):
+            actual = numpy_backend._topk_grouped(
+                groups, candidates, scores, n, k, cut, ties_sorted=ties_sorted
+            )
+        assert actual.offsets.tolist() == expected.offsets.tolist()
+        assert _bits(actual) == _bits(expected)
+
+    def test_wide_ids_take_the_lexsort_path(self):
+        """Candidate ids from 2**45 up to 2**62 need more than 63 key bits."""
+        groups = np.array([0, 0, 0, 1, 1], dtype=np.int64)
+        candidates = np.array([2**62, 2**45 + 1, 2**45, 2**45, 2**50], dtype=np.int64)
+        scores = np.array([1.5, 2.5, 2.5, 0.5, 0.5])
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            for ties_sorted in (True, False):
+                ranked = numpy_backend._topk_grouped(
+                    groups, candidates, scores, 2, 2, None, ties_sorted=ties_sorted
+                )
+                expected = _lexsort_topk(groups, candidates, scores, 2, 2, None, ties_sorted)
+                assert _bits(ranked) == _bits(expected)
+        assert lexsort.call_count == 4  # each kernel call, and each oracle call
+        assert list(numpy_backend._topk_grouped(groups, candidates, scores, 2, 2, None, False)) == [
+            ((2**45, 2.5), (2**45 + 1, 2.5)),
+            ((2**45, 0.5), (2**50, 0.5)),
+        ]
+
+    def test_signed_zero_scores_keep_their_bits(self):
+        """``-0.0 == 0.0`` would share one rank-table entry, so such
+        scores are sorted without ranks and come back bit for bit."""
+        groups = np.zeros(3, dtype=np.int64)
+        candidates = np.array([0, 1, 2], dtype=np.int64)
+        scores = np.array([-0.0, 1.0, 0.0])
+        (ranked,) = numpy_backend._topk_grouped(groups, candidates, scores, 1, 3, None, False)
+        assert [(c, s.hex()) for c, s in ranked] == [
+            (1, (1.0).hex()), (0, (-0.0).hex()), (2, (0.0).hex())
+        ]
+
+
+class TestRetainedEdgeCases:
+    """Pinned ``retained_edges`` layouts: each equals the python
+    oracle's union, in order and in bits."""
+
+    @staticmethod
+    def _check(value_1, value_2):
+        expected = BACKENDS["python"].retained_edges(list(value_1), list(value_2))
+        actual = BACKENDS["numpy"].retained_edges(value_1, value_2)
+        assert actual[0].tolist() == list(expected[0])
+        assert actual[1].tolist() == list(expected[1])
+        assert [w.hex() for w in actual[2].tolist()] == [w.hex() for w in expected[2]]
+        return actual
+
+    def test_side1_edge_in_the_last_slot_of_its_column(self):
+        value_1 = [((2, 1.0),), ((2, 0.5),)]
+        value_2 = [(), (), ((1, 0.5), (3, 0.25), (0, 1.0))]
+        sources, targets, _ = self._check(value_1, value_2)
+        # (0, 2) and (1, 2) once each; only side 2's (3, 2) is new.
+        assert list(zip(sources.tolist(), targets.tolist())) == [(0, 2), (1, 2), (3, 2)]
+
+    def test_empty_columns(self):
+        value_1 = [((1, 2.0), (3, 1.0)), (), ((3, 0.5),)]
+        value_2 = [(), ((0, 2.0),), (), ((2, 0.5), (1, 0.25)), ()]
+        sources, targets, _ = self._check(value_1, value_2)
+        assert list(zip(sources.tolist(), targets.tolist())) == [(0, 1), (0, 3), (2, 3), (1, 3)]
+        self._check([(), ()], [(), (), ()])
+        self._check([((2, 1.0),)], [(), (), ()])
+
+    def test_ranked_lists_slice_not_starting_at_zero(self):
+        whole = RankedLists(
+            np.array([0, 2, 3, 3, 5], dtype=np.int64),
+            np.array([4, 0, 1, 0, 1], dtype=np.int64),
+            np.array([0.5, 1.5, 0.75, 1.5, 0.25]),
+        )
+        value_2 = whole[1:4]  # columns 1..3 of the whole as columns 0..2
+        assert int(value_2.offsets[0]) == 2
+        value_1 = [((0, 0.75), (2, 1.5)), ((2, 0.25),)]
+        sources, targets, _ = self._check(value_1, value_2)
+        assert list(zip(sources.tolist(), targets.tolist())) == [(0, 0), (0, 2), (1, 2), (1, 0)]
