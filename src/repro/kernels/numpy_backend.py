@@ -308,13 +308,12 @@ def _grouped_order(
     """
     if ranks is not None:
         table, rank = ranks
-        low = int(candidates.min())
         rank_bits = (len(table) - 1).bit_length()
-        id_bits = (int(candidates.max()) - low).bit_length()
+        id_bits = int(candidates.max()).bit_length()
         if (n - 1).bit_length() + rank_bits + id_bits <= 63:
-            keys = (groups << (rank_bits + id_bits)) | (rank << id_bits) | (candidates - low)
+            keys = (groups << (rank_bits + id_bits)) | (rank << id_bits) | candidates
             keys = np.sort(keys)[keep]
-            ids = (keys & ((1 << id_bits) - 1)) + low
+            ids = keys & ((1 << id_bits) - 1)
             return ids, -table[(keys >> id_bits) & ((1 << rank_bits) - 1)]
     keys = (-scores, groups) if ties_sorted else (candidates, -scores, groups)
     order = np.lexsort(keys)[keep]

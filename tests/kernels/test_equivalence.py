@@ -449,7 +449,8 @@ class TestPackedTopk:
         assert _bits(actual) == _bits(expected)
 
     def test_wide_ids_take_the_lexsort_path(self):
-        """Candidate ids from 2**45 up to 2**62 need more than 63 key bits."""
+        """Candidate ids from 2**45 up to 2**62 need more than 63 key
+        bits with any group and rank."""
         groups = np.array([0, 0, 0, 1, 1], dtype=np.int64)
         candidates = np.array([2**62, 2**45 + 1, 2**45, 2**45, 2**50], dtype=np.int64)
         scores = np.array([1.5, 2.5, 2.5, 0.5, 0.5])
