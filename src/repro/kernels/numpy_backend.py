@@ -88,17 +88,18 @@ def _accumulate_pairs(
     keys = rows * n2 + cols
     position_bits = (len(keys) - 1).bit_length()
     if len(keys) and int(keys.max()).bit_length() + position_bits <= 63:
-        packed = keys << position_bits
-        packed |= np.arange(len(keys), dtype=np.int64)
-        packed.sort()
-        sorted_keys = packed >> position_bits
+        keys <<= position_bits
+        keys |= np.arange(len(keys), dtype=np.int64)
+        keys.sort()
+        sorted_keys = keys >> position_bits
         first = np.empty(len(keys), dtype=bool)
         first[0] = True
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
         unique_keys = sorted_keys[first]
+        del sorted_keys
+        keys &= (1 << position_bits) - 1
         inverse = np.empty(len(keys), dtype=np.int64)
-        packed &= (1 << position_bits) - 1
-        inverse[packed] = np.cumsum(first) - 1
+        inverse[keys] = np.cumsum(first) - 1
     else:
         unique_keys, inverse = np.unique(keys, return_inverse=True)
     sums = np.bincount(inverse, weights=weights)
@@ -284,10 +285,11 @@ def _score_ranks(scores: "np.ndarray") -> ScoreRanks | None:
     """Dense descending ranks of ``scores``, or None when ``-table[ranks]``
     would not give back the scores' bits: only a zero (``-0.0 ==
     0.0``) or a NaN shares one table entry between different bits."""
-    table = np.unique(-scores)
+    negated = -scores
+    table = np.unique(negated)
     if not len(table) or np.isnan(table[-1]) or not table.all():
         return None
-    return table, np.searchsorted(table, -scores)
+    return table, np.searchsorted(table, negated)
 
 
 def _grouped_order(
@@ -312,7 +314,8 @@ def _grouped_order(
         id_bits = int(candidates.max()).bit_length()
         if (n - 1).bit_length() + rank_bits + id_bits <= 63:
             keys = (groups << (rank_bits + id_bits)) | (rank << id_bits) | candidates
-            keys = np.sort(keys)[keep]
+            keys.sort()
+            keys = keys[keep]
             ids = keys & ((1 << id_bits) - 1)
             return ids, -table[(keys >> id_bits) & ((1 << rank_bits) - 1)]
     keys = (-scores, groups) if ties_sorted else (candidates, -scores, groups)
