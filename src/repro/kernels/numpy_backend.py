@@ -287,7 +287,7 @@ def _score_ranks(scores: "np.ndarray") -> ScoreRanks | None:
     0.0``) or a NaN shares one table entry between different bits."""
     negated = -scores
     table = np.unique(negated)
-    if not len(table) or np.isnan(table[-1]) or not table.all():
+    if np.isnan(table[-1]) or not table.all():
         return None
     return table, np.searchsorted(table, negated)
 
