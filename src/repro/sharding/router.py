@@ -80,7 +80,7 @@ from repro.sharding.protocol import (
     snapshot_from_json,
     write_frame,
 )
-from repro.sharding.worker import ShardWorker
+from repro.sharding.worker import ShardWorker, keep_freed_memory
 
 __all__ = [
     "InlineReplica",
@@ -334,6 +334,7 @@ class ShardRouter(MatchEngine):
         super().__init__(index, config, cache, recorder)
         if not replica_sets:
             raise ValueError("a router needs at least one shard")
+        keep_freed_memory()
         self._replicas: list[list[Any]] = [list(group) for group in replica_sets]
         for group in self._replicas:
             if not group:

@@ -4,8 +4,15 @@ Slower than the inline suite (real worker processes over pipes), so it
 sticks to the mini profile and small query sets.
 """
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.config import MinoanERConfig
 from repro.serving import MatchEngine, ResolutionIndex
 from repro.sharding import ShardFailure, ShardPlanner, ShardRouter
@@ -157,3 +164,36 @@ class TestTraceMerge:
         assert "shard.worker" in router.recorder.span_names()
         spans = [s for s in router.recorder.spans() if s.name == "shard.worker"]
         assert {span.attributes["shard"] for span in spans} == {0, 1}
+
+
+FAULTS_OF_A_BATCH = """
+import resource, sys
+import numpy as np
+from repro.sharding.worker import keep_freed_memory
+if sys.argv[1] == "keep":
+    keep_freed_memory()
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 20) for _ in range(5)]  # five 8 MB arrays at once
+    del arrays
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+def test_keep_freed_memory_stops_batches_faulting_their_arrays_in():
+    """The fourth of four identical 'batches' faults its arrays in anew
+    under glibc's defaults, and not at all once the process keeps its
+    freed memory (a fresh interpreter each, as the setting is global)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+
+    def faults(mode: str) -> int:
+        run = subprocess.run(
+            [sys.executable, "-c", FAULTS_OF_A_BATCH, mode],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return int(run.stdout)
+
+    assert faults("default") > 1000
+    assert faults("keep") < 50
