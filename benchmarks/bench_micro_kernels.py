@@ -18,7 +18,9 @@ makes the tests' dict reference importable):
   fused value / gamma passes, so the dict-vs-kernel gap is visible in
   one pytest-benchmark run (likewise the two matchers);
 * the grouped top-K and the retained-edge union of the batch kernels at
-  a serving batch's shape (1000 queries x 100k KB2 columns).
+  a serving batch's shape (1000 queries x 100k KB2 columns);
+* the single-query row collapse (``accumulate_row``) at one served
+  query's shape (~5 posting slices, ~760 ids).
 """
 
 import random
@@ -222,3 +224,24 @@ def test_kernel_retained_edges(benchmark, batch_pairs):
     side1, side2 = _both_sides(*batch_pairs)
     sources, _, _ = benchmark(lambda: numpy_backend.retained_edges(side1, side2))
     assert len(sources) >= 15 * SERVING_QUERIES
+
+
+@pytest.fixture(scope="module")
+def query_row():
+    """One served query's weighted postings: ~5 retained tokens, ~760
+    posting ids in all, as int32 slices of one mapped ``posting_ids``
+    section (the shape of a ``serve_frozen`` query on the 100k index)."""
+    rng = np.random.default_rng(11)
+    sizes = (300, 8, 8, 40, 404)
+    section = np.concatenate(
+        [np.sort(rng.choice(SERVING_COLUMNS, size, replace=False)) for size in sizes]
+    ).astype("<i4")
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    weights = rng.uniform(0.1, 1.0, len(sizes)).tolist()
+    return [(weight, section[lo:hi]) for weight, lo, hi in zip(weights, bounds, bounds[1:])]
+
+
+def test_kernel_accumulate_row(benchmark, query_row):
+    """Collapse one query's ``beta`` row: one packed value sort + ``bincount``."""
+    ids, sums = benchmark(lambda: numpy_backend.accumulate_row(query_row, as_arrays=True))
+    assert len(ids) == len(sums) <= sum(len(chunk) for _, chunk in query_row)

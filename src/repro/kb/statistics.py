@@ -17,7 +17,10 @@ Algorithm 1:
   through them;
 * **top in-neighbors**: the reverse of top-N neighbors, used to
   propagate value similarity into neighbor similarity (Algorithm 1,
-  lines 44-47).
+  lines 44-47);
+* the **one-entity profile** (:func:`entity_profile`): the tokens, name
+  attributes and names the above give a KB of a single entity, in
+  closed form -- what a single served query needs.
 
 All statistics are derived once per KB and cached on a
 :class:`KBStatistics` instance; they require no schema knowledge and no
@@ -27,9 +30,55 @@ supervision.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Mapping
+from itertools import chain
+from operator import itemgetter
+from typing import Mapping, NamedTuple
 
+import numpy as np
+
+from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
+from repro.kb.tokenizer import Tokenizer
+
+
+def _relation_statistics(kb: KnowledgeBase) -> tuple[dict[str, float], dict[str, float]]:
+    """Support and discriminability of every relation, from one walk.
+
+    The walk codes every relation pair ``(p, target)`` of entity ``s``
+    as the edge ``p * |E| + target``; ``|instances(p)|`` counts the
+    distinct ``(s, edge)`` pairs of ``p`` and ``|objects(p)|`` its
+    distinct edges.  Both ratios are integer counts over one division,
+    keyed in first-occurrence order of the relations.
+    """
+    n = len(kb)
+    relations = [kb.relations(eid) for eid in range(n)]
+    pairs = list(chain.from_iterable(relations))
+    if not pairs:
+        return {}, {}
+    names = list(map(itemgetter(0), pairs))
+    code = {p: i for i, p in enumerate(dict.fromkeys(names))}
+    edges = np.fromiter(map(code.__getitem__, names), np.int64, len(pairs)) * n
+    edges += np.fromiter(map(itemgetter(1), pairs), np.int64, len(pairs))
+    span = len(code) * n
+    # (s, edge) packs as s * span + edge: python ints where int64 is too narrow.
+    width = np.int64 if (n * span).bit_length() <= 63 else object
+    subjects = np.repeat(np.arange(n, dtype=np.int64), list(map(len, relations)))
+    keys = subjects.astype(width) * span + edges.astype(width)
+    instances = _distinct_per_relation(keys, span, n, len(code))
+    objects = _distinct_per_relation(edges, span, n, len(code))
+    denominator = float(n) ** 2
+    support = {p: int(instances[i]) / denominator for p, i in code.items()}
+    discriminability = {p: int(objects[i]) / int(instances[i]) for p, i in code.items()}
+    return support, discriminability
+
+
+def _distinct_per_relation(keys, span: int, n: int, relations: int):
+    """Per relation, how many distinct values ``keys`` holds; a key's
+    relation is ``key % span // n``.  Sorts ``keys`` in place."""
+    keys.sort()
+    distinct = np.ones(len(keys), bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    return np.bincount((keys[distinct] % span // n).astype(np.int64), minlength=relations)
 
 
 def relation_support(kb: KnowledgeBase) -> dict[str, float]:
@@ -38,17 +87,7 @@ def relation_support(kb: KnowledgeBase) -> dict[str, float]:
     ``support(p) = |instances(p)| / |E|^2`` where ``instances(p)`` is the
     set of (subject, object) entity pairs connected by ``p``.
     """
-    if len(kb) == 0:
-        return {}
-    instances: Counter[str] = Counter()
-    for eid in range(len(kb)):
-        seen_pairs: set[tuple[str, int]] = set()
-        for attribute, target in kb.relations(eid):
-            if (attribute, target) not in seen_pairs:
-                seen_pairs.add((attribute, target))
-                instances[attribute] += 1
-    denominator = float(len(kb)) ** 2
-    return {p: count / denominator for p, count in instances.items()}
+    return _relation_statistics(kb)[0]
 
 
 def relation_discriminability(kb: KnowledgeBase) -> dict[str, float]:
@@ -56,16 +95,7 @@ def relation_discriminability(kb: KnowledgeBase) -> dict[str, float]:
 
     ``discriminability(p) = |objects(p)| / |instances(p)|``.
     """
-    instances: Counter[str] = Counter()
-    objects: dict[str, set[int]] = defaultdict(set)
-    for eid in range(len(kb)):
-        seen_pairs: set[tuple[str, int]] = set()
-        for attribute, target in kb.relations(eid):
-            if (attribute, target) not in seen_pairs:
-                seen_pairs.add((attribute, target))
-                instances[attribute] += 1
-                objects[attribute].add(target)
-    return {p: len(objects[p]) / instances[p] for p in instances}
+    return _relation_statistics(kb)[1]
 
 
 def _harmonic_mean(a: float, b: float) -> float:
@@ -77,8 +107,7 @@ def _harmonic_mean(a: float, b: float) -> float:
 def relation_importance(kb: KnowledgeBase) -> dict[str, float]:
     """Importance of every relation (Definition 2.4): harmonic mean of
     support and discriminability."""
-    support = relation_support(kb)
-    discriminability = relation_discriminability(kb)
+    support, discriminability = _relation_statistics(kb)
     return {p: _harmonic_mean(support[p], discriminability[p]) for p in support}
 
 
@@ -110,6 +139,35 @@ def attribute_importance(kb: KnowledgeBase) -> dict[str, float]:
         discriminability = len(distinct_values[attribute]) / instances[attribute]
         importance[attribute] = _harmonic_mean(support, discriminability)
     return importance
+
+
+class EntityProfile(NamedTuple):
+    """What a one-entity KB's statistics say about its entity."""
+
+    tokens: frozenset[str]
+    name_attributes: tuple[str, ...]
+    names: tuple[str, ...]
+
+
+def entity_profile(entity: EntityDescription, tokenizer: Tokenizer, k: int) -> EntityProfile:
+    """``KnowledgeBase([entity])`` + :class:`KBStatistics`, in closed form.
+
+    In a KB of one entity no value names another entity (a value equal
+    to the entity's own URI stays a literal), so ``tokens(e)`` is the
+    token set of all its values.  Every attribute has support 1 (the one
+    entity carries it) and discriminability 1 (its pairs are distinct),
+    so all importances tie and the name attributes are the ``k``
+    alphabetically smallest; the names are their values, attribute by
+    attribute in pair order -- ``KBStatistics.names(0)``.
+    """
+    if k < 0:
+        raise ValueError("top_k_name_attributes must be >= 0")
+    name_attributes = tuple(sorted({attribute for attribute, _ in entity.pairs})[:k])
+    return EntityProfile(
+        tokenizer.token_set(value for _, value in entity.pairs),
+        name_attributes,
+        tuple(value for attribute in name_attributes for value in entity.values_of(attribute)),
+    )
 
 
 class KBStatistics:

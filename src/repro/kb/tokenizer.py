@@ -70,12 +70,13 @@ class Tokenizer:
 
         This is the ``tokens(e)`` set of Definition 2.1: the bag of
         words of a description collapsed to a set (each shared token
-        contributes once to valueSim).
+        contributes once to valueSim).  The values are tokenised as one
+        space-joined string: a space is neither part of a token nor a
+        cased or case-ignorable character, so neither a token nor the
+        one context-dependent lower-casing (final sigma) crosses it, and
+        the set is the union of :meth:`tokens` over the values.
         """
-        out: set[str] = set()
-        for value in values:
-            out.update(self.tokens(value))
-        return frozenset(out)
+        return frozenset(self.tokens(" ".join(values)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tokenizer):

@@ -73,6 +73,32 @@ def _expand_slots(counts_inner: "np.ndarray", counts_pair: "np.ndarray"):
     return outer_slot, inner_slot
 
 
+def _group(keys: "np.ndarray"):
+    """``np.unique(keys, return_inverse=True)`` of non-negative int64
+    ``keys``, which it overwrites.
+
+    One value sort of ``key << bits | position`` keys when those fit in
+    63 bits (``np.unique`` otherwise): the position bits keep equal keys
+    in input order and say where each sorted key came from.
+    """
+    position_bits = (len(keys) - 1).bit_length()
+    if not len(keys) or int(keys.max()).bit_length() + position_bits > 63:
+        return np.unique(keys, return_inverse=True)
+    keys <<= position_bits
+    keys |= np.arange(len(keys), dtype=np.int64)
+    keys.sort()
+    sorted_keys = keys >> position_bits
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    unique_keys = sorted_keys[first]
+    del sorted_keys
+    keys &= (1 << position_bits) - 1
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[keys] = np.cumsum(first) - 1
+    return unique_keys, inverse
+
+
 def _accumulate_pairs(
     rows: "np.ndarray",
     cols: "np.ndarray",
@@ -81,27 +107,10 @@ def _accumulate_pairs(
 ):
     """Collapse duplicate ``(row, col)`` pairs, summing in input order.
 
-    The pairs are grouped by one value sort of ``key << bits | position``
-    keys when those fit in 63 bits (``np.unique`` otherwise); the sums
-    are then built by ``bincount`` over the input in its own order.
+    The pairs are grouped by :func:`_group`; the sums are then built by
+    ``bincount`` over the input in its own order.
     """
-    keys = rows * n2 + cols
-    position_bits = (len(keys) - 1).bit_length()
-    if len(keys) and int(keys.max()).bit_length() + position_bits <= 63:
-        keys <<= position_bits
-        keys |= np.arange(len(keys), dtype=np.int64)
-        keys.sort()
-        sorted_keys = keys >> position_bits
-        first = np.empty(len(keys), dtype=bool)
-        first[0] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-        unique_keys = sorted_keys[first]
-        del sorted_keys
-        keys &= (1 << position_bits) - 1
-        inverse = np.empty(len(keys), dtype=np.int64)
-        inverse[keys] = np.cumsum(first) - 1
-    else:
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
+    unique_keys, inverse = _group(rows * n2 + cols)
     sums = np.bincount(inverse, weights=weights)
     unique_rows = unique_keys // n2
     unique_cols = unique_keys - unique_rows * n2
@@ -117,7 +126,7 @@ def accumulate_row(
     The per-block candidate arrays are concatenated (mapped int32
     posting slices are consumed as-is -- no per-token python lists),
     block weights are expanded alongside, and duplicate candidates are
-    collapsed with ``unique`` + ``bincount``.  ``bincount`` sums each
+    collapsed with :func:`_group` + ``bincount``.  ``bincount`` sums each
     bin sequentially in input order, so every candidate's float total is
     built in exactly the block visit order of the dict accumulation --
     bit-identical sums.  Candidates return in ascending id order; all
@@ -142,7 +151,9 @@ def accumulate_row(
     expanded = np.repeat(
         np.asarray(weights, dtype=np.float64), np.asarray(counts, dtype=np.int64)
     )
-    unique_cols, inverse = np.unique(cols, return_inverse=True)
+    dtype = cols.dtype
+    unique_cols, inverse = _group(cols.astype(np.int64, copy=False))
+    unique_cols = unique_cols.astype(dtype, copy=False)
     sums = np.bincount(inverse, weights=expanded)
     if as_arrays:
         return unique_cols, sums

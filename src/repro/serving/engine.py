@@ -3,10 +3,12 @@
 Two entry points, one design: **prelude -> evidence seam -> merge ->
 rules**.
 
-* *Prelude* (query-side, cheap): the queries become the query-side KB
-  of Algorithm 1, name evidence (``alpha``) is looked up in the index's
-  name map, and the shared tokens are purged of stopword-like blocks by
-  the one purging rule (:meth:`MatchEngine._retained_tokens`).
+* *Prelude* (query-side, cheap): the queries are profiled as the
+  query-side KB of Algorithm 1 (a lone query in closed form,
+  :func:`~repro.kb.statistics.entity_profile`), name evidence
+  (``alpha``) is looked up in the index's name map, and the shared
+  tokens are purged of stopword-like blocks by the one purging rule
+  (:meth:`MatchEngine._retained_tokens`).
 * *Evidence seam*: two methods that turn purged tokens into value
   (``beta``) candidates -- :meth:`MatchEngine._single_values` and
   :meth:`MatchEngine._batch_values` -- and the only thing the shard
@@ -54,7 +56,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.blocking.name_blocking import normalize_name
 from repro.blocking.purging import purging_threshold_from_counts
@@ -66,7 +68,7 @@ from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
 from repro.graph.pruning import ADAPTIVE_CUT
 from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kb.statistics import KBStatistics
+from repro.kb.statistics import EntityProfile, KBStatistics, entity_profile
 from repro.kernels import BatchEvidence, InternedBlocks, block_weight, numpy_backend
 from repro.obs import NULL_RECORDER, Recorder, current_recorder
 from repro.obs.provenance import RULE_EVIDENCE, ProvenanceRecord, ProvenanceSampler
@@ -395,20 +397,20 @@ class MatchEngine:
         """
         if self.index.n2 == 0:
             return (None, None, None, 0, ()), False
-        qkb, qstats = self._query_stats([entity])
+        profile = self._profile(entity)
         if deadline is not None:
             deadline.check("name evidence")
 
         # Name evidence is computed even with R1 off: the alpha edge
         # still participates in R4 reciprocity, as in the batch graph.
-        alpha = self._alpha_match(qstats)
+        alpha = self._alpha_match(profile)
         if deadline is not None:
             deadline.check("value evidence")
 
         # Value evidence over the query's shared-token blocks only.
         # gamma is inert for a lone query (no resolvable relations), so
         # the neighbor candidate lists of both sides are empty.
-        tokens = self.value_tokens(entity, qkb=qkb)
+        tokens = self.value_tokens(entity, profile)
         value_list, sweep, degraded = self._single_values(alpha, tokens, deadline)
         if deadline is not None:
             deadline.check("matching rules")
@@ -436,11 +438,22 @@ class MatchEngine:
         budget_ms = self.config.serving_deadline_ms
         return Deadline.after_ms(budget_ms) if budget_ms is not None else None
 
-    def _alpha_match(self, qstats: KBStatistics) -> int | None:
+    def _profile(self, entity: EntityDescription) -> EntityProfile:
+        """A lone query's tokens and names: :meth:`_query_stats` of a
+        batch of one, without building its KB."""
+        return entity_profile(entity, self.index.tokenizer, self.config.name_attributes_k)
+
+    def _alpha_match(self, profile: EntityProfile) -> int | None:
         """Name evidence for a lone query: :meth:`_batch_name_evidence`
-        of a batch of one (the first singleton shared name in sorted
-        order)."""
-        return self._batch_name_evidence(qstats)[0].get(0)
+        of a batch of one (the first shared name in sorted order that
+        one indexed entity alone carries)."""
+        names2 = self.index.names
+        for name in sorted({normalize_name(raw) for raw in profile.names}):
+            if name and name in names2:
+                ids = names2[name]
+                if len(ids) == 1:
+                    return ids[0]
+        return None
 
     def _name_only_outcome(self, entity: EntityDescription) -> _Outcome:
         """The degraded answer: rule R1 over name evidence, or nothing.
@@ -451,7 +464,7 @@ class MatchEngine:
         """
         if self.index.n2 == 0 or not self.config.use_name_rule:
             return None, None, None, 0, ()
-        alpha = self._alpha_match(self._query_stats([entity])[1])
+        alpha = self._alpha_match(self._profile(entity))
         if alpha is None:
             return None, None, None, 0, ()
         return int(alpha), "R1", float("inf"), 0, ()
@@ -635,9 +648,13 @@ class MatchEngine:
             neighbor_candidates_2=neighbor_2,
         )
 
-    def _retained_tokens(self, qkb: KnowledgeBase) -> list[str]:
-        """The queries' shared tokens after block purging, sorted.
+    def _retained_tokens(
+        self, block_sizes: Mapping[str, int], queries: int
+    ) -> list[tuple[str, int]]:
+        """The queries' shared tokens after block purging, sorted, each
+        with its global ``EF2(t)``.
 
+        ``block_sizes`` maps every query token to ``|queries with t|``.
         The serving tier's one purging rule: a token block suggests
         ``|queries with t| * EF2(t)`` comparisons against a Cartesian of
         ``|queries| * n2`` (a lone query: ``EF2(t)`` against ``n2``);
@@ -647,19 +664,20 @@ class MatchEngine:
         so the rule also holds on a shard's under-counting postings.
         """
         index = self.index
-        config = self.config
-        postings = index.postings
-        token_index = qkb.token_index
-        # Probe the (few) query tokens against the index rather than
-        # intersecting keys views: a mapped postings table answers
-        # membership by binary search without decoding its tokens.
-        shared = sorted(t for t in token_index if t in postings)
-        if not config.purge_blocks or not shared:
+        # One probe per query token answers membership and EF together
+        # (a token is shared iff its EF is positive); a mapped table
+        # answers by binary search without decoding its tokens.
+        frequency = index.global_entity_frequency
+        shared = []
+        for token in sorted(block_sizes):
+            ef = frequency(token)
+            if ef:
+                shared.append((token, ef))
+        if not self.config.purge_blocks or not shared:
             return shared
-        ef = index.global_entity_frequency
-        counts = [len(token_index[t]) * ef(t) for t in shared]
-        threshold = purging_threshold_from_counts(counts, cartesian=len(qkb) * index.n2)
-        return [t for t, count in zip(shared, counts) if count <= threshold]
+        counts = [block_sizes[token] * ef for token, ef in shared]
+        threshold = purging_threshold_from_counts(counts, cartesian=queries * index.n2)
+        return [item for item, count in zip(shared, counts) if count <= threshold]
 
     def _interned(self, qkb: KnowledgeBase) -> InternedBlocks:
         """The queries' retained token blocks against this index, interned.
@@ -671,13 +689,14 @@ class MatchEngine:
         index = self.index
         postings = index.postings
         token_index = qkb.token_index
-        ef = index.global_entity_frequency
-        tokens = self._retained_tokens(qkb)
+        retained = self._retained_tokens(
+            {token: len(ids) for token, ids in token_index.items()}, len(qkb)
+        )
         return InternedBlocks.from_block_items(
-            ((token_index[token], postings[token]) for token in tokens),
+            ((token_index[token], postings[token]) for token, _ in retained),
             len(qkb),
             index.id_space,
-            weights=[block_weight(len(token_index[t]) * ef(t)) for t in tokens],
+            weights=[block_weight(len(token_index[token]) * ef) for token, ef in retained],
         )
 
     def _batch_name_evidence(
@@ -714,7 +733,7 @@ class MatchEngine:
     def value_tokens(
         self,
         entity: EntityDescription,
-        qkb: KnowledgeBase | None = None,
+        profile: EntityProfile | None = None,
     ) -> list[str]:
         """The purged, sorted shared-token list for one query entity.
 
@@ -725,11 +744,13 @@ class MatchEngine:
         carry the full token table and the global EFs, so every worker
         would derive the same list independently; the router therefore
         computes it once on the full index and ships it with the
-        request (see :mod:`repro.sharding`).
+        request (see :mod:`repro.sharding`).  ``profile`` short-circuits
+        re-profiling an entity the caller already profiled.
         """
-        if qkb is None:
-            qkb = KnowledgeBase([entity], name="query", tokenizer=self.index.tokenizer)
-        return self._retained_tokens(qkb)
+        if profile is None:
+            profile = self._profile(entity)
+        retained = self._retained_tokens(dict.fromkeys(profile.tokens, 1), 1)
+        return [token for token, _ in retained]
 
     def match_evidence(
         self,

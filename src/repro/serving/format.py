@@ -390,18 +390,34 @@ class MappedPostings(Mapping):
     view are the mapped file pages themselves.
     """
 
-    __slots__ = ("_table", "_offsets", "_ids")
+    __slots__ = ("_table", "_offsets", "_ids", "_lengths")
 
     def __init__(self, table: StringTable, offsets, ids):
         self._table = table
         self._offsets = offsets
         self._ids = ids
+        self._lengths = None
 
     def __getitem__(self, token: str):
         i = self._table.find(token)
         if i < 0:
             raise KeyError(token)
         return self._ids[self._offsets[i] : self._offsets[i + 1]]
+
+    def frequency(self, token: str) -> int:
+        """Posting length of ``token``, 0 when absent: one table probe.
+
+        The lengths flatten to a python list on first use (small ints,
+        mostly shared objects), so the read is a list index, not two
+        section scalar reads and a slice.
+        """
+        i = self._table.find(token)
+        if i < 0:
+            return 0
+        lengths = self._lengths
+        if lengths is None:
+            self._lengths = lengths = np.diff(self._offsets).tolist()
+        return lengths[i]
 
     def __contains__(self, token: object) -> bool:
         return isinstance(token, str) and self._table.find(token) >= 0
@@ -499,6 +515,10 @@ class MappedEntityFrequencies(Mapping):
         if i < 0:
             raise KeyError(token)
         return int(self._values[i])
+
+    def get(self, token: str, default=None):
+        i = self._table.find(token)
+        return default if i < 0 else int(self._values[i])
 
     def __contains__(self, token: object) -> bool:
         return isinstance(token, str) and self._table.find(token) >= 0

@@ -200,7 +200,7 @@ class ResolutionIndex:
 
     def entity_frequency(self, token: str) -> int:
         """``EF2(t)``: entities of the indexed KB containing ``token``."""
-        return len(self.postings.get(token, ()))
+        return self.postings.frequency(token)
 
     def global_entity_frequency(self, token: str) -> int:
         """``EF2(t)`` over the *whole* KB, even on a shard.
@@ -210,10 +210,11 @@ class ResolutionIndex:
         entities, so the frozen global count is consulted instead.
         Block weights and purging thresholds derived from this value are
         therefore identical on every shard and on the unsharded index.
+        One token-table probe either way; 0 means the KB lacks ``token``.
         """
         if self.token_global_ef is not None:
-            return int(self.token_global_ef.get(token, 0))
-        return len(self.postings.get(token, ()))
+            return self.token_global_ef.get(token, 0)
+        return self.postings.frequency(token)
 
     def uri_of(self, eid: int) -> str:
         """URI of the indexed entity with dense id ``eid``."""

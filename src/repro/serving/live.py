@@ -465,7 +465,7 @@ class _LiveWeights:
 
     def __getitem__(self, token: str) -> float:
         live = self._live
-        base_ef = len(live.base.postings.get(token, ()))
+        base_ef = live.base.postings.frequency(token)
         live_ef = live.entity_frequency(token)
         if live_ef == base_ef and base_ef:
             return live.base.singleton_weights[token]
@@ -565,7 +565,12 @@ def _fold_table(blob, offsets, id_offsets, ids, added: dict[str, Any]):
     # Pieces: the table's non-empty (or found) rows, then the added keys.
     # A found key's piece sorts right after its table row and joins it;
     # a new key's sorts ahead of the table row at its place.
-    table_rows = np.union1d(np.flatnonzero(np.diff(id_offsets)), place[found])
+    # Distinct ints by sort + neighbour mask: numpy 2's union1d / unique
+    # without ``return_*`` hash, ~40x slower over a 100k-row table.
+    table_rows = np.sort(np.concatenate((np.flatnonzero(np.diff(id_offsets)), place[found])))
+    distinct = np.ones(len(table_rows), bool)
+    np.not_equal(table_rows[1:], table_rows[:-1], out=distinct[1:])
+    table_rows = table_rows[distinct]
     order = np.argsort(np.concatenate((2 * table_rows + 1, 2 * place + found)), kind="stable")
     pieces = np.concatenate((table_rows, rows + np.arange(len(keys))))[order]
     starts = np.concatenate((np.ones(len(table_rows), bool), ~found))[order]
@@ -732,13 +737,14 @@ class LiveIndex:
         return ids if len(ids) else None
 
     def entity_frequency(self, token: str) -> int:
-        """Live ``EF2(t)``: base EF minus dead members plus delta members."""
-        base_ids = self.base.postings.get(token, ())
-        return (
-            len(base_ids)
-            - self._dead_count(base_ids)
-            + len(self.delta.postings.get(token, ()))
-        )
+        """Live ``EF2(t)``: base EF minus dead members plus delta members.
+
+        The base posting is read only when some base id died."""
+        postings = self.base.postings
+        frequency = postings.frequency(token)
+        if frequency and self.delta.dead_base:
+            frequency -= self._dead_count(postings[token])
+        return frequency + len(self.delta.postings.get(token, ()))
 
     def global_entity_frequency(self, token: str) -> int:
         """Same as :meth:`entity_frequency` (a live index is never a shard)."""

@@ -185,3 +185,23 @@ class TestStatisticsProperties:
             for target in stats.top_neighbors(source)
         }
         assert reverse_pairs == forward_pairs
+
+    @given(kb=random_kb())
+    @settings(deadline=None)
+    def test_one_walk_equals_the_two_definitions_bit_for_bit(self, kb):
+        # Definitions 2.2 and 2.3 as two separate walks over the
+        # deduplicated relation pairs.
+        instances, objects = {}, {}
+        for eid in range(len(kb)):
+            for attribute, target in set(kb.relations(eid)):
+                instances[attribute] = instances.get(attribute, 0) + 1
+                objects.setdefault(attribute, set()).add(target)
+        support = {p: count / float(len(kb)) ** 2 for p, count in instances.items()}
+        discriminability = {p: len(objects[p]) / count for p, count in instances.items()}
+        assert relation_support(kb) == support
+        assert relation_discriminability(kb) == discriminability
+        importance = relation_importance(kb)
+        assert set(importance) == set(support)
+        for p, value in importance.items():
+            s, d = support[p], discriminability[p]
+            assert value == 2.0 * s * d / (s + d)

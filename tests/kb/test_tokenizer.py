@@ -78,10 +78,26 @@ class TestProperties:
         tokens = tokenize(value)
         assert tokenize(" ".join(tokens)) == tokens
 
-    @given(values=st.lists(st.text(max_size=20), max_size=6))
-    def test_token_set_matches_union_of_tokens(self, values):
-        tokenizer = Tokenizer()
+    @given(
+        # Arbitrary text, and text dense in the one context-dependent
+        # lower-casing (capital sigma next to case-ignorable marks).
+        values=st.lists(
+            st.one_of(st.text(max_size=20), st.text(alphabet="aΣσςΑ'´.- _1É", max_size=8)),
+            max_size=6,
+        ),
+        min_length=st.integers(min_value=1, max_value=3),
+    )
+    def test_token_set_matches_union_of_tokens(self, values, min_length):
+        tokenizer = Tokenizer(min_length=min_length, stopwords=["aa", "σς"])
         expected = set()
         for value in values:
             expected.update(tokenizer.tokens(value))
         assert tokenizer.token_set(values) == expected
+        assert tokenizer.token_set(iter(values)) == expected
+
+
+def test_final_sigma_is_decided_per_value():
+    # "ΑΣ" alone lower-cases to "ας"; joined to a following word it must
+    # not become "ασ".
+    assert Tokenizer().token_set(["ΑΣ", "Β"]) == {"ας", "β"}
+    assert Tokenizer().token_set(["ΑΣ'", "'Σ"]) == {"ας", "σ"}

@@ -97,6 +97,78 @@ class TestAccumulateRow:
         assert python_backend.accumulate_row([]) == ([], [])
 
 
+def unique_form_row(blocks):
+    """:func:`numpy_backend.accumulate_row` as it was written before the
+    packed sort: ``np.unique(..., return_inverse=True)`` + ``bincount``."""
+    import numpy as np
+
+    chunks = [np.asarray(ids) for _, ids in blocks if len(ids)]
+    if not chunks:
+        return np.empty(0, np.int64), np.empty(0, np.float64)
+    counts = [len(chunk) for chunk in chunks]
+    weights = [weight for weight, ids in blocks if len(ids)]
+    expanded = np.repeat(np.asarray(weights, dtype=np.float64), counts)
+    unique_cols, inverse = np.unique(np.concatenate(chunks), return_inverse=True)
+    return unique_cols, np.bincount(inverse, weights=expanded)
+
+
+@st.composite
+def mixed_chunks(draw):
+    """Weighted postings as a query meets them: int32 slices of one
+    mapped buffer, int64 arrays and python lists (live delta slots),
+    empty chunks, and the same candidate in many chunks."""
+    import numpy as np
+
+    n2 = draw(st.integers(min_value=1, max_value=2**31 - 1))
+    pool = draw(st.lists(st.integers(0, n2 - 1), min_size=1, max_size=12, unique=True))
+    blocks = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        ids = sorted(draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True)))
+        weight = draw(st.floats(min_value=0.01, max_value=2.0))
+        kind = draw(st.sampled_from(["mapped", "int64", "list"]))
+        if kind == "mapped":
+            # A slice of an int32 section, like MappedPostings hands out.
+            buffer = np.asarray([7, *ids, 7], dtype="<i4").tobytes()
+            chunk = np.frombuffer(buffer, dtype="<i4")[1 : 1 + len(ids)]
+        elif kind == "int64":
+            chunk = np.asarray(ids, dtype=np.int64)
+        else:
+            chunk = ids
+        blocks.append((weight, chunk))
+    return blocks
+
+
+class TestPackedRowCollapse:
+    """The packed value sort collapses a row exactly as ``np.unique``."""
+
+    @settings(deadline=None)
+    @given(blocks=mixed_chunks())
+    def test_packed_equals_unique_form_bit_for_bit(self, blocks):
+        import numpy as np
+
+        want_ids, want_sums = unique_form_row(blocks)
+        ids, sums = numpy_backend.accumulate_row(blocks, as_arrays=True)
+        if not len(want_ids):
+            assert (ids, sums) == ([], [])
+            return
+        assert ids.dtype == want_ids.dtype
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(sums.view(np.int64), want_sums.view(np.int64))
+        listed = numpy_backend.accumulate_row(blocks)
+        assert listed == (want_ids.tolist(), want_sums.tolist())
+
+    def test_duplicates_across_chunks_and_empty_chunks(self):
+        import numpy as np
+
+        section = np.asarray([4, 9, 2, 4], dtype="<i4")
+        blocks = [(0.5, section[:2]), (0.25, []), (1.5, section[3:]), (2.0, [2, 9]), (1.0, section[:0])]
+        ids, sums = numpy_backend.accumulate_row(blocks, as_arrays=True)
+        want_ids, want_sums = unique_form_row(blocks)
+        assert ids.tolist() == [2, 4, 9]
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(sums.view(np.int64), want_sums.view(np.int64))
+
+
 class TestSelectRow:
     @settings(max_examples=200, deadline=None)
     @given(blocks=weighted_postings(), k=st.integers(min_value=1, max_value=8))
