@@ -10,22 +10,22 @@ yield ``alpha = 1`` edges and drive matching rule R1.
 
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 
 from repro.blocking.base import Block, BlockCollection
 from repro.kb.statistics import KBStatistics
 
-_WHITESPACE = re.compile(r"\s+")
-
 
 def normalize_name(name: str) -> str:
     """Case-fold and collapse whitespace so near-identical names block together.
 
+    Whitespace is what ``str.split`` splits on, the same class as the
+    ``\\s`` of a ``re`` pattern over ``str``.
+
     >>> normalize_name("  J.  Lake ")
     'j. lake'
     """
-    return _WHITESPACE.sub(" ", name.strip().lower())
+    return " ".join(name.lower().split())
 
 
 def name_blocks(stats1: KBStatistics, stats2: KBStatistics) -> BlockCollection:

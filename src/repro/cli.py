@@ -346,13 +346,19 @@ def command_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_index(path: str):
+def _load_index(path: str, derived: bool = False):
     """``ResolutionIndex.load(path)``; a missing or unreadable file is
-    one ``error:`` line and exit status 2, like a bad flag."""
+    one ``error:`` line and exit status 2, like a bad flag.  With
+    ``derived``, a full index's derived sections, which a load never
+    reads, are validated too."""
     from repro.serving import ResolutionIndex
+    from repro.serving.format import check_derived
 
     try:
-        return ResolutionIndex.load(path)
+        index = ResolutionIndex.load(path)
+        if derived and index.shard_info is None:
+            check_derived(index.sections, index.n2)
+        return index
     except (OSError, ValueError) as error:
         print(f"repro: error: cannot load index {path}: {error}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -366,7 +372,7 @@ def command_index(args: argparse.Namespace) -> int:
     if args.migrate:
         source = args.kb
         destination = args.output or source
-        index = _load_index(source)
+        index = _load_index(source, derived=True)
         loaded_version = index.load_info["format_version"]
         index.save(destination)
         print(

@@ -1,4 +1,4 @@
-"""The columnar container, and the index file built on it (version 2).
+"""The columnar container, and the index file built on it (version 3).
 
 One container has one writer (:func:`write_sections`), one reader
 (:func:`read_sections`) and one list validator (:func:`check_lists`),
@@ -12,12 +12,13 @@ live fold -- compute the section arrays and encode them
 (:func:`encode_index`); :func:`open_sections` wraps the bytes, or the
 file ``load`` maps, in zero-copy views: postings are int32 views of
 ``posting_ids``, not per-token lists.  Version 1 was one pickle, loaded
-whole and shared by no process; version 2 is designed to be mapped:
+whole and shared by no process; version 2 was designed to be mapped, and
+version 3 adds the sections the live overlay reads:
 
 ::
 
     MINOANER-INDEX\\x00           15-byte magic
-    version                      1 byte (2)
+    version                      1 byte (3)
     header length                uint32, little-endian
     header                       UTF-8 JSON (config, tokenizer spec,
                                  counts, section table)
@@ -44,7 +45,10 @@ section                   dtype  contents
 ``uri_offsets``           i4     entity id -> blob slice (``n2 + 1``)
 ``neighbor_offsets``      i4     top in-neighbor CSR offsets (``n2 + 1``)
 ``neighbor_ids``          i4     top in-neighbor CSR ids
-``token_global_ef``       i4     *optional*: global ``EF2(t)`` per token
+``token_global_ef``       i4     *shards only*: global ``EF2(t)`` per token
+``uri_order``             i4     *full only*: entity ids sorted by URI bytes
+``entity_token_offsets``  i4     *full only*: entity -> token slice (``n2 + 1``)
+``entity_tokens``         i4     *full only*: ascending token rows per entity
 ========================  =====  =========================================
 
 The ``token_global_ef`` section and the ``shards`` header key exist only
@@ -53,6 +57,17 @@ shard keeps the full (global) token table but only its own entities'
 posting slices, so the global Entity Frequency of every token -- which
 drives block weights and purging thresholds -- must travel with the
 file.  Ordinary index files carry neither.
+
+The last three sections exist only in full (unsharded) index files, and
+no producer computes them: :func:`encode_index` derives them from the
+URI table and the postings (:func:`derived_sections`), so every
+producer writes the same bytes.  They serve the live overlay
+(:class:`repro.serving.live.LiveIndex`), which refuses shards: a URI ->
+id lookup is a binary search through ``uri_order`` (:class:`URIOrder`),
+and a deleted entity's tokens are one row of the postings' transpose.
+A frozen load never reads them, so :func:`check_derived` runs where
+they are read or written back: the overlay's first edit and
+``repro index --migrate``.
 
 Tokens and names are sorted by their UTF-8 byte sequences (identical to
 Python's code-point string order), so a lookup is one binary search over
@@ -74,6 +89,7 @@ from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_right
 from itertools import chain
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -84,7 +100,7 @@ from repro.kb.tokenizer import Tokenizer
 from repro.kernels import CSRAdjacency, block_weight
 
 MAGIC = b"MINOANER-INDEX\x00"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 ALIGNMENT = 64
 _PREFIX = MAGIC + bytes([FORMAT_VERSION])
 
@@ -93,11 +109,13 @@ _INT32_MAX = 2**31 - 1
 
 _DTYPE_ITEMSIZE = {"u1": 1, "i4": 4, "f8": 8}
 
-#: The index file's section names, in the order of the table above.
+#: The index file's given section names, in the order of the table above.
 SECTIONS = (
     "token_blob token_offsets posting_offsets posting_ids token_weights name_blob name_offsets "
     "name_id_offsets name_ids uri_blob uri_offsets neighbor_offsets neighbor_ids token_global_ef"
 ).split()
+#: The sections :func:`encode_index` derives for full indexes, in order.
+DERIVED = ("uri_order", "entity_token_offsets", "entity_tokens")
 
 # ----------------------------------------------------------------------
 # The container: one writer, one reader, one list validator
@@ -280,13 +298,65 @@ def token_weights(lengths):
     return np.array([block_weight(int(n)) for n in distinct], np.float64)[inverse]
 
 
+def derived_sections(arrays: Mapping[str, Any], n2: int) -> dict[str, Any]:
+    """The :data:`DERIVED` sections of a full index's ``arrays``.
+
+    ``uri_order`` sorts the ids by their URIs' UTF-8 bytes (URIs are
+    unique).  The entity -> token CSR is the postings' transpose: every
+    posting entry packs into one int64 ``id << bits | token row``, one
+    sort orders the entries by entity and then by token row, and a mask
+    keeps the rows.
+    """
+    blob, bounds = bytes(arrays["uri_blob"]), np.asarray(arrays["uri_offsets"]).tolist()
+    uris = [blob[start:end] for start, end in zip(bounds, bounds[1:])]
+    offsets = np.asarray(arrays["posting_offsets"], np.int64)
+    ids = np.asarray(arrays["posting_ids"], np.int64)
+    bits = max(len(offsets) - 1, 1).bit_length()
+    packed = ids << bits
+    packed |= np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+    packed.sort()
+    packed &= (1 << bits) - 1
+    entity_offsets = np.zeros(n2 + 1, np.int64)
+    np.cumsum(np.bincount(ids, minlength=n2), out=entity_offsets[1:])
+    return {
+        "uri_order": np.fromiter(sorted(range(n2), key=uris.__getitem__), np.int64, n2),
+        "entity_token_offsets": entity_offsets,
+        "entity_tokens": packed,
+    }
+
+
+def check_derived(sections: Mapping[str, Any], n2: int) -> None:
+    """Refuse a full index's :data:`DERIVED` sections unless ``uri_order``
+    holds ``n2`` ids and ``entity_tokens`` holds ``n2`` lists of strictly
+    ascending token rows.  Raises ``ValueError`` naming the section.
+
+    Not part of a load (a frozen index never reads these sections):
+    the live overlay runs it on its first edit, ``--migrate`` before it
+    writes the file back."""
+    try:
+        order, offsets, tokens = (sections[name] for name in DERIVED)
+    except KeyError as error:
+        raise ValueError(f"index lacks the {error.args[0]!r} section") from None
+    check_lists("uri_order", order, n2, offsets=np.array([0, n2]))
+    tokens_in_table = len(sections["posting_offsets"]) - 1
+    check_lists(
+        "entity_tokens", tokens, tokens_in_table, offsets=offsets, rows=n2, ascending=True
+    )
+
+
 def encode_index(
     arrays: Mapping[str, Any], *, kb_name: str, n2: int, name_attributes: Sequence[str],
     config, tokenizer: Tokenizer, shard_info: Mapping[str, Any] | None = None,
 ) -> bytes:
-    """The index container of ``arrays`` -- the sections of the module
-    docstring's table, in its order -- under a header of the index's
-    metadata and the counts read off the arrays."""
+    """The index container of ``arrays`` -- the given sections of the
+    module docstring's table, in its order, then for a full index the
+    :data:`DERIVED` ones -- under a header of the index's metadata and
+    the counts read off the arrays.  Derived sections in ``arrays`` (a
+    producer that copies a loaded index's) are dropped and derived
+    afresh."""
+    arrays = {name: arrays[name] for name in SECTIONS if name in arrays}
+    if shard_info is None:
+        arrays.update(derived_sections(arrays, n2))
     header = {
         "kb_name": kb_name,
         "n2": int(n2),
@@ -418,6 +488,21 @@ class MappedPostings(Mapping):
         if lengths is None:
             self._lengths = lengths = np.diff(self._offsets).tolist()
         return lengths[i]
+
+    def locate(self, token: str) -> tuple[int, int]:
+        """``(table row, posting length)`` of ``token``, ``(-1, 0)`` when
+        absent: one table probe, the lengths read as in :meth:`frequency`."""
+        i = self._table.find(token)
+        if i < 0:
+            return -1, 0
+        lengths = self._lengths
+        if lengths is None:
+            self._lengths = lengths = np.diff(self._offsets).tolist()
+        return i, lengths[i]
+
+    def row(self, i: int):
+        """The posting of table row ``i``: a zero-copy slice."""
+        return self._ids[self._offsets[i] : self._offsets[i + 1]]
 
     def __contains__(self, token: object) -> bool:
         return isinstance(token, str) and self._table.find(token) >= 0
@@ -561,9 +646,9 @@ class MappedURIs(Sequence):
         return bytes(self._view[bounds[eid] : bounds[eid + 1]]).decode("utf-8")
 
     def __iter__(self) -> Iterator[str]:
-        # A full pass (the live overlay's URI -> id map, the shard
-        # planner) copies the blob once and slices plain bytes, instead
-        # of a mapped-view slice plus a copy per URI.
+        # A full pass (the shard planner's owners) copies the blob once
+        # and slices plain bytes, instead of a mapped-view slice plus a
+        # copy per URI.
         blob = bytes(self._blob)
         bounds = self._offsets.tolist()
         for start, end in zip(bounds, bounds[1:]):
@@ -573,9 +658,55 @@ class MappedURIs(Sequence):
         return len(self._offsets) - 1
 
 
+class URIOrder:
+    """URI -> entity id over a full index's ``uri_order`` section.
+
+    A lookup is a binary search through the ids sorted by URI bytes,
+    in two levels: fence keys (every :attr:`FENCE`-th URI of that
+    order, copied out once) narrow it to one run of at most ``FENCE``
+    ids, and a search through the mapped URIs of that run finishes it.
+    The fences keep the upper levels of the search in a few hundred KB
+    of python bytes instead of scattered mapped pages.
+    """
+
+    FENCE = 32
+
+    __slots__ = ("_blob", "_offsets", "_order", "_fences")
+
+    def __init__(self, blob, offsets, order):
+        # Memoryviews read plain python ints, not numpy scalars.
+        self._blob, self._offsets, self._order = memoryview(blob), memoryview(offsets), memoryview(order)
+        self._fences = [self._key(eid) for eid in self._order[:: self.FENCE]]
+
+    def _key(self, eid: int) -> bytes:
+        return bytes(self._blob[self._offsets[eid] : self._offsets[eid + 1]])
+
+    def find(self, uri: str) -> int | None:
+        """The id of ``uri``, or ``None`` when no entity has it."""
+        # A lone surrogate encodes to bytes no UTF-8 URI holds: a miss.
+        key = uri.encode("utf-8", "surrogatepass")
+        run = bisect_right(self._fences, key) - 1
+        if run < 0:
+            return None
+        order = self._order
+        lo = run * self.FENCE
+        hi = min(lo + self.FENCE, len(order))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            eid = order[mid]
+            probe = self._key(eid)
+            if probe < key:
+                lo = mid + 1
+            elif probe > key:
+                hi = mid
+            else:
+                return eid
+        return None
+
+
 def open_sections(data) -> dict[str, Any]:
     """The fields of a :class:`~repro.serving.ResolutionIndex` over the
-    v2 container ``data``, as zero-copy views.
+    v3 container ``data``, as zero-copy views.
 
     ``data`` is the whole container: an ``mmap.mmap`` of the file (what
     :meth:`repro.serving.ResolutionIndex.load` passes) or the bytes a

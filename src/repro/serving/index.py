@@ -240,7 +240,7 @@ class ResolutionIndex:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Write the index to ``path`` in the columnar format (version 2).
+        """Write the index to ``path`` in the columnar format (version 3).
 
         The index already is its container, so this writes those bytes:
         a built, planned or folded index and one loaded from its file

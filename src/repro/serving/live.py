@@ -15,10 +15,11 @@ without giving up its properties, following the classic LSM split:
   delete.
 * :class:`LiveIndex` -- a duck-typed overlay presenting base + delta
   as one index to the unmodified engine: candidate generation unions
-  base and delta postings (dead base ids filtered per call by one
-  gather over a byte mask, zero-copy for unaffected tokens), block
-  weights are recomputed from *live* Entity Frequencies, and delta
-  entities occupy dense ids above every base id.
+  base and delta postings (dead base ids filtered by one gather over a
+  byte mask, only for tokens that lost a member; zero-copy for the
+  rest), block weights are recomputed from *live* Entity Frequencies
+  (base EF minus a per-token dead count kept at kill time, plus the
+  delta's), and delta entities occupy dense ids above every base id.
   :meth:`LiveIndex.compact` folds everything into a fresh frozen index
   whose save is byte-deterministic.
 * :class:`IndexHandle` -- a reader/writer drain gate plus a monotonic
@@ -62,7 +63,9 @@ from repro.kernels import CSRAdjacency, block_weight
 from repro.obs import current_recorder
 from repro.resilience.faults import inject
 from repro.serving.engine import MatchEngine
-from repro.serving.format import SECTIONS, string_table, take_rows, token_weights
+from repro.serving.format import (
+    DERIVED, SECTIONS, URIOrder, check_derived, string_table, take_rows, token_weights,
+)
 from repro.serving.index import ResolutionIndex, write_files
 
 __all__ = [
@@ -601,8 +604,13 @@ class LiveIndex:
     extents; tombstoned columns stay empty and are harmless).
 
     Dead base ids are also one byte each in ``_dead`` (read as a
-    zero-copy bool array), so a posting's dead count or survivors are
-    one gather ``mask[ids]`` per call and posting reads write no state.
+    zero-copy bool array), and each base token counts its dead members
+    in ``_dead_tokens``, written when an id dies: a live EF is one table
+    probe, and only a posting that lost a member pays the gather
+    ``mask[ids]`` for its survivors.  Edits read the base's derived
+    sections (:data:`repro.serving.format.DERIVED`) -- a URI's id by
+    binary search, a dead entity's tokens off the postings' transpose
+    -- so an edit costs its own tokens, not the base.
 
     Not thread-safe on its own: callers serialise mutations against
     queries through :class:`IndexHandle` (as :class:`LiveServingMixin`
@@ -618,9 +626,10 @@ class LiveIndex:
         self.base = base
         self.delta = DeltaSegment()
         self._epoch = 0
-        self._base_uri_ids: dict[str, int] | None = None
+        self._derived: tuple[URIOrder, memoryview, memoryview] | None = None
         self._dead = bytearray(base.n2)
         self._dead_view = np.frombuffer(self._dead, dtype=np.bool_)
+        self._dead_tokens = memoryview(np.zeros(len(base.postings), np.int32))
         self._csr: tuple[int, CSRAdjacency] | None = None
         self.postings = _LivePostings(self)
         self.singleton_weights = _LiveWeights(self)
@@ -691,28 +700,37 @@ class LiveIndex:
     def _bump(self) -> None:
         self._epoch += 1
 
+    def _derived_sections(self) -> tuple[URIOrder, memoryview, memoryview]:
+        """The base's ``uri_order`` as a :class:`URIOrder` lookup and its
+        ``(entity_token_offsets, entity_tokens)`` as memoryviews (plain
+        ints, no numpy scalars), validated on first use: a frozen load
+        never reads them, so the first edit does."""
+        if self._derived is None:
+            sections = self.base.sections
+            check_derived(sections, self.base.n2)
+            order, offsets, tokens = (sections[name] for name in DERIVED)
+            uris = URIOrder(sections["uri_blob"], sections["uri_offsets"], order)
+            self._derived = uris, memoryview(offsets), memoryview(tokens)
+        return self._derived
+
     def _kill(self, base_id: int) -> None:
-        """Mark one base id dead (shadowed by an upsert, or deleted)."""
+        """Mark one base id dead (shadowed by an upsert, or deleted) and
+        count it once against each of its tokens."""
+        if self._dead[base_id]:
+            return
+        _, offsets, tokens = self._derived_sections()
+        dead_tokens = self._dead_tokens
+        for token in tokens[offsets[base_id] : offsets[base_id + 1]]:
+            dead_tokens[token] += 1
         self.delta.dead_base.add(base_id)
         self._dead[base_id] = 1
 
     # ------------------------------------------------------------------
     # Posting / EF overlay
     # ------------------------------------------------------------------
-    def _dead_count(self, ids: Sequence[int]) -> int:
-        """How many of ``ids`` (a base posting) are dead: one gather."""
-        if not self.delta.dead_base or not len(ids):
-            return 0
-        if len(ids) <= _PYTHON_MASK_MAX:
-            dead = self._dead
-            return sum([dead[eid] for eid in ids.tolist()])
-        return int(np.count_nonzero(self._dead_view[ids]))
-
     def _survivors(self, ids: Sequence[int]) -> Sequence[int]:
         """``ids`` (a base posting) without its dead ids -- the posting
         object itself when none died, so the zero-copy slice survives."""
-        if not self.delta.dead_base or not len(ids):
-            return ids
         if len(ids) <= _PYTHON_MASK_MAX:
             dead = self._dead
             kept = [eid for eid in ids.tolist() if not dead[eid]]
@@ -728,8 +746,11 @@ class LiveIndex:
         slice of the mapped file) when no edit touched the token.
 
         An affected token's posting is a fresh int32 array."""
-        base_ids = self.base.postings.get(token, ())
-        ids = self._survivors(base_ids)
+        postings = self.base.postings
+        row, length = postings.locate(token)
+        ids = base_ids = postings.row(row) if length else ()
+        if length and self._dead_tokens[row]:
+            ids = self._survivors(base_ids)
         slots = self.delta.postings.get(token)
         if slots or ids is not base_ids:
             delta_ids = np.array(slots or (), np.int32) + self.base.n2
@@ -739,12 +760,12 @@ class LiveIndex:
     def entity_frequency(self, token: str) -> int:
         """Live ``EF2(t)``: base EF minus dead members plus delta members.
 
-        The base posting is read only when some base id died."""
-        postings = self.base.postings
-        frequency = postings.frequency(token)
-        if frequency and self.delta.dead_base:
-            frequency -= self._dead_count(postings[token])
-        return frequency + len(self.delta.postings.get(token, ()))
+        One table probe; the dead members were counted at kill time."""
+        row, frequency = self.base.postings.locate(token)
+        if frequency:
+            frequency -= self._dead_tokens[row]
+        slots = self.delta.postings.get(token)
+        return frequency + len(slots) if slots else frequency
 
     def global_entity_frequency(self, token: str) -> int:
         """Same as :meth:`entity_frequency` (a live index is never a shard)."""
@@ -793,11 +814,9 @@ class LiveIndex:
     # Mutations
     # ------------------------------------------------------------------
     def _base_id(self, uri: str) -> int | None:
-        if self._base_uri_ids is None:
-            self._base_uri_ids = {
-                uri2: eid for eid, uri2 in enumerate(self.base.uris2)
-            }
-        return self._base_uri_ids.get(uri)
+        """The base id of ``uri``, or ``None``: a binary search through
+        the base's ``uri_order``."""
+        return self._derived_sections()[0].find(uri)
 
     def _names_of(self, entity: EntityDescription) -> tuple[str, ...]:
         """The entity's normalised names under the base's frozen name

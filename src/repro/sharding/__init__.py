@@ -7,13 +7,13 @@ processes and serves through a scatter/gather router, keeping the
 decision stream **bit-identical** to the single-process engine:
 
 * :class:`~repro.sharding.planner.ShardPlanner` cuts one built index
-  into N per-shard columnar v2 files (``repro index --shards N``).
+  into N per-shard columnar v3 files (``repro index --shards N``).
   Entities are hash-partitioned by URI (``crc32 % N``); every shard
   keeps the full token table plus the global per-token Entity
   Frequency, so block weights and purging thresholds are computed
   identically everywhere.  Each shard file is a fully valid
   ``ResolutionIndex`` -- the stock engine loads it unchanged and
-  ``repro index --migrate`` rewrites it like any other v2 file.
+  ``repro index --migrate`` rewrites it like any other v3 file.
 * :class:`~repro.sharding.worker.ShardWorker` runs a ``MatchEngine``
   over one shard and answers *evidence* requests over length-prefixed
   frames (:mod:`repro.sharding.protocol`) on stdin/stdout.

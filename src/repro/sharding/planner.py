@@ -30,7 +30,7 @@ keeps a shard's ids, the running count of kept ids at the parent's
 ``posting_offsets`` gives its offsets, and the singleton-name rows are
 gathered in one pass (:func:`repro.serving.format.take_rows`).
 
-Each shard file is a normal columnar v2 container (see
+Each shard file is a normal columnar v3 container (see
 :mod:`repro.serving.format`): the stock engine loads it and
 ``repro index --migrate`` rewrites it byte-identically.
 """

@@ -213,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.sharding",
         description="Serve shard evidence over stdin/stdout frames.",
     )
-    parser.add_argument("shard", help="per-shard index file (columnar v2)")
+    parser.add_argument("shard", help="per-shard index file (columnar v3)")
     parser.add_argument(
         "--config",
         default=None,

@@ -1,5 +1,10 @@
 """Unit tests for name blocking and name normalisation."""
 
+import re
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from repro.blocking.name_blocking import name_blocks, normalize_name
 from repro.kb.entity import EntityDescription
 from repro.kb.knowledge_base import KnowledgeBase
@@ -15,6 +20,27 @@ class TestNormalizeName:
 
     def test_empty(self):
         assert normalize_name("   ") == ""
+
+
+_REGEX_WHITESPACE = re.compile(r"\s+")
+
+#: Whitespace beyond ASCII (the separators \x1c-\x1f, NEL, NBSP, the
+#: line and paragraph separators, the ideographic space, ...), and two
+#: look-alikes that are not whitespace (zero-width space, word joiner).
+SPACES = "\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u3000 \t\n\r\x0b\x0c\u200b\u2060"
+
+
+def regex_normalize(name: str) -> str:
+    """The regex form of :func:`normalize_name`, kept as its oracle."""
+    return _REGEX_WHITESPACE.sub(" ", name.strip().lower())
+
+
+class TestNormalizeNameProperty:
+    @given(st.text(st.one_of(st.sampled_from(SPACES), st.characters())))
+    @example("\x1c J.\u3000\x85Lake\xa0\u2028")
+    @example("\u0130 STANBUL\u200b")  # lower() lengthens the dotted I
+    def test_equals_the_regex_form(self, name):
+        assert normalize_name(name) == regex_normalize(name)
 
 
 def stats_for(values: list[str], prefix: str) -> KBStatistics:

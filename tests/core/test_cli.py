@@ -221,6 +221,17 @@ class TestIndexFlagCombinations:
         assert index_path.read_bytes() == content
 
 
+def out_of_range_last_id(raw: bytes, section: str) -> bytes:
+    """The index file ``raw`` with the last id of its i4 ``section``
+    far out of range."""
+    from repro.serving.format import parse_header
+
+    header, base = parse_header(raw, len(raw))
+    (entry,) = [s for s in header["sections"] if s["name"] == section]
+    end = base + entry["offset"] + 4 * entry["count"]
+    return raw[: end - 4] + (2**31 - 1).to_bytes(4, "little") + raw[end:]
+
+
 class TestUnreadableIndex:
     @pytest.mark.parametrize("damage", ["missing", "foreign", "truncated", "bad ids"])
     @pytest.mark.parametrize(
@@ -234,8 +245,7 @@ class TestUnreadableIndex:
         elif damage == "truncated":
             broken.write_bytes(raw[: len(raw) // 2])
         elif damage == "bad ids":
-            # The file's last int32 (of the neighbour CSR), far out of range.
-            broken.write_bytes(raw[:-4] + (2**31 - 1).to_bytes(4, "little"))
+            broken.write_bytes(out_of_range_last_id(raw, "neighbor_ids"))
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, str(broken)])
         assert exit_info.value.code == 2
@@ -243,6 +253,18 @@ class TestUnreadableIndex:
         assert "Traceback" not in err
         (line,) = err.splitlines()
         assert line.startswith("repro: error: cannot load index")
+
+    def test_migrate_validates_the_derived_sections(self, index_path, capsys):
+        # A load never reads the live overlay's sections; --migrate,
+        # which writes them back, must refuse a corrupt one.
+        broken = index_path.with_name("broken.idx")
+        broken.write_bytes(out_of_range_last_id(index_path.read_bytes(), "entity_tokens"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["index", "--migrate", str(broken), "-o", str(index_path.with_name("out.idx"))])
+        assert exit_info.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro: error: cannot load index") and "entity_tokens" in line
+        assert not index_path.with_name("out.idx").exists()
 
 
 class TestAutoCompactFlags:

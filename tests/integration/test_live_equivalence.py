@@ -145,6 +145,15 @@ FOLD_EDGES = [
     ("compact", 0, 0),
 ]
 
+# One base entity killed again and again: the second and third kills of
+# its base id must not count its tokens' dead members twice.
+REKILLED = [
+    ("delete", 4, 0),
+    ("upsert", 4, 1),
+    ("delete", 4, 0),
+    ("upsert", 4, 2),
+]
+
 # Every entity deleted: the emptied KB's cold build discovers no name
 # attributes, so only the next compaction's bytes are compared.
 EMPTIED = [("delete", i, 0) for i in range(8)] + [
@@ -178,6 +187,7 @@ class TestLiveEngineProperty:
     @example(ops=TOMBSTONE_ONLY)
     @example(ops=FOLD_EDGES)
     @example(ops=EMPTIED)
+    @example(ops=REKILLED)
     @settings(max_examples=25, deadline=None)
     def test_any_interleaving_equals_cold_rebuild(self, loaded, ops, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("live")
@@ -194,6 +204,7 @@ class TestLiveShardRouterProperty:
     @given(ops=operations, shards=st.integers(min_value=1, max_value=4))
     @example(ops=TOMBSTONE_ONLY, shards=2)
     @example(ops=FOLD_EDGES, shards=3)
+    @example(ops=REKILLED, shards=2)
     @settings(max_examples=15, deadline=None)
     def test_any_interleaving_any_shard_count(self, ops, shards, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("live")

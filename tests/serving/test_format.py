@@ -1,9 +1,10 @@
-"""Robustness of the columnar index format (version 2).
+"""Robustness of the columnar index format (version 3).
 
 Corruption guards (truncation, foreign magic, future versions), edge
 shapes (empty KB2, tokens with zero postings), byte-determinism of the
-encoder, the refusal of retired version-1 (pickle) files, and the
-zero-copy view classes ``load`` returns.
+encoder, the derived sections of full indexes, the refusal of retired
+version-1 (pickle) files, and the zero-copy view classes ``load``
+returns.
 """
 
 import json
@@ -82,17 +83,87 @@ class TestCorruptionGuards:
     )
     def test_corrupt_posting_lists(self, saved_index, section, values):
         _, path = saved_index
-        raw = bytearray(path.read_bytes())
-        header, base = index_format.parse_header(raw, len(raw))
-        (entry,) = [s for s in header["sections"] if s["name"] == section]
-        start, end = base + entry["offset"], base + entry["offset"] + 4 * entry["count"]
-        old = array("i", raw[start:end]).tolist()
-        new = values(old, header["n2"])
-        assert new != old
-        raw[start:end] = array("i", new).tobytes()
-        path.write_bytes(bytes(raw))
+        rewrite_section(path, section, values)
         with pytest.raises(ValueError, match="posting_ids"):
             ResolutionIndex.load(path)
+
+
+def rewrite_section(path, section, values):
+    """Replace the i4 ``section`` of the index file at ``path`` with
+    ``values(old ids, n2)``."""
+    raw = bytearray(path.read_bytes())
+    header, base = index_format.parse_header(raw, len(raw))
+    (entry,) = [s for s in header["sections"] if s["name"] == section]
+    start, end = base + entry["offset"], base + entry["offset"] + 4 * entry["count"]
+    old = array("i", raw[start:end]).tolist()
+    new = values(old, header["n2"])
+    assert new != old
+    raw[start:end] = array("i", new).tobytes()
+    path.write_bytes(bytes(raw))
+
+
+class TestDerivedSections:
+    def test_full_index_derives_uri_order_and_the_postings_transpose(self, saved_index):
+        index, _ = saved_index
+        sections = index.sections
+        uris = list(index.uris2)
+        assert list(sections["uri_order"]) == sorted(range(index.n2), key=uris.__getitem__)
+        rows = {eid: [] for eid in range(index.n2)}
+        for row, token in enumerate(index.postings):
+            for eid in index.postings[token]:
+                rows[int(eid)].append(row)
+        offsets, tokens = sections["entity_token_offsets"], sections["entity_tokens"]
+        assert len(offsets) == index.n2 + 1
+        for eid in range(index.n2):
+            assert list(tokens[offsets[eid] : offsets[eid + 1]]) == rows[eid]
+
+    def test_shard_files_carry_no_derived_sections(self, saved_index, tmp_path):
+        from repro.sharding import ShardPlanner
+
+        index, path = saved_index
+        assert set(index_format.DERIVED) <= set(index.sections)
+        for shard_path in ShardPlanner(2).write(index, path):
+            sections = ResolutionIndex.load(shard_path).sections
+            assert not set(index_format.DERIVED) & set(sections)
+            assert "token_global_ef" in sections
+
+    def test_uri_order_finds_every_uri_across_fences(self):
+        # Enough URIs for several fence runs, with shared prefixes and
+        # multi-byte UTF-8, stored in an order unrelated to byte order.
+        uris = [f"http://kb2/{word}{n}" for n in range(40) for word in ("a", "ab", "b\u00e4", "\u65e5")]
+        uris.reverse()
+        blob, offsets = index_format.string_table(uris)
+        order = sorted(range(len(uris)), key=lambda eid: uris[eid].encode())
+        lookup = index_format.URIOrder(blob, offsets, array("i", order))
+        assert len(uris) > 4 * lookup.FENCE
+        for eid, uri in enumerate(uris):
+            assert lookup.find(uri) == eid
+            assert lookup.find(uri[:-1] + "/") is None
+            assert lookup.find(uri + "x") is None
+        for uri in ("", "http://kb2/", "http://kb2/a", "\U0010ffff", "http://kb2/\ud800"):
+            assert lookup.find(uri) is None
+        assert index_format.URIOrder(b"", array("i", [0]), array("i")).find("x") is None
+
+    @pytest.mark.parametrize(
+        "section,values,named",
+        [
+            ("entity_tokens", lambda ids, n2: [10**6] + ids[1:], "entity_tokens"),
+            ("entity_tokens", lambda ids, n2: [ids[1], ids[0], *ids[2:]], "entity_tokens"),
+            ("entity_token_offsets", lambda offsets, n2: offsets[:-1] + [offsets[-1] - 1], "entity_tokens"),
+            ("uri_order", lambda order, n2: [n2] + order[1:], "uri_order"),
+        ],
+        ids=["out-of-range token", "tokens not ascending", "offsets short of the tokens", "uri id out of range"],
+    )
+    def test_corrupt_derived_section_is_refused_on_first_edit(self, saved_index, section, values, named):
+        from repro.serving.live import LiveIndex
+
+        _, path = saved_index
+        rewrite_section(path, section, values)
+        loaded = ResolutionIndex.load(path)  # a frozen load never reads them
+        live = LiveIndex(loaded)
+        with pytest.raises(ValueError, match=named):
+            live.delete(loaded.uris2[0])
+        assert not live.delta_active
 
 
 class TestEdgeShapes:
@@ -222,6 +293,15 @@ class TestMigration:
         message = str(refusal.value)
         assert "unsupported index format version 1" in message
         assert "\n" not in message
+
+    def test_v2_file_is_refused_with_a_rebuild_message(self, saved_index):
+        # Version 2 lacks the derived sections; nothing derives them at open.
+        _, path = saved_index
+        raw = bytearray(path.read_bytes())
+        raw[len(MAGIC)] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unsupported index format version 2 .*rebuild"):
+            ResolutionIndex.load(path)
 
     def test_migrate_cli_rewrites_a_v2_file(self, saved_index, tmp_path):
         from repro.cli import main

@@ -9,6 +9,7 @@ from repro.blocking.name_blocking import name_blocks, normalize_name
 from repro.core.config import MinoanERConfig
 from repro.kb.statistics import KBStatistics
 from repro.kernels import block_weight
+from repro.serving.format import DERIVED
 from repro.serving.index import FORMAT_VERSION, MAGIC, ResolutionIndex
 
 
@@ -170,7 +171,12 @@ class TestOneForm:
             fields.pop("data")  # bytes when encoded here, an mmap when loaded
             fields["posting"] = type(index.postings[token]), index.postings[token].dtype
             fields["csr"] = type(index.in_neighbors.ids), index.in_neighbors.ids.dtype
-            fields["sections"] = {k: type(v) for k, v in index.sections.items() if k != "token_global_ef"}
+            # Shards alone carry the global EFs, full indexes alone the
+            # derived sections (tested in test_format.TestDerivedSections).
+            one_kind_only = ("token_global_ef", *DERIVED)
+            fields["sections"] = {
+                k: type(v) for k, v in index.sections.items() if k not in one_kind_only
+            }
             return fields
 
         assert types(built) == types(planned) == types(folded) == types(loaded)

@@ -269,6 +269,46 @@ class TestLiveIndex:
             "tombstones": 1,
         }
 
+    def test_base_id_finds_every_base_uri_and_nothing_else(self):
+        # Shared prefixes and multi-byte UTF-8, listed out of order, so
+        # the search through ``uri_order`` meets every comparison.
+        uris = [
+            "http://kb2/b", "http://kb2/a/1", "http://kb2/bä", "http://kb2/ba",
+            "http://kb2/日本", "http://kb2/c", "http://kb2/été", "http://kb2/bäz",
+        ]
+        live = self.live([EntityDescription(uri, [("name", f"n{i}")]) for i, uri in enumerate(uris)])
+        for eid, uri in enumerate(uris):
+            assert live._base_id(uri) == eid, uri
+        absent = [
+            "http://kb2/a",  # a prefix of a URI
+            "http://kb2/",
+            "http://kb2/c/",  # extensions of one
+            "http://kb2/bab",
+            "http://kb2/bö",  # non-ASCII
+            "http://kb2/日",
+            "http://kb2/\ud800",  # a lone surrogate
+            "",  # before the first
+            "http://kb1/z",
+            "http://kb2/\U0010ffff",  # after the last
+            "zzz",
+        ]
+        for uri in absent:
+            assert live._base_id(uri) is None, uri
+        assert not live.delete("http://kb2/a") and not live.delta_active
+
+    def test_reupserted_base_entity_is_counted_dead_once(self):
+        # delete, upsert, delete, upsert: the base id dies once, however
+        # often the overlay is asked to kill it.
+        live = self.live()
+        for word in ("betax", "betay"):
+            assert live.delete("http://kb2/e1")
+            live.upsert(entity(1, word))
+        assert len(live.delta.dead_base) == 1
+        assert live.entity_frequency("blob") == len(BASE)
+        assert live.entity_frequency("tag1") == 1
+        assert live.entity_frequency("alpha1") == 0
+        assert_views_equal_compaction(live, {"blob", "tag1", "extra1", "alpha1", "betax", "betay"})
+
     def test_views_agree_with_compaction_under_random_edits(self):
         # After every edit of a seeded upsert/delete sequence, each token
         # an edit touched must read the same through the overlay as
