@@ -11,10 +11,11 @@ approach, without any significant impact on recall" (Table 2 confirms:
 This module implements purging as a *comparison budget*: blocks are
 admitted in ascending order of their suggested comparisons (small,
 discriminative blocks first -- these carry the valueSim signal) until
-the cumulative count reaches ``budget_ratio`` of the Cartesian product;
-every larger block is dropped.  A token frequent enough to overflow the
-budget behaves like a stopword and carries almost no matching evidence
-anyway, since its blocks would contribute ``1/log2(|b1|*|b2|+1) ~ 0``.
+the cumulative count reaches :data:`DEFAULT_BUDGET_RATIO` of the
+Cartesian product; every larger block is dropped.  A token frequent
+enough to overflow the budget behaves like a stopword and carries
+almost no matching evidence anyway, since its blocks would contribute
+``1/log2(|b1|*|b2|+1) ~ 0``.
 
 The threshold is a whole cardinality level: blocks with equally many
 comparisons are kept or dropped together, so the result does not depend
@@ -36,26 +37,20 @@ MIN_BUDGET = 1000
 comparisons there is nothing to bound, so tiny inputs keep all blocks."""
 
 
-def purging_threshold_from_counts(
-    counts: Iterable[int],
-    cartesian: int,
-    budget_ratio: float = DEFAULT_BUDGET_RATIO,
-) -> int:
+def purging_threshold_from_counts(counts: Iterable[int], cartesian: int) -> int:
     """:func:`purging_threshold` over bare per-block comparison counts.
 
     The serving engine uses this form: at query time a block is a
     ``(query entities, posting list)`` pair whose comparison count is
     known without materialising a :class:`~repro.blocking.base.Block`.
     """
-    if budget_ratio <= 0:
-        raise ValueError(f"budget_ratio must be > 0, got {budget_ratio}")
     per_level: dict[int, int] = {}
     for comparisons in counts:
         per_level[comparisons] = per_level.get(comparisons, 0) + comparisons
     levels = sorted(per_level)
     if not levels:
         return 0
-    budget = max(budget_ratio * cartesian, float(MIN_BUDGET))
+    budget = max(DEFAULT_BUDGET_RATIO * cartesian, float(MIN_BUDGET))
     threshold = levels[0]
     cumulative = 0
     for level in levels:
@@ -66,50 +61,33 @@ def purging_threshold_from_counts(
     return threshold
 
 
-def purging_threshold(
-    blocks: BlockCollection,
-    cartesian: int,
-    budget_ratio: float = DEFAULT_BUDGET_RATIO,
-) -> int:
+def purging_threshold(blocks: BlockCollection, cartesian: int) -> int:
     """Maximum per-block comparison count retained by the budget.
 
     Admits whole cardinality levels (ascending by per-block comparisons)
-    while the running total stays within ``budget_ratio * cartesian``.
-    At least the smallest level is always kept, so purging never empties
-    a non-empty collection.
+    while the running total stays within ``DEFAULT_BUDGET_RATIO *
+    cartesian`` (floored at :data:`MIN_BUDGET`).  At least the smallest
+    level is always kept, so purging never empties a non-empty
+    collection.
     """
     return purging_threshold_from_counts(
-        (block.comparisons for block in blocks), cartesian, budget_ratio
+        (block.comparisons for block in blocks), cartesian
     )
 
 
 def purge_blocks(
-    blocks: BlockCollection,
-    cartesian: int | None = None,
-    budget_ratio: float = DEFAULT_BUDGET_RATIO,
-    max_comparisons: int | None = None,
+    blocks: BlockCollection, cartesian: int | None = None
 ) -> BlockCollection:
     """Drop blocks suggesting more comparisons than the purging threshold.
 
-    Parameters
-    ----------
-    blocks:
-        The collection to purge (typically token blocks).
-    cartesian:
-        ``|E1| * |E2|``, the brute-force comparison count the budget is
-        relative to.  Defaults to the collection's own total comparisons
-        (a conservative stand-in when the KB sizes are unknown).
-    budget_ratio:
-        Fraction of the Cartesian product the retained blocks may
-        suggest in total.
-    max_comparisons:
-        Manual override: when given, the budget logic is skipped and
-        blocks with more comparisons than this are dropped.
+    ``cartesian`` is ``|E1| * |E2|``, the brute-force comparison count
+    the budget is relative to.  It defaults to the collection's own
+    total comparisons (a conservative stand-in when the KB sizes are
+    unknown).
 
     Returns a *new* collection; the input is never mutated.
     """
-    if max_comparisons is None:
-        if cartesian is None:
-            cartesian = blocks.total_comparisons()
-        max_comparisons = purging_threshold(blocks, cartesian, budget_ratio)
+    if cartesian is None:
+        cartesian = blocks.total_comparisons()
+    max_comparisons = purging_threshold(blocks, cartesian)
     return blocks.filter(lambda block: block.comparisons <= max_comparisons)

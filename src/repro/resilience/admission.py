@@ -162,9 +162,9 @@ class AdmissionController:
     max_pending:
         Upper bound on the summed *cost* (query count) of requests
         currently inside the engine.  ``None`` disables the bound.
-    quota_qps / quota_burst:
-        Per-source token-bucket quota.  ``None`` disables quotas;
-        ``quota_burst`` defaults to ``max(1, 2 * quota_qps)``.
+    quota_qps:
+        Per-source token-bucket quota.  ``None`` disables quotas; each
+        bucket's burst (:attr:`quota_burst`) is ``max(1, 2 * quota_qps)``.
     clock:
         Injected monotonic clock for deterministic tests.
 
@@ -182,7 +182,6 @@ class AdmissionController:
         self,
         max_pending: int | None = None,
         quota_qps: float | None = None,
-        quota_burst: float | None = None,
         clock: Callable[[], float] = time.monotonic,
         recorder=None,
     ):
@@ -190,14 +189,10 @@ class AdmissionController:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if quota_qps is not None and quota_qps <= 0:
             raise ValueError(f"quota_qps must be > 0, got {quota_qps}")
-        if quota_burst is not None and quota_burst <= 0:
-            raise ValueError(f"quota_burst must be > 0, got {quota_burst}")
         self.max_pending = max_pending
         self.quota_qps = quota_qps
         self.quota_burst = (
-            quota_burst
-            if quota_burst is not None
-            else (max(1.0, 2.0 * quota_qps) if quota_qps is not None else None)
+            max(1.0, 2.0 * quota_qps) if quota_qps is not None else None
         )
         self._clock = clock
         self._recorder = recorder

@@ -22,8 +22,8 @@ every dead slot it
 
 Resurrection is decision-identical to a never-crashed run because shard
 workers are pure functions of the frozen shard container plus the
-per-request wire payload: the delta overlay (excludes, weights, delta
-evidence) always rides on the wire, so a worker readmitted at the
+request: the delta overlay never leaves the router (which answers
+in-process while edits are pending), so a worker readmitted at the
 current generation answers byte-identically to one that never died.
 The supervisor never touches index state -- it only replaces transport
 endpoints -- which is what keeps it safe to run concurrently with

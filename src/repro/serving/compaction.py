@@ -9,7 +9,8 @@ fresh base when either trigger fires:
 
 * **size** -- the overlay holds at least ``max_delta`` edits
   (allocated delta slots + dead base ids: the quantity that grows
-  per-query overlay work and wire payloads);
+  per-query overlay work; a sharded tier answers in-process, not over
+  its workers, until the fold);
 * **tombstones** -- dead entities exceed ``max_tombstone_ratio`` of
   the id space (the quantity that wastes candidate-set work on
   excluded ids).

@@ -62,7 +62,6 @@ from repro.blocking.name_blocking import normalize_name
 from repro.blocking.purging import purging_threshold_from_counts
 from repro.core.config import MinoanERConfig
 from repro.core.matcher import NonIterativeMatcher
-from repro.core.rank_aggregation import top_aggregate_candidate
 from repro.core.rules import RULE_PRIORITY, VALUE_THRESHOLD
 from repro.graph.blocking_graph import CandidateList, DisjunctiveBlockingGraph
 from repro.graph.pruning import ADAPTIVE_CUT
@@ -139,12 +138,13 @@ def apply_single_rules(
             claimed_q = True
             claimed_2.add(top_candidate)
     if config.use_rank_aggregation:
-        if not claimed_q:
-            best = top_aggregate_candidate(value_list, (), config.theta)
-            if best is not None:
-                candidate, score = best
-                collected.append((candidate, score, "R3"))
-                claimed_2.add(candidate)
+        if not claimed_q and value_list:
+            # A lone query has no neighbor list, so R3's best aggregate
+            # is the head of its value list at theta * 1.0: with theta
+            # in (0, 1), every later position scores strictly less.
+            candidate = value_list[0][0]
+            collected.append((candidate, config.theta, "R3"))
+            claimed_2.add(candidate)
         # Side-2 sweep: every touched candidate's own value list is
         # the single pair back to the query (rank score 1.0), so its
         # best aggregate is the query at theta * 1.0.
@@ -758,8 +758,6 @@ class MatchEngine:
         probe: int | None = None,
         deadline: Deadline | None = None,
         tokens: list[str] | None = None,
-        exclude: Sequence[int] | None = None,
-        weights: dict[str, float] | None = None,
     ) -> dict[str, object]:
         """This index's value evidence for one query, merge-ready.
 
@@ -776,14 +774,6 @@ class MatchEngine:
         ships the purged token list it computed once, the worker skips
         re-tokenising and re-purging the query (``entity`` may then be
         ``None``) -- the derived list is identical either way.
-
-        ``exclude`` and ``weights`` carry the live-index overlay of a
-        router whose base has pending edits (see
-        :mod:`repro.serving.live`): ``exclude`` lists dead base ids to
-        drop from every posting before accumulating, ``weights``
-        overrides the hoisted singleton block weight of tokens whose
-        *live* Entity Frequency differs from the frozen one.  Both
-        default to no-ops, so the frozen-index path is untouched.
         """
         index = self.index
         if index.n2 == 0:
@@ -793,19 +783,9 @@ class MatchEngine:
         shared = self.value_tokens(entity) if tokens is None else tokens
         postings = index.postings
         singleton_weights = index.singleton_weights
-        dead = set(exclude) if exclude else None
-        weighted = []
-        for token in shared:
-            ids = postings[token]
-            if dead is not None:
-                kept = [candidate for candidate in ids if candidate not in dead]
-                if len(kept) != len(ids):
-                    ids = kept
-            weight = singleton_weights[token]
-            if weights is not None and token in weights:
-                weight = float(weights[token])
-            weighted.append((weight, ids))
-        return self._row_evidence(weighted, probe)
+        return self._row_evidence(
+            [(singleton_weights[token], postings[token]) for token in shared], probe
+        )
 
     def _row_evidence(
         self, weighted: list[tuple[float, Sequence[int]]], probe: int | None

@@ -53,7 +53,7 @@ import zlib
 from bisect import bisect_left
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -880,28 +880,6 @@ class LiveIndex:
         raise ValueError(f"unknown live-index op {op!r}")
 
     # ------------------------------------------------------------------
-    # Sharded-tier helpers
-    # ------------------------------------------------------------------
-    def dead_base_ids(self) -> list[int]:
-        """Sorted dead base ids -- the scatter's ``exclude`` payload."""
-        return sorted(self.delta.dead_base)
-
-    def weight_overrides(self, tokens: Iterable[str]) -> dict[str, float]:
-        """Per-token live-weight overrides for tokens whose live EF
-        differs from the frozen one -- the scatter's ``weights``
-        payload (workers keep serving off their unmodified shards)."""
-        base_postings = self.base.postings
-        overrides: dict[str, float] = {}
-        for token in tokens:
-            base_ids = base_postings.get(token)
-            if base_ids is None:
-                continue
-            live_ef = self.entity_frequency(token)
-            if live_ef != len(base_ids) and live_ef > 0:
-                overrides[token] = block_weight(live_ef)
-        return overrides
-
-    # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
     def compact(self) -> ResolutionIndex:
@@ -1053,8 +1031,8 @@ class LiveServingMixin:
         class LiveEngine(LiveServingMixin, MatchEngine): ...
 
     The sharded variant (``LiveShardRouter`` in
-    :mod:`repro.sharding.router`) reuses this mixin unchanged and adds
-    the scatter-side overlay.
+    :mod:`repro.sharding.router`) reuses this mixin unchanged and
+    answers in-process, like this engine, while a delta is active.
     """
 
     def __init__(self, index, *args, **kwargs):
@@ -1229,34 +1207,6 @@ class LiveServingMixin:
 
         self._mutate(operation)
         return self.generation
-
-    # ------------------------------------------------------------------
-    # Delta evidence (consumed by the sharded tier's merge)
-    # ------------------------------------------------------------------
-    def delta_match_evidence(
-        self, tokens: Sequence[str], probe: int | None = None
-    ) -> dict[str, object]:
-        """The delta segment's merge-ready value evidence for one query.
-
-        Shaped exactly like :meth:`MatchEngine.match_evidence` so the
-        router can append it to the worker evidences as one more
-        (virtual) shard: delta ids partition disjointly from every
-        shard's base ids, weights are the live ones, and the sweep-mins
-        argument of :mod:`repro.serving.merge` extends unchanged.
-        """
-        live = self.index
-        base_n2 = live.base.n2
-        weighted = []
-        for token in tokens:
-            slots = live.delta.postings.get(token)
-            if slots:
-                weighted.append(
-                    (
-                        live.singleton_weights[token],
-                        [base_n2 + slot for slot in slots],
-                    )
-                )
-        return self._row_evidence(weighted, probe)
 
     # ------------------------------------------------------------------
     # Observability

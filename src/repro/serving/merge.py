@@ -1,12 +1,11 @@
 """Merge per-source value evidence into the engine's exact candidates.
 
 A *source* is whatever accumulated a slice of one query's ``beta`` row:
-the engine's own index (one source), a shard worker (N sources), or the
-live delta segment riding along as a virtual shard.  Every float a
-source ships was accumulated wholly inside it (posting lists partition
-disjointly; weights and purging thresholds use global Entity
-Frequencies), so merging is pure *re-ranking* under the engine's total
-order ``(-score, id)`` -- implemented by the same
+the engine's own index, frozen or live (one source), or a shard worker
+(N sources).  Every float a source ships was accumulated wholly inside
+it (posting lists partition disjointly; weights and purging thresholds
+use global Entity Frequencies), so merging is pure *re-ranking* under
+the engine's total order ``(-score, id)`` -- implemented by the same
 :func:`repro.kernels.numpy_backend.select_row` the kernels use, which
 is insensitive to input permutation.  The engine then runs rules R1-R4
 over the merged candidates, whichever sources they came from: the

@@ -3,7 +3,7 @@
 A frame is the ASCII decimal byte length of its payload, a newline,
 the payload, a newline.  Most payloads are one compact-JSON message::
 
-    47\\n{"id":3,"op":"match","entity":{...}}\\n
+    38\\n{"id":3,"op":"match","tokens":["..."]}\\n
 
 The explicit length makes framing independent of message content (no
 embedded-newline hazards) while staying trivially debuggable -- a
@@ -12,12 +12,12 @@ lengths.  Messages are JSON objects; request/response correlation is
 by ``id``.
 
 Requests (router -> worker): ``op`` of ``hello`` (handshake +
-shard descriptor), ``match`` (single-query evidence; carries the
-router's alpha ``probe`` and optional ``budget_ms``, plus the live
-overlay's ``exclude`` dead-id list and ``weights`` overrides when the
-router has pending edits -- see ``docs/live_index.md``), ``batch``
-(batch evidence), ``stats`` (engine stats + a
-:class:`~repro.obs.recorder.RecorderSnapshot` for trace grafting),
+shard descriptor), ``match`` (single-query evidence:
+``{tokens, probe, budget_ms}`` -- the purged token list the router
+derived once, its alpha ``probe`` and the remaining ``budget_ms``, the
+last two optional), ``batch`` (batch evidence), ``stats`` (engine
+stats + a :class:`~repro.obs.recorder.RecorderSnapshot` for trace
+grafting),
 ``reload`` (zero-drop swap onto a freshly compacted shard file; the
 response is the new ``hello`` descriptor), ``shutdown``; plus
 ``{"cancel": id}`` (no response -- a hedged request whose twin already

@@ -460,24 +460,14 @@ class ShardRouter(MatchEngine):
         """Scatter the purged ``tokens``: the list is identical on every
         shard (full token table + global EFs travel in each shard file),
         so the engine derived it once instead of N times in the workers
-        and the request carries it, not the whole entity."""
-        return self._scatter_values(alpha, {"tokens": tokens}, deadline)
-
-    def _scatter_values(
-        self,
-        alpha: int | None,
-        payload: dict[str, Any],
-        deadline: Deadline | None,
-        virtual: Sequence[dict[str, Any]] = (),
-    ) -> tuple[CandidateList, Sequence[int], bool]:
-        """One ``match`` round trip to every shard, merged under
-        ``(-score, id)`` together with any router-local ``virtual``
-        shard evidence."""
+        and the request carries it, not the whole entity.  The shards'
+        rows merge under ``(-score, id)``."""
+        payload: dict[str, Any] = {"tokens": tokens}
         if alpha is not None:
             payload["probe"] = int(alpha)
         evidences, degraded = self._gather("match", payload, deadline)
         value_list, sweep = merge_single_evidence(
-            self.config, self._cut, alpha, evidences + list(virtual)
+            self.config, self._cut, alpha, evidences
         )
         return value_list, sweep, degraded
 
@@ -779,8 +769,8 @@ class ShardRouter(MatchEngine):
         file and is discarded (:class:`ShardFailure`; the supervisor
         retries, and the retry maps the new file).  A readmitted worker
         is decision-identical to one that never crashed: workers are
-        pure functions of the frozen shard file and the per-request
-        wire payload, and the live overlay always rides on the wire.
+        pure functions of the frozen shard file and the request, and
+        the live overlay never leaves the router.
 
         Returns ``False`` when the router has no replica factory
         (replicas it cannot recreate) or the slot is alive again.
@@ -905,25 +895,15 @@ class LiveShardRouter(LiveServingMixin, ShardRouter):
     compaction and zero-drop swaps across the whole worker fleet.
 
     Workers keep serving their frozen shard files untouched; the
-    router-side :class:`~repro.serving.live.LiveIndex` overlay makes
-    the fleet's answers track the edits exactly:
-
-    * **alpha / gamma / rules** already run on the router, so they see
-      the live name map and neighbor view for free;
-    * **value evidence** scatters the shared tokens present in the
-      *base* (a worker's token table covers only those) together with
-      the overlay's ``exclude`` dead-id list and live ``weights``
-      overrides, and merges the delta segment's own evidence
-      (:meth:`~repro.serving.live.LiveServingMixin.delta_match_evidence`)
-      as one more virtual shard.  Posting partitions stay disjoint --
-      base candidates live in their owner shard, delta candidates only
-      in the virtual shard -- so every per-pair score still accumulates
-      exactly once and the PR7 merge argument extends unchanged;
-    * **batches** fall back to the router-local engine pipeline while a
-      delta is active (counted ``shard.batch_local``): the batch wire
-      format has no overlay channel, and a rarely-exercised parallel
-      encoding of the overlay is exactly the kind of divergence this
-      tier exists to avoid.  Compaction restores the scattered path.
+    overlay lives on the router alone.  With no edit pending, singles
+    and batches scatter as on a frozen router.  While a delta is
+    active, both answer in-process through the engine's own evidence
+    seam over the router's :class:`~repro.serving.live.LiveIndex` --
+    exactly what a :class:`~repro.serving.live.LiveEngine` runs --
+    and each such answer counts ``shard.local``.  No worker is asked,
+    so an answer under pending edits is never ``degraded`` by a dead
+    shard.  Compaction folds the delta into fresh shard files and
+    restores the scattered path.
 
     :meth:`compact` plans the fresh base's shards, writes the base and
     every shard file all-or-nothing (temp files, then renames, so
@@ -936,27 +916,14 @@ class LiveShardRouter(LiveServingMixin, ShardRouter):
     """
 
     def _single_values(self, alpha, tokens, deadline):
-        live = self.index
-        if not live.delta_active:
-            return super()._single_values(alpha, tokens, deadline)
-        # Delta-only tokens are absent from the workers' (full, frozen)
-        # token tables; their evidence comes from the virtual shard.
-        base_postings = live.base.postings
-        payload: dict[str, Any] = {
-            "tokens": [token for token in tokens if token in base_postings]
-        }
-        exclude = live.dead_base_ids()
-        if exclude:
-            payload["exclude"] = exclude
-        overrides = live.weight_overrides(tokens)
-        if overrides:
-            payload["weights"] = overrides
-        delta = self.delta_match_evidence(tokens, probe=alpha)
-        return self._scatter_values(alpha, payload, deadline, [delta])
+        if self.index.delta_active:
+            self.recorder.count("shard.local")
+            return MatchEngine._single_values(self, alpha, tokens, deadline)
+        return super()._single_values(alpha, tokens, deadline)
 
     def _batch_values(self, batch, qkb, deadline):
         if self.index.delta_active:
-            self.recorder.count("shard.batch_local")
+            self.recorder.count("shard.local")
             return MatchEngine._batch_values(self, batch, qkb, deadline)
         return super()._batch_values(batch, qkb, deadline)
 

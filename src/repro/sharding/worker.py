@@ -113,18 +113,13 @@ class ShardWorker:
             if op == "hello":
                 result = self.describe()
             elif op == "match":
-                # Routers ship the purged token list they computed once
-                # on the full index instead of the (larger) entity; the
-                # entity form stays supported for direct callers.
+                # The router ships the purged token list it computed
+                # once on the full index, not the (larger) entity.
                 result = self.engine.match_evidence(
-                    entity_from_json(request["entity"], "query")
-                    if "entity" in request
-                    else None,
+                    None,
                     probe=request.get("probe"),
                     deadline=self._deadline(request),
-                    tokens=request.get("tokens"),
-                    exclude=request.get("exclude"),
-                    weights=request.get("weights"),
+                    tokens=request["tokens"],
                 )
             elif op == "batch":
                 # The evidence arrays ride as sections of the reply frame.

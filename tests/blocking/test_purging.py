@@ -1,11 +1,15 @@
 """Unit tests for comparison-budget Block Purging."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking.base import Block, BlockCollection
-from repro.blocking.purging import MIN_BUDGET, purge_blocks, purging_threshold
+from repro.blocking.purging import (
+    DEFAULT_BUDGET_RATIO,
+    MIN_BUDGET,
+    purge_blocks,
+    purging_threshold,
+)
 
 
 def collection_of(shapes: list[tuple[int, int]]) -> BlockCollection:
@@ -18,7 +22,7 @@ def collection_of(shapes: list[tuple[int, int]]) -> BlockCollection:
 class TestThreshold:
     def test_keeps_everything_under_budget(self):
         blocks = collection_of([(1, 1), (1, 2), (2, 2)])
-        assert purging_threshold(blocks, cartesian=10_000, budget_ratio=0.01) == 4
+        assert purging_threshold(blocks, cartesian=10_000) == 4
 
     def test_drops_oversized_levels(self):
         blocks = collection_of([(1, 1)] * 10 + [(100, 100)])
@@ -33,15 +37,11 @@ class TestThreshold:
     def test_empty_collection(self):
         assert purging_threshold(BlockCollection(), cartesian=100) == 0
 
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            purging_threshold(BlockCollection(), cartesian=100, budget_ratio=0.0)
-
     def test_whole_levels_kept_or_dropped(self):
         # Two blocks at the same level: both survive or both go.
         blocks = collection_of([(1, 1), (3, 3), (3, 3)])
-        threshold = purging_threshold(blocks, cartesian=100, budget_ratio=0.1)
-        purged = purge_blocks(blocks, cartesian=100, budget_ratio=0.1)
+        threshold = purging_threshold(blocks, cartesian=100)
+        purged = purge_blocks(blocks, cartesian=100)
         same_level = [b for b in blocks if b.comparisons == 9]
         survivors = [b for b in purged if b.comparisons == 9]
         assert len(survivors) in (0, len(same_level))
@@ -49,11 +49,6 @@ class TestThreshold:
 
 
 class TestPurgeBlocks:
-    def test_manual_override(self):
-        blocks = collection_of([(1, 1), (2, 3), (5, 5)])
-        purged = purge_blocks(blocks, max_comparisons=6)
-        assert [b.comparisons for b in purged] == [1, 6]
-
     def test_input_not_mutated(self):
         blocks = collection_of([(1, 1), (9, 9)])
         purge_blocks(blocks, cartesian=81)
@@ -70,13 +65,12 @@ class TestPurgingProperties:
         shapes=st.lists(
             st.tuples(st.integers(1, 20), st.integers(1, 20)), min_size=1, max_size=30
         ),
-        budget=st.floats(min_value=0.001, max_value=1.0),
+        cartesian=st.integers(1, 1_000_000),
     )
     @settings(max_examples=60)
-    def test_never_empties_and_respects_level_order(self, shapes, budget):
+    def test_never_empties_and_respects_level_order(self, shapes, cartesian):
         blocks = collection_of(shapes)
-        cartesian = 400
-        purged = purge_blocks(blocks, cartesian=cartesian, budget_ratio=budget)
+        purged = purge_blocks(blocks, cartesian=cartesian)
         assert len(purged) >= 1
         kept = {b.comparisons for b in purged}
         dropped = {b.comparisons for b in blocks} - kept
@@ -92,14 +86,13 @@ class TestPurgingProperties:
     def test_budget_exceeded_only_by_first_level(self, shapes):
         blocks = collection_of(shapes)
         cartesian = 1000
-        budget_ratio = 0.02
-        purged = purge_blocks(blocks, cartesian=cartesian, budget_ratio=budget_ratio)
+        purged = purge_blocks(blocks, cartesian=cartesian)
         total = purged.total_comparisons()
         smallest_level = min(b.comparisons for b in blocks)
         smallest_total = sum(
             b.comparisons for b in blocks if b.comparisons == smallest_level
         )
-        budget = max(budget_ratio * cartesian, MIN_BUDGET)
+        budget = max(DEFAULT_BUDGET_RATIO * cartesian, MIN_BUDGET)
         # Retained comparisons stay within budget, except that the
         # smallest level is always admitted.
         assert total <= budget or total == smallest_total

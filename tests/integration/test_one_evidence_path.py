@@ -3,8 +3,9 @@ decides exactly like a cold rebuild, single query and batch of one alike.
 
 The engine's ``_lookup`` / ``_match_many`` are written once; the
 unsharded engine, the shard router and the live shard router differ
-only in where the value evidence comes from (in-process, scatter-gather,
-scatter-gather + overlay).  The matrix below crosses those providers
+only in where the value evidence comes from (in-process or
+scatter-gather; the live shard router answers in-process while edits
+are pending).  The matrix below crosses those providers
 with the config knob that changes the merge shape (``dynamic_pruning``)
 and pins the two degraded exits every provider shares: an expired
 deadline and a shard that is down in ``degrade`` mode.
@@ -176,17 +177,22 @@ def test_deadline_expiring_before_value_evidence_degrades(provide, provider):
 def test_shard_down_in_degrade_mode_flags_and_never_caches(provide, provider):
     config = MinoanERConfig(failure_mode="degrade")
     target = provide(provider, config, failure_threshold=1000)
+    cold = MatchEngine(build_index(FINAL, config), config)
     with use_faults(parse_chaos("shard:request:1=error")):
+        if provider == "live-shard-router":
+            # Under a live delta singles and batches are answered
+            # in-process: no shard is asked, so none degrades them.
+            for query in PROBES:
+                assert fields(target.match(query)) == fields(cold.match(query))
+            assert not any(d.degraded for d in target.match_batch(PROBES))
+            return
         for _ in range(2):
             for query in PROBES:
                 decision = target.match(query)
                 assert decision.degraded and not decision.cached, query.uri
         assert target.stats()["cache"]["hits"] == 0
-        if provider == "shard-router":
-            # (Under a live delta batches are answered in-process.)
-            assert all(d.degraded for d in target.match_batch(PROBES))
+        assert all(d.degraded for d in target.match_batch(PROBES))
     # The shard is back: full evidence again, and now cacheable.
-    cold = MatchEngine(build_index(FINAL, config), config)
     for query in PROBES:
         assert fields(target.match(query)) == fields(cold.match(query))
     assert target.match(PROBES[1]).cached

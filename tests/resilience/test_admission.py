@@ -127,9 +127,7 @@ class TestAdmissionController:
 
     def test_quota_sheds_per_source(self):
         clock = FakeClock()
-        admission = AdmissionController(
-            quota_qps=1.0, quota_burst=2.0, clock=clock
-        )
+        admission = AdmissionController(quota_qps=1.0, clock=clock)
         for _ in range(2):
             with admission.admit(source="a"):
                 pass
@@ -145,9 +143,8 @@ class TestAdmissionController:
             pass
 
     def test_unlabelled_requests_share_the_default_bucket(self):
-        admission = AdmissionController(
-            quota_qps=1.0, quota_burst=1.0, clock=FakeClock()
-        )
+        # A rate of 0.5/s makes the derived burst max(1, 2 * 0.5) = 1.
+        admission = AdmissionController(quota_qps=0.5, clock=FakeClock())
         with admission.admit():
             pass
         with pytest.raises(LoadShedError) as caught:
@@ -157,7 +154,7 @@ class TestAdmissionController:
 
     def test_queue_shed_does_not_charge_quota(self):
         admission = AdmissionController(
-            max_pending=1, quota_qps=1.0, quota_burst=2.0, clock=FakeClock()
+            max_pending=1, quota_qps=1.0, clock=FakeClock()
         )
         with admission.admit(source="a"):
             with pytest.raises(LoadShedError):
@@ -173,9 +170,7 @@ class TestAdmissionController:
         assert caught.value.reason == "quota"
 
     def test_source_buckets_are_lru_capped(self):
-        admission = AdmissionController(
-            quota_qps=1_000_000.0, quota_burst=1_000_000.0, clock=FakeClock()
-        )
+        admission = AdmissionController(quota_qps=1_000_000.0, clock=FakeClock())
         for i in range(MAX_TRACKED_SOURCES + 50):
             with admission.admit(source=f"s{i}"):
                 pass
@@ -187,7 +182,7 @@ class TestAdmissionController:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_pending": 0}, {"quota_qps": 0.0}, {"quota_qps": 1.0, "quota_burst": 0.0}],
+        [{"max_pending": 0}, {"quota_qps": 0.0}, {"quota_qps": -1.0}],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -116,7 +116,7 @@ class TestLiveShardedEquivalence:
             ours = [decision_fields(d) for d in router.match_batch(PROBES)]
             theirs = [decision_fields(d) for d in cold.match_batch(PROBES)]
             assert ours == theirs
-            assert router.recorder.counter_value("shard.batch_local") == 1
+            assert router.recorder.counter_value("shard.local") == 1
         finally:
             router.close()
 
@@ -124,7 +124,7 @@ class TestLiveShardedEquivalence:
         router = live_router(build_index(BASE), 2)
         try:
             router.match_batch(PROBES[:3])
-            assert router.recorder.counter_value("shard.batch_local") == 0
+            assert router.recorder.counter_value("shard.local") == 0
         finally:
             router.close()
 
@@ -150,6 +150,54 @@ class TestLiveShardedEquivalence:
             assert stats["live"]["delta_entities"] == 1
             assert stats["live"]["generation"] == router.generation == 1
             assert stats["sharding"]["shards"] == 2
+        finally:
+            router.close()
+
+
+class CountingReplica(InlineReplica):
+    """An inline replica that counts the requests it is sent, per op."""
+
+    def __init__(self, worker):
+        super().__init__(worker)
+        self.sent: dict[str, int] = {}
+
+    def send(self, op, payload, sink):
+        self.sent[op] = self.sent.get(op, 0) + 1
+        return super().send(op, payload, sink)
+
+
+class TestPendingEditsStayOnTheRouter:
+    def test_no_worker_request_until_compaction(self, tmp_path):
+        index_path = tmp_path / "kb2.idx"
+        base = build_index(BASE)
+        base.save(index_path)
+        ShardPlanner(2).write(base, index_path)
+        replicas = [
+            CountingReplica(ShardWorker(MatchEngine(shard, CONFIG)))
+            for shard in ShardPlanner(2).plan(base)
+        ]
+        router = LiveShardRouter(
+            base, [[replica] for replica in replicas], CONFIG
+        )
+        router.index_path = index_path
+        cold = MatchEngine(build_index(final_entities()), CONFIG)
+
+        def sent(op):
+            return sum(replica.sent.get(op, 0) for replica in replicas)
+
+        try:
+            apply_edits(router)
+            singles = [decision_fields(router.match(p)) for p in PROBES]
+            batch = [decision_fields(d) for d in router.match_batch(PROBES)]
+            assert singles == [decision_fields(cold.match(p)) for p in PROBES]
+            assert batch == [decision_fields(d) for d in cold.match_batch(PROBES)]
+            assert sent("match") == sent("batch") == 0
+            assert router.recorder.counter_value("shard.local") == len(PROBES) + 1
+            router.compact()
+            after = [decision_fields(router.match(p)) for p in PROBES]
+            assert after == singles
+            assert sent("match") == 2 * len(PROBES)
+            assert router.recorder.counter_value("shard.local") == len(PROBES) + 1
         finally:
             router.close()
 
@@ -180,9 +228,10 @@ class TestCompactionSwap:
             after = [decision_fields(router.match(p)) for p in PROBES]
             expected = [decision_fields(cold.match(p)) for p in PROBES]
             assert before == after == expected
-            # Batches scatter again now that the delta is gone.
+            # Batches scatter again now that the delta is gone: only the
+            # singles answered before the compaction stayed local.
             router.match_batch(PROBES[:3])
-            assert router.recorder.counter_value("shard.batch_local") == 0
+            assert router.recorder.counter_value("shard.local") == len(PROBES)
         finally:
             router.close()
 
@@ -251,30 +300,6 @@ class TestWorkerReloadOp:
         body = worker.handle({"id": 1, "op": "reload", "path": "/nonexistent.idx"})
         assert not body["ok"]
         assert "error" in body
-
-    def test_match_honours_exclude_and_weights(self):
-        # The wire fields the live router ships: dead base ids vanish
-        # from the evidence rows, weight overrides rescale scores.
-        index = build_index([entity(i, "shared") for i in range(4)])
-        shard = ShardPlanner(1).plan(index)[0]
-        worker = ShardWorker(MatchEngine(shard, CONFIG))
-        plain = worker.handle({"id": 1, "op": "match", "tokens": ["shared"]})
-        assert plain["ok"]
-        ids = {row[0] for row in plain["row"]}
-        assert ids == {0, 1, 2, 3}
-        excluded = worker.handle(
-            {"id": 2, "op": "match", "tokens": ["shared"], "exclude": [1, 3]}
-        )
-        assert {row[0] for row in excluded["row"]} == {0, 2}
-        reweighted = worker.handle(
-            {
-                "id": 3,
-                "op": "match",
-                "tokens": ["shared"],
-                "weights": {"shared": 0.5},
-            }
-        )
-        assert all(row[1] == 0.5 for row in reweighted["row"])
 
 
 class TestAllOrNothingCompaction:
